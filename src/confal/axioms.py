@@ -73,6 +73,8 @@ def associativity_report(alg, max_m: int, max_n: int, triples=None) -> CheckRepo
     Both sums run over 0 <= j <= m.  The report verifies each form and that
     the two computed values of the full product agree.
     """
+    if max_m < 0 or max_n < 0:
+        raise ValueError("associativity orders must be nonnegative")
     rep = CheckReport("associativity")
     if triples is None:
         gens = alg.generator_items()
@@ -124,6 +126,8 @@ def coefficient_locality_report(alg, window: int, extra_orders: int = 3) -> Chec
     for every n with N < n <= N + extra_orders and all l, m in [-window,
     window].
     """
+    if window < 0:
+        raise ValueError("the coefficient window must be nonnegative")
     rep = CheckReport("coefficient-locality")
     gens = alg.generator_items()
     for aname, u in gens:

@@ -36,7 +36,7 @@ from .axioms import (
     conformal_axioms_report,
     identity_report,
 )
-from .diff_conformal import ALL_ZERO, dong_check
+from .diff_conformal import ALL_ZERO, DifferentialAlgebra, dong_check
 from .errors import (
     BoundExceeded,
     ClosureBoundExceeded,
@@ -156,6 +156,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.max_order < 0 or args.window < 0:
+        raise ValueError("--max-order and --window must be nonnegative")
     alg = _pick_algebra(args)
     gens = alg.generator_items()
     checked = 0
@@ -282,6 +284,8 @@ def _cmd_transport(args) -> int:
 
 def _cmd_simplicity(args) -> int:
     alg = _pick_algebra(args)
+    if not isinstance(alg, DifferentialAlgebra):
+        raise ValueError("simplicity needs a differential instance")
     rep = simplicity_probe(
         alg, trials=args.trials, degree_bound=args.degree_bound, seed=args.seed
     )

@@ -34,7 +34,8 @@ right-hand sides and in element expressions (`d g`, `d^2 g`, `d(g)`).
 names are b1..bd.  A `matrix` derivation is d*d rationals, row-major, with
 columns holding the images of the basis elements.  `module { ... }`
 declarations (torsion constraints on generators) are recognized and rejected:
-presentations here are free over the operator ring.
+presentations here are free over the operator ring.  Each product a (n) b is
+defined at most once in a `products` block.
 """
 
 from __future__ import annotations
@@ -475,12 +476,17 @@ class _Parser:
     def parse_products(self):
         self.expect_punct("{")
         clauses = []
+        seen = set()
         while not self.at_punct("}"):
+            head = self.peek()
             lname = self.expect_ident().value
             self.expect_punct("(")
             order = self.expect_int()
             self.expect_punct(")")
             rname = self.expect_ident().value
+            if (lname, order, rname) in seen:
+                self.error(f"duplicate product {lname} ({order}) {rname}", head)
+            seen.add((lname, order, rname))
             self.expect_punct("=")
             terms = self.parse_product_rhs()
             self.expect_punct(";")

@@ -268,6 +268,9 @@ class Poly:
         return self.is_const() or other.is_const() or self.var == other.var
 
     def __hash__(self):
+        # a constant equals its value and the same constant in any variable
+        if self.is_const():
+            return hash(self.coeffs.get(0, Fraction(0)))
         return hash(self.key())
 
     def __repr__(self):
@@ -504,7 +507,7 @@ class MatPoly:
         return self.n == other.n and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.n, self.rows))
 
     def __repr__(self):
         rows = "; ".join("[" + ", ".join(str(e) for e in r) + "]" for r in self.rows)

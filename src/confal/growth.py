@@ -215,7 +215,7 @@ def loglog_slope(gamma):
     if len(pts) < 2:
         return None
     (r1, g1), (r2, g2) = pts[-2], pts[-1]
-    if r1 == r2 or g1 == g2 and r1 == r2:
+    if r1 == r2:
         return 0.0
     return (math.log(g2) - math.log(g1)) / (math.log(r2) - math.log(r1))
 
@@ -309,6 +309,8 @@ class GrowthReport:
 
 
 def growth_table(alg, r_max: int, cap: int | None = None) -> GrowthReport:
+    if r_max < 1:
+        raise ValueError("the word-length bound r_max must be at least 1")
     span = enumerate_span(alg, r_max, cap)
     gamma = []
     for r in range(1, r_max + 1):

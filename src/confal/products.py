@@ -7,13 +7,22 @@ both slots of the n-th product:
 
   * left slot:  a power d^i contributes (-1)^i n(n-1)...(n-i+1) at order n-i,
     which is zero once i exceeds n;
-  * right slot: u (n) (d v) = d(u (n) v) + n * (u (n-1) v), applied
-    recursively one power of d at a time.
+  * right slot: the closed form
+
+        a (m) d^j b = sum_{r=0}^{min(j,m)} C(j,r) m(m-1)...(m-r+1) d^(j-r) (a (m-r) b),
+
+    obtained by iterating u (m) (d v) = d(u (m) v) + m (u (m-1) v), since d
+    commutes with the weighted shift to order m-1.
+
+A term pair d^i a, d^j b thus costs min(j, m) + 1 base cases (m = n - i),
+where expanding the rule one d at a time costs about 2^j.  Base cases are
+memoised for the duration of one product only, so a pair of basis symbols
+costs at most n+1 of them in total.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import comb, perm
 
 from .exact_arith import DOp, falling_factorial
 
@@ -21,52 +30,41 @@ from .exact_arith import DOp, falling_factorial
 def terms_clean(terms: dict) -> dict:
     return {k: q for k, q in terms.items() if not q.is_zero()}
 
-def terms_add_scaled(dst: dict, src: dict, c) -> None:
-    if c == 0:
-        return
-    for k, q in src.items():
-        cur = dst.get(k)
-        nq = q * c if cur is None else cur + q * c
-        if nq.is_zero():
-            dst.pop(k, None)
-        else:
-            dst[k] = nq
-
-
-def terms_times_d(terms: dict) -> dict:
-    return {k: q.times_d() for k, q in terms.items()}
-
-
-def _symbol_dpow(ak, m: int, bk, j: int, base_case) -> dict:
-    """f_a (m) (d^j f_b) as a terms dict."""
-    if j == 0:
-        return base_case(ak, m, bk)
-    rec = _symbol_dpow(ak, m, bk, j - 1, base_case)
-    out = terms_times_d(rec)
-    if m > 0:
-        terms_add_scaled(out, _symbol_dpow(ak, m - 1, bk, j - 1, base_case), Fraction(m))
-    return terms_clean(out)
-
 
 def nth_product_terms(u_terms: dict, v_terms: dict, n: int, base_case) -> dict:
     """Order-n product of two elements given as terms dicts."""
     if n < 0:
         raise ValueError("product order must be nonnegative")
-    out: dict = {}
+    memo: dict = {}
+    acc: dict = {}  # basis symbol -> {d-power: coefficient}
     for ak, p in u_terms.items():
-        for i, ci in p.items():
+        for i, ci in p.coeffs.items():
             if i > n:
                 continue  # the left-slot factor n(n-1)...(n-i+1) vanishes
+            m = n - i
             left = ci * falling_factorial(n, i)
             if i % 2:
                 left = -left
-            if left == 0:
-                continue
             for bk, q in v_terms.items():
-                for j, cj in q.items():
-                    piece = _symbol_dpow(ak, n - i, bk, j, base_case)
-                    terms_add_scaled(out, piece, left * cj)
-    return terms_clean(out)
+                for j, cj in q.coeffs.items():
+                    scale = left * cj
+                    for r in range(min(j, m) + 1):
+                        key = (ak, m - r, bk)
+                        base = memo.get(key)
+                        if base is None:
+                            base = memo[key] = base_case(ak, m - r, bk)
+                        # C(j,r) m!/(m-r)! is an integer, and 1 at r = 0
+                        c = scale * (comb(j, r) * perm(m, r)) if r else scale
+                        shift = j - r
+                        for k, b in base.items():
+                            row = acc.get(k)
+                            if row is None:
+                                row = acc[k] = {}
+                            for e, v in b.coeffs.items():
+                                e += shift
+                                t = c * v
+                                row[e] = row[e] + t if e in row else t
+    return terms_clean({k: DOp(row) for k, row in acc.items()})
 
 
 def terms_key(terms: dict):

@@ -109,6 +109,26 @@ def test_duplicate_names_rejected():
         )
 
 
+def test_duplicate_product_definition_rejected():
+    src = (
+        "algebra p {\n"
+        "  kind presented;\n"
+        "  generators g;\n"
+        "  products {\n"
+        "    g (0) g = g;\n"
+        "    g (0) g = 2 g;\n"
+        "  }\n"
+        "}\n"
+    )
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    assert (info.value.line, info.value.col) == (6, 5)
+    assert "duplicate product" in str(info.value)
+    # the same pair at another order is a different product
+    (spec,) = parse(src.replace("g (0) g = 2 g", "g (1) g = 2 g"))
+    assert len(spec.products) == 2
+
+
 def test_semantic_build_errors():
     # findim table length must be d^3
     with pytest.raises(ParseError):
@@ -245,6 +265,21 @@ def test_cli_resource_bound(monkeypatch):
     assert main(["growth", WEYL_FILE, "--rmax", "8"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["growth", WEYL_FILE, "--rmax", "0"],
+    ["growth", WEYL_FILE, "--rmax", "-3"],
+    ["coeff-growth", WEYL_FILE, "--rmax", "0"],
+    ["check", WEYL_FILE, "--max-order", "-1"],
+    ["check", WEYL_FILE, "--window", "-1"],
+    ["oracle", WEYL_FILE, "--max-order", "-1"],
+    ["oracle", WEYL_FILE, "--window", "-1"],
+], ids=lambda a: " ".join(a[:1] + a[2:]))
+def test_cli_bounds_validated(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_cli_transport_and_recognize(capsys):
     cureps = str(INSTANCE_DIR / "cureps.confal")
     assert main(["transport", cureps, "--r", "b2"]) == 0
@@ -262,3 +297,6 @@ def test_cli_simplicity(capsys):
     assert main(["simplicity", cureps, "--trials", "5"]) == 0
     out = capsys.readouterr().out
     assert "proper delta-stable ideal found" in out
+    presented = str(INSTANCE_DIR / "cur2_presented.confal")
+    assert main(["simplicity", presented, "--trials", "5"]) == 2
+    assert "differential instance" in capsys.readouterr().err

@@ -115,6 +115,22 @@ def test_poly_divexact():
         Poly({1: 1, 0: 1}, "x").divexact(Poly({1: 1}, "x"))
 
 
+def test_poly_equal_objects_hash_equal():
+    pairs = [
+        (Poly.const(2, "x"), Poly.const(2, "y")),
+        (Poly.const(3), 3),
+        (Poly.const(Fraction(1, 2), "y"), Fraction(1, 2)),
+        (Poly.zero("x"), Poly.zero("y")),
+        (Poly.zero("x"), 0),
+        (MatPoly.identity(2, "x"), MatPoly.identity(2, "y")),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    # non-constants still tell their variables apart
+    assert len({Poly.variable("x"), Poly.variable("y")}) == 2
+
+
 def test_poly_format():
     assert repr(Poly({3: 2, 1: -1, 0: Fraction(1, 2)}, "x")) == "2*x^3 - x + 1/2"
     assert repr(Poly.zero()) == "0"

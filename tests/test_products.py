@@ -1,0 +1,142 @@
+"""The shared product engine: closed-form right slot, a second route, its cost."""
+
+from fractions import Fraction
+
+import pytest
+
+from confal import cur_matrix_presented, poly_zero, weyl_algebra
+from confal.products import nth_product_terms, terms_clean
+
+WEYL = weyl_algebra()
+POLYZERO = poly_zero()
+CUR2P = cur_matrix_presented(2)
+
+
+# -- reference: the right slot expanded one power of d at a time -------------------------
+
+
+def _terms_add_scaled(dst: dict, src: dict, c) -> None:
+    for k, q in src.items():
+        dst[k] = dst[k] + q * c if k in dst else q * c
+
+
+def _symbol_dpow(ak, m: int, bk, j: int, base_case) -> dict:
+    """f_a (m) (d^j f_b) by u (m) (d v) = d(u (m) v) + m (u (m-1) v)."""
+    if j == 0:
+        return base_case(ak, m, bk)
+    out = {k: q.times_d() for k, q in _symbol_dpow(ak, m, bk, j - 1, base_case).items()}
+    if m > 0:
+        _terms_add_scaled(out, _symbol_dpow(ak, m - 1, bk, j - 1, base_case), Fraction(m))
+    return terms_clean(out)
+
+
+def reference_nth(u_terms: dict, v_terms: dict, n: int, base_case) -> dict:
+    out: dict = {}
+    for ak, p in u_terms.items():
+        for i, ci in p.coeffs.items():
+            if i > n:
+                continue
+            left = ci * Fraction((-1) ** i)
+            for t in range(i):
+                left *= n - t
+            for bk, q in v_terms.items():
+                for j, cj in q.coeffs.items():
+                    _terms_add_scaled(out, _symbol_dpow(ak, n - i, bk, j, base_case), left * cj)
+    return terms_clean(out)
+
+
+class CountingBaseCase:
+    def __init__(self, base_case):
+        self.base_case = base_case
+        self.calls = 0
+
+    def __call__(self, a, m, b):
+        self.calls += 1
+        return self.base_case(a, m, b)
+
+
+def _gens(alg):
+    return [g for _, g in alg.generator_items()]
+
+
+def _mixed(alg):
+    """A two-generator combination with d in both terms."""
+    g = _gens(alg)
+    return alg.add(alg.apply_dop_power(g[0], 2), alg.scale(alg.apply_dop_power(g[-1], 1), 3))
+
+
+# -- the closed form against the one-power-at-a-time expansion ---------------------------
+
+
+@pytest.mark.parametrize("alg", [WEYL, POLYZERO, CUR2P], ids=lambda a: a.name)
+def test_closed_form_matches_recursion(alg):
+    lefts = _gens(alg) + [_mixed(alg)]
+    rights = _gens(alg) + [_mixed(alg)]
+    for u in lefts:
+        for v in rights:
+            for j in range(9):
+                dv = alg.apply_dop_power(v, j)
+                for n in range(7):
+                    got = nth_product_terms(u.terms, dv.terms, n, alg._base_case)
+                    want = reference_nth(u.terms, dv.terms, n, alg._base_case)
+                    assert got == want, (alg.name, u, v, j, n)
+
+
+def test_negative_order_rejected():
+    L = WEYL.generator("L")
+    with pytest.raises(ValueError):
+        nth_product_terms(L.terms, L.terms, -1, WEYL._base_case)
+
+
+# -- second route: the coefficient oracle at high d-powers -------------------------------
+
+
+def test_weyl_high_powers_match_oracle():
+    L = WEYL.generator("L")
+    for j in range(21):
+        v = WEYL.apply_dop_power(L, j)
+        for n in sorted({0, 1, j // 2, j, j + 1, j + 2}):
+            p = WEYL.nth(L, v, n)
+            for k in range(-3, 4):
+                direct = WEYL.phi(p, k)
+                brute = WEYL.locality_coeff_sum(L, v, n, n, k)
+                assert WEYL.model_is_zero(direct - brute), (j, n, k)
+
+
+# -- cost: base cases per product, independent of machine speed --------------------------
+
+
+def _dpowers(alg, u, j):
+    """(1 + d + ... + d^j) u: every d-power up to j on the same symbols."""
+    out = u
+    for p in range(1, j + 1):
+        out = alg.add(out, alg.apply_dop_power(u, p))
+    return out
+
+
+@pytest.mark.parametrize("alg", [WEYL, POLYZERO, CUR2P], ids=lambda a: a.name)
+def test_base_case_calls_bounded_by_order(alg):
+    # at most n+1 calls per pair of basis symbols, however many d-powers
+    # each side carries
+    for u in _gens(alg):
+        for v in _gens(alg):
+            for i, j in ((0, 0), (0, 1), (2, 8), (3, 20)):
+                du, dv = _dpowers(alg, u, i), _dpowers(alg, v, j)
+                for n in (0, 1, 3, 6, 20):
+                    counter = CountingBaseCase(alg._base_case)
+                    nth_product_terms(du.terms, dv.terms, n, counter)
+                    pairs = len(du.terms) * len(dv.terms)
+                    assert counter.calls <= (n + 1) * pairs, (alg.name, i, j, n, counter.calls)
+
+
+def test_recursion_cost_is_exponential_in_the_power():
+    # the same product through the reference costs 2^j base cases: the bound
+    # above is what the closed form gains
+    L = WEYL.generator("L")
+    v = WEYL.apply_dop_power(L, 12)
+    closed, recursive = CountingBaseCase(WEYL._base_case), CountingBaseCase(WEYL._base_case)
+    assert nth_product_terms(L.terms, v.terms, 12, closed) == reference_nth(
+        L.terms, v.terms, 12, recursive
+    )
+    assert closed.calls <= 13
+    assert recursive.calls == 2 ** 12
