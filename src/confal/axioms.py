@@ -125,6 +125,11 @@ def coefficient_locality_report(alg, window: int, extra_orders: int = 3) -> Chec
     sum_j (-1)^j C(n, j) u(l-j) v(m+j) must vanish in the coefficient model
     for every n with N < n <= N + extra_orders and all l, m in [-window,
     window].
+
+    The windows overlap, so `locality_combinations` forms each pair's
+    products u(a) v(b) once: at most (2 window + 1 + n_top)^2 model products
+    per pair, n_top the pair's top order.  `alg.locality_coeff_sum` forms the
+    same sums without that memo and stays the independent route.
     """
     if window < 0:
         raise ValueError("the coefficient window must be nonnegative")
@@ -135,18 +140,60 @@ def coefficient_locality_report(alg, window: int, extra_orders: int = 3) -> Chec
             deg = alg.locality(u, v)
             start = 0 if deg is ALL_ZERO else deg + 1
             rep.details[f"N({aname},{bname})"] = repr(deg)
+            combination = locality_combinations(alg, u, v)
             for n in range(start, start + extra_orders):
                 for l in range(-window, window + 1):
                     for m in range(-window, window + 1):
-                        val = alg.locality_coeff_sum(u, v, n, l, m)
                         rep.checked += 1
-                        if not alg.model_is_zero(val):
+                        if combination(n, l, m):
                             rep.fail(
                                 f"coefficient combination nonzero at ({aname},{bname}), "
                                 f"n={n}, l={l}, m={m}"
                             )
                             return rep
     return rep
+
+
+def locality_combinations(alg, u, v):
+    """(n, l, m) -> model coordinates of sum_j (-1)^j C(n, j) u(l-j) v(m+j).
+
+    Each coefficient u(a), v(b) and each product u(a) v(b) is formed once,
+    on first use, and kept in a memo owned by the returned function; the
+    memo is dropped with it.
+    """
+    phi_u: dict = {}
+    phi_v: dict = {}
+    products: dict = {}
+
+    def product(a: int, b: int) -> dict:
+        got = products.get((a, b))
+        if got is None:
+            x = phi_u.get(a)
+            if x is None:
+                x = phi_u[a] = alg.phi(u, a)
+            y = phi_v.get(b)
+            if y is None:
+                y = phi_v[b] = alg.phi(v, b)
+            if alg.model_is_zero(x) or alg.model_is_zero(y):
+                got = {}
+            else:
+                got = alg.model_coords(alg.model_mul(x, y))
+            products[(a, b)] = got
+        return got
+
+    def combination(n: int, l: int, m: int) -> dict:
+        acc: dict = {}
+        for j in range(n + 1):
+            c = -gen_binom(n, j) if j % 2 else gen_binom(n, j)
+            for coord, x in product(l - j, m + j).items():
+                s = acc.get(coord, 0) + c * x
+                if s:
+                    acc[coord] = s
+                else:
+                    acc.pop(coord)
+        return acc
+
+    return combination
 
 
 @dataclass

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_arith import DOp, falling_factorial, gen_binom, rat
+from .exact_arith import DOp, gen_binom, rat
 from .ore_skew import BaseAlgebra, Derivation, OreRing, SkewLaurent, nilpotency_index
 from .products import (
     nth_product_terms,
@@ -33,6 +33,7 @@ from .products import (
     terms_clean,
     terms_key,
     terms_max_dop_degree,
+    terms_normal_form,
 )
 
 
@@ -232,23 +233,18 @@ class DifferentialAlgebra:
 
     def coefficient(self, u: ConfElem, k: int) -> SkewLaurent:
         """k-th coefficient of u in A[t, t^-1; delta]."""
-        base = self.base
-        acc: dict = {}
-        for key, q in u.terms.items():
-            a = base.basis_element(key)
-            for p, c in q.coeffs.items():
-                f = c * falling_factorial(k, p)
-                if p % 2:
-                    f = -f
-                if f == 0:
-                    continue
-                exp = k - p
-                contrib = base.scale(a, f)
-                acc[exp] = base.add(acc[exp], contrib) if exp in acc else contrib
-        return SkewLaurent(self.ore, acc)
+        by_exp: dict = {}
+        for key, exp, c in terms_normal_form(u.terms, k):
+            by_exp.setdefault(exp, {})[key] = c
+        from_coords = self.base.from_coords
+        return SkewLaurent(self.ore, {exp: from_coords(cs) for exp, cs in by_exp.items()})
 
     def oracle(self, u: ConfElem, v: ConfElem, n: int, k: int) -> SkewLaurent:
         """(u (n) v)(k) computed purely from coefficients in the skew ring."""
+        return self.locality_coeff_sum(u, v, n, n, k)
+
+    def locality_coeff_sum(self, u: ConfElem, v: ConfElem, n: int, l: int, m: int) -> SkewLaurent:
+        """sum_j (-1)^j C(n, j) u(l-j) v(m+j), the order-n locality combination."""
         if n < 0:
             raise ValueError("product order must be nonnegative")
         acc = self.ore.zero()
@@ -256,20 +252,6 @@ class DifferentialAlgebra:
             c = gen_binom(n, j)
             if j % 2:
                 c = -c
-            if c == 0:
-                continue
-            acc = acc + (self.coefficient(u, n - j) * self.coefficient(v, k + j)).scale(c)
-        return acc
-
-    def locality_coeff_sum(self, u: ConfElem, v: ConfElem, n: int, l: int, m: int) -> SkewLaurent:
-        """sum_j (-1)^j C(n, j) u(l-j) v(m+j), the order-n locality combination."""
-        acc = self.ore.zero()
-        for j in range(n + 1):
-            c = gen_binom(n, j)
-            if j % 2:
-                c = -c
-            if c == 0:
-                continue
             acc = acc + (self.coefficient(u, l - j) * self.coefficient(v, m + j)).scale(c)
         return acc
 

@@ -28,8 +28,8 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def gen_binom(n: int, k: int) -> Fraction:
-    """Binomial coefficient with an arbitrary integer upper index.
+def gen_binom(n: int, k: int) -> int:
+    """Binomial coefficient with an arbitrary integer upper index, as an int.
 
     gen_binom(n, k) = n(n-1)...(n-k+1) / k!  for k >= 0.  It vanishes for
     0 <= n < k and is nonzero for every negative n; Pascal's rule
@@ -38,20 +38,21 @@ def gen_binom(n: int, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("lower index must be nonnegative")
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return Fraction(num, math.factorial(k))
+    if n >= 0:
+        return math.comb(n, k)
+    # C(n, k) = (-1)^k C(k - n - 1, k) for negative n
+    c = math.comb(k - n - 1, k)
+    return -c if k % 2 else c
 
 
-def falling_factorial(n: int, p: int) -> Fraction:
+def falling_factorial(n: int, p: int) -> int:
     """n(n-1)...(n-p+1), the empty product 1 for p = 0."""
     if p < 0:
         raise ValueError("p must be nonnegative")
     out = 1
     for i in range(p):
         out *= n - i
-    return Fraction(out)
+    return out
 
 
 # -- sparse exponent->coefficient helpers shared by Poly and DOp -------------
@@ -161,6 +162,14 @@ class Poly:
         self.var = var
         self.coeffs = _sp_clean(coeffs or {})
 
+    @classmethod
+    def _make(cls, coeffs: dict, var: str) -> "Poly":
+        """Wrap an already canonical map: int exponents >= 0, nonzero Fractions."""
+        out = object.__new__(cls)
+        out.var = var
+        out.coeffs = coeffs
+        return out
+
     # constructors
     @classmethod
     def zero(cls, var: str = "x") -> "Poly":
@@ -217,12 +226,12 @@ class Poly:
             other = Poly.const(other, self.var)
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly(_sp_add(self.coeffs, other.coeffs), self._join_var(other))
+        return Poly._make(_sp_add(self.coeffs, other.coeffs), self._join_var(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(_sp_scale(self.coeffs, Fraction(-1)), self.var)
+        return Poly._make(_sp_scale(self.coeffs, Fraction(-1)), self.var)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -236,10 +245,10 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(_sp_scale(self.coeffs, rat(other)), self.var)
+            return Poly._make(_sp_scale(self.coeffs, rat(other)), self.var)
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly(_sp_mul(self.coeffs, other.coeffs), self._join_var(other))
+        return Poly._make(_sp_mul(self.coeffs, other.coeffs), self._join_var(other))
 
     __rmul__ = __mul__
 
@@ -253,10 +262,10 @@ class Poly:
 
     def derive(self) -> "Poly":
         """Formal derivative with respect to the variable."""
-        return Poly({k - 1: v * k for k, v in self.coeffs.items() if k > 0}, self.var)
+        return Poly._make({k - 1: v * k for k, v in self.coeffs.items() if k > 0}, self.var)
 
     def divexact(self, other: "Poly") -> "Poly":
-        return Poly(_sp_divexact(self.coeffs, other.coeffs), self._join_var(other))
+        return Poly._make(_sp_divexact(self.coeffs, other.coeffs), self._join_var(other))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -295,6 +304,13 @@ class DOp:
         self.coeffs = _sp_clean(coeffs or {})
 
     @classmethod
+    def _make(cls, coeffs: dict) -> "DOp":
+        """Wrap an already canonical map: int exponents >= 0, nonzero Fractions."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def zero(cls) -> "DOp":
         return cls({})
 
@@ -324,19 +340,19 @@ class DOp:
 
     def times_d(self) -> "DOp":
         """Multiply by one power of d (shift every exponent up)."""
-        return DOp({k + 1: v for k, v in self.coeffs.items()})
+        return DOp._make({k + 1: v for k, v in self.coeffs.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = DOp.const(other)
         if not isinstance(other, DOp):
             return NotImplemented
-        return DOp(_sp_add(self.coeffs, other.coeffs))
+        return DOp._make(_sp_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DOp(_sp_scale(self.coeffs, Fraction(-1)))
+        return DOp._make(_sp_scale(self.coeffs, Fraction(-1)))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -350,15 +366,15 @@ class DOp:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return DOp(_sp_scale(self.coeffs, rat(other)))
+            return DOp._make(_sp_scale(self.coeffs, rat(other)))
         if not isinstance(other, DOp):
             return NotImplemented
-        return DOp(_sp_mul(self.coeffs, other.coeffs))
+        return DOp._make(_sp_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def divexact(self, other: "DOp") -> "DOp":
-        return DOp(_sp_divexact(self.coeffs, other.coeffs))
+        return DOp._make(_sp_divexact(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -374,10 +390,34 @@ class DOp:
         return _sp_format(self.coeffs, "d")
 
 
-class MatPoly:
-    """Square matrix with Poly entries.  The dimension is fixed per instance."""
+def _det(rows, var: str) -> "Poly":
+    """Cofactor expansion along the first row of a square tuple of Poly rows."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = Poly.zero(var)
+    for j in range(n):
+        if rows[0][j].is_zero():
+            continue
+        minor = [[rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
+        term = rows[0][j] * _det(minor, var)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
 
-    __slots__ = ("n", "var", "rows")
+
+class MatPoly:
+    """Square matrix over Q[var], stored flat as a sparse {(i, j, k): coeff} map.
+
+    The key (i, j, k) (0-based) stands for var^k E_ij, the basis key of
+    MatPolyRing, so decomposing over that basis is a copy of `data`.  No zero
+    coefficient is stored.  `rows`, `entry` and `det` are derived Poly views.
+    The public constructor takes rows of Poly, int or Fraction entries and
+    rejects a nonconstant entry in another variable; internal results go
+    through `_make`, which trusts its canonical input.  As with Poly, a
+    constant matrix equals the same constant matrix in any variable.
+    """
+
+    __slots__ = ("n", "var", "data")
 
     def __init__(self, rows, var: str | None = None):
         rows = tuple(tuple(r) for r in rows)
@@ -385,65 +425,100 @@ class MatPoly:
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
         if var is None:
-            var = next((e.var for r in rows for e in r if not e.is_const()), "x")
-        fixed = []
-        for r in rows:
-            fr = []
-            for e in r:
+            var = next((e.var for r in rows for e in r
+                        if isinstance(e, Poly) and not e.is_const()), "x")
+        data = {}
+        for i, r in enumerate(rows):
+            for j, e in enumerate(r):
                 if not isinstance(e, Poly):
                     e = Poly.const(e, var)
-                fr.append(e)
-            fixed.append(tuple(fr))
+                elif e.var != var and not e.is_const():
+                    raise ValueError(f"variable mismatch: {e.var} vs {var}")
+                for k, c in e.coeffs.items():
+                    data[(i, j, k)] = c
         self.n = n
         self.var = var
-        self.rows = tuple(fixed)
+        self.data = data
+
+    @classmethod
+    def _make(cls, n: int, var: str, data: dict) -> "MatPoly":
+        """Wrap an already canonical map: Fraction values, none of them zero."""
+        out = object.__new__(cls)
+        out.n = n
+        out.var = var
+        out.data = data
+        return out
 
     @classmethod
     def zero(cls, n: int, var: str = "x") -> "MatPoly":
-        z = Poly.zero(var)
-        return cls([[z] * n for _ in range(n)], var)
+        return cls._make(n, var, {})
 
     @classmethod
     def identity(cls, n: int, var: str = "x") -> "MatPoly":
-        return cls(
-            [[Poly.one(var) if i == j else Poly.zero(var) for j in range(n)] for i in range(n)],
-            var,
-        )
+        return cls._make(n, var, {(i, i, 0): Fraction(1) for i in range(n)})
 
     @classmethod
     def unit(cls, n: int, i: int, j: int, var: str = "x", coeff=1, xpow: int = 0) -> "MatPoly":
         """Matrix unit E_ij (0-based) scaled by coeff * var^xpow."""
-        rows = [[Poly.zero(var) for _ in range(n)] for _ in range(n)]
-        rows[i][j] = Poly.monomial(xpow, coeff, var)
-        return cls(rows, var)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"matrix unit ({i}, {j}) out of range for n={n}")
+        if xpow < 0:
+            raise ValueError("negative exponent in a polynomial")
+        c = rat(coeff)
+        return cls._make(n, var, {(i, j, xpow): c} if c else {})
+
+    @property
+    def rows(self) -> tuple:
+        cells = [[{} for _ in range(self.n)] for _ in range(self.n)]
+        for (i, j, k), c in self.data.items():
+            cells[i][j][k] = c
+        return tuple(tuple(Poly._make(cell, self.var) for cell in r) for r in cells)
 
     def entry(self, i: int, j: int) -> Poly:
-        return self.rows[i][j]
+        return Poly._make(
+            {k: c for (a, b, k), c in self.data.items() if a == i and b == j}, self.var
+        )
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for r in self.rows for e in r)
+        return not self.data
+
+    def is_const(self) -> bool:
+        return all(k == 0 for _, _, k in self.data)
 
     def degree(self) -> int:
-        return max((e.degree() for r in self.rows for e in r), default=-1)
+        return max((k for _, _, k in self.data), default=-1)
 
     def key(self):
-        return (self.n, tuple(tuple(e.key() for e in r) for r in self.rows))
+        return (self.n, self.var, tuple(sorted(self.data.items())))
 
     def _check(self, other: "MatPoly"):
         if self.n != other.n:
             raise ValueError("matrix dimension mismatch")
 
+    def _join_var(self, other) -> str:
+        """The result variable, as for Poly: a constant adopts the other's variable."""
+        if self.var == other.var or other.is_const():
+            return self.var
+        if self.is_const():
+            return other.var
+        raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
+
     def __add__(self, other):
         if not isinstance(other, MatPoly):
             return NotImplemented
         self._check(other)
-        return MatPoly(
-            [[self.rows[i][j] + other.rows[i][j] for j in range(self.n)] for i in range(self.n)],
-            self.var,
-        )
+        var = self._join_var(other)
+        out = dict(self.data)
+        for key, c in other.data.items():
+            s = out.get(key, 0) + c
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return MatPoly._make(self.n, var, out)
 
     def __neg__(self):
-        return MatPoly([[-e for e in r] for r in self.rows], self.var)
+        return MatPoly._make(self.n, self.var, {key: -c for key, c in self.data.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MatPoly):
@@ -451,26 +526,35 @@ class MatPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return MatPoly([[e * other for e in r] for r in self.rows], self.var)
-        if not isinstance(other, MatPoly):
+        if isinstance(other, (int, Fraction)):
+            c = rat(other)
+            data = {key: v * c for key, v in self.data.items()} if c else {}
+            return MatPoly._make(self.n, self.var, data)
+        if isinstance(other, Poly):
+            var = self._join_var(other)
+            out: dict = {}
+            for (i, j, k), v in self.data.items():
+                for e, w in other.coeffs.items():
+                    key = (i, j, k + e)
+                    out[key] = out[key] + v * w if key in out else v * w
+        elif isinstance(other, MatPoly):
+            self._check(other)
+            var = self._join_var(other)
+            by_row: dict = {}
+            for (l, j, e), w in other.data.items():
+                by_row.setdefault(l, []).append((j, e, w))
+            out = {}
+            for (i, l, k), v in self.data.items():
+                for j, e, w in by_row.get(l, ()):
+                    key = (i, j, k + e)
+                    out[key] = out[key] + v * w if key in out else v * w
+        else:
             return NotImplemented
-        self._check(other)
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = Poly.zero(self.var)
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return MatPoly(out, self.var)
+        return MatPoly._make(self.n, var, {key: c for key, c in out.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            return MatPoly([[other * e for e in r] for r in self.rows], self.var)
+            return self * other  # scalars and Q[x] are central
         return NotImplemented
 
     def __pow__(self, p: int):
@@ -482,32 +566,25 @@ class MatPoly:
         return out
 
     def derive(self) -> "MatPoly":
-        return MatPoly([[e.derive() for e in r] for r in self.rows], self.var)
+        return MatPoly._make(
+            self.n, self.var, {(i, j, k - 1): c * k for (i, j, k), c in self.data.items() if k}
+        )
 
     def det(self) -> Poly:
         """Exact determinant by cofactor expansion (intended for small n)."""
-        n = self.n
-        if n == 1:
-            return self.rows[0][0]
-        acc = Poly.zero(self.var)
-        for j in range(n):
-            if self.rows[0][j].is_zero():
-                continue
-            minor = MatPoly(
-                [[self.rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)],
-                self.var,
-            )
-            term = self.rows[0][j] * minor.det()
-            acc = acc + (term if j % 2 == 0 else -term)
-        return acc
+        return _det(self.rows, self.var)
 
     def __eq__(self, other):
         if not isinstance(other, MatPoly):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        if self.n != other.n or self.data != other.data:
+            return False
+        return self.var == other.var or self.is_const()
 
     def __hash__(self):
-        return hash((self.n, self.rows))
+        # equal matrices have equal maps; the variable is left out so that a
+        # constant matrix hashes alike in every variable
+        return hash((self.n, frozenset(self.data.items())))
 
     def __repr__(self):
         rows = "; ".join("[" + ", ".join(str(e) for e in r) + "]" for r in self.rows)

@@ -32,8 +32,9 @@ class BaseAlgebra:
     """Common surface of the coefficient-algebra variants.
 
     Elements are plain values (Poly, MatPoly, or coordinate tuples); the
-    algebra object combines them and decomposes them over its canonical
-    countable basis.  Basis keys are hashable and mutually comparable.
+    algebra object combines them, decomposes them over its canonical countable
+    basis (`decompose`) and builds them back from such coordinates
+    (`from_coords`).  Basis keys are hashable and mutually comparable.
     """
 
     kind = "base"
@@ -43,12 +44,6 @@ class BaseAlgebra:
 
     def eq(self, a, b) -> bool:
         return self.is_zero(self.sub(a, b))
-
-    def from_coords(self, coords: dict):
-        out = self.zero()
-        for key, c in coords.items():
-            out = self.add(out, self.scale(self.basis_element(key), c))
-        return out
 
     def format(self, a) -> str:
         coords = self.decompose(a)
@@ -104,6 +99,9 @@ class PolyRing(BaseAlgebra):
     def decompose(self, a) -> dict:
         return dict(a.coeffs)
 
+    def from_coords(self, coords: dict):
+        return Poly._make({k: c for k, c in coords.items() if c}, self.var)
+
     def basis_element(self, key: int):
         return Poly.monomial(key, 1, self.var)
 
@@ -157,12 +155,10 @@ class MatPolyRing(BaseAlgebra):
         return a.is_zero()
 
     def decompose(self, a) -> dict:
-        out = {}
-        for i in range(self.n):
-            for j in range(self.n):
-                for k, c in a.rows[i][j].coeffs.items():
-                    out[(i, j, k)] = c
-        return out
+        return dict(a.data)
+
+    def from_coords(self, coords: dict):
+        return MatPoly._make(self.n, self.var, {key: c for key, c in coords.items() if c})
 
     def basis_element(self, key):
         i, j, k = key
@@ -287,6 +283,12 @@ class FinDim(BaseAlgebra):
 
     def decompose(self, a) -> dict:
         return {i: c for i, c in enumerate(a) if c != 0}
+
+    def from_coords(self, coords: dict):
+        out = [Fraction(0)] * self.dim
+        for i, c in coords.items():
+            out[i] = rat(c)
+        return tuple(out)
 
     def basis_element(self, key: int):
         return tuple(Fraction(1) if i == key else Fraction(0) for i in range(self.dim))
@@ -518,7 +520,7 @@ class OreRing:
             c = gen_binom(n, i)
             if c != 0:
                 sign = -c if i % 2 else c
-                out.append((n - i, base.scale(cur, sign)))
+                out.append((n - i, cur if sign == 1 else base.scale(cur, sign)))
             i += 1
             if i > self.delta.bound:
                 raise BoundExceeded(

@@ -22,13 +22,14 @@ from fractions import Fraction
 from .axioms import CheckReport, associativity_report, identity_report
 from .axioms import left_annihilator_probe as _generic_annihilator
 from .diff_conformal import ALL_ZERO
-from .exact_arith import DOp, falling_factorial, gen_binom, rat
+from .exact_arith import DOp, gen_binom, rat
 from .products import (
     nth_product_terms,
     terms_apply_dop,
     terms_clean,
     terms_key,
     terms_max_dop_degree,
+    terms_normal_form,
 )
 
 
@@ -230,21 +231,9 @@ class PresentedAlgebra:
 
     def phi(self, u: PresElem, k: int) -> "CoeffElem":
         """phi(u t^k) in normal form."""
-        coords: dict = {}
-        for i, q in u.terms.items():
-            for p, c in q.coeffs.items():
-                f = c * falling_factorial(k, p)
-                if p % 2:
-                    f = -f
-                if f == 0:
-                    continue
-                key = (i, k - p)
-                s = coords.get(key, 0) + f
-                if s == 0:
-                    coords.pop(key, None)
-                else:
-                    coords[key] = s
-        return CoeffElem(self, coords)
+        return CoeffElem._make(
+            self, {(i, exp): c for i, exp, c in terms_normal_form(u.terms, k)}
+        )
 
     def phi0_coords(self, u: PresElem) -> dict:
         return dict(self.phi(u, 0).coords)
@@ -259,13 +248,13 @@ class PresentedAlgebra:
         return m.is_zero()
 
     def locality_coeff_sum(self, u, v, n: int, l: int, m: int) -> "CoeffElem":
+        if n < 0:
+            raise ValueError("product order must be nonnegative")
         acc = CoeffElem(self, {})
         for j in range(n + 1):
             c = gen_binom(n, j)
             if j % 2:
                 c = -c
-            if c == 0:
-                continue
             acc = acc + coeff_mul(self.phi(u, l - j), self.phi(v, m + j)).scale(c)
         return acc
 
@@ -281,6 +270,14 @@ class CoeffElem:
     def __init__(self, alg: PresentedAlgebra, coords: dict):
         self.alg = alg
         self.coords = {k: rat(c) for k, c in coords.items() if c != 0}
+
+    @classmethod
+    def _make(cls, alg: PresentedAlgebra, coords: dict) -> "CoeffElem":
+        """Wrap an already canonical map: nonzero Fraction values only."""
+        out = object.__new__(cls)
+        out.alg = alg
+        out.coords = coords
+        return out
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -359,24 +356,29 @@ def coeff_mul(x: CoeffElem, y: CoeffElem) -> CoeffElem:
     """Product of coefficient-algebra elements via the table.
 
     (a t^l)(b t^m) = sum_n C(l, n) (a (n) b) t^(l+m-n); the sum stops at the
-    table's order bound, and each summand is renormalized through phi.
+    table's order bound, and each summand is renormalized through phi.  All
+    summands are added into one coordinate map.
     """
     alg = x.alg
     if alg is not y.alg:
         raise ValueError("coefficients of different presentations")
-    acc = CoeffElem(alg, {})
+    entries = alg.table.entries
+    acc: dict = {}
     for (i, l), cx in x.coords.items():
         for (j, m), cy in y.coords.items():
-            for n in range(alg.table.order_bound + 1):
-                entry = alg.table.lookup(i, j, n)
-                if not entry:
+            for n, entry in enumerate(entries.get((i, j), ())):
+                c = gen_binom(l, n) if entry else 0
+                if not c:
                     continue
-                c = gen_binom(l, n) * cx * cy
-                if c == 0:
-                    continue
-                piece = alg.phi(PresElem(alg, entry), l + m - n)
-                acc = acc + piece.scale(c)
-    return acc
+                c *= cx * cy
+                for key, exp, f in terms_normal_form(entry, l + m - n):
+                    sym = (key, exp)
+                    s = acc.get(sym, 0) + c * f
+                    if s:
+                        acc[sym] = s
+                    else:
+                        acc.pop(sym)
+    return CoeffElem._make(alg, acc)
 
 
 def coeff_assoc_check(alg_or_table, window: int = 3) -> CheckReport:

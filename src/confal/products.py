@@ -67,6 +67,23 @@ def nth_product_terms(u_terms: dict, v_terms: dict, n: int, base_case) -> dict:
     return terms_clean({k: DOp(row) for k, row in acc.items()})
 
 
+def terms_normal_form(terms: dict, k: int):
+    """The k-th coefficient of an element, as (symbol, t-exponent, Fraction) triples.
+
+    (d^p a)(k) = (-1)^p k(k-1)...(k-p+1) a(k-p), so each term c d^p a gives
+    (a, k - p, (-1)^p c k(k-1)...(k-p+1)); vanishing ones are skipped.  The
+    pairs (symbol, exponent) are distinct, since p fixes the exponent.
+    """
+    for key, q in terms.items():
+        for p, c in q.coeffs.items():
+            if p:
+                f = falling_factorial(k, p)
+                if not f:
+                    continue
+                c = -f * c if p % 2 else f * c
+            yield key, k - p, c
+
+
 def terms_key(terms: dict):
     """Canonical hashable form of a terms dict (for dedup and span frames)."""
     return tuple((k, terms[k].key()) for k in sorted(terms))

@@ -312,6 +312,8 @@ def recognize_unital(
     word length exceeds word_bound are attempted against the final span and
     reported as unresolved (closed=False) when they escape it.
     """
+    if word_bound < 1:
+        raise ValueError("the word bound must be at least 1")
     if e is None:
         e = find_identity(alg)
     id_rep = identity_report(alg, e)
@@ -480,6 +482,8 @@ def recognition_roundtrip(alg, result: RecognitionResult, n_max: int = 2) -> dic
     the recovered span, are skipped and logged.  Raises MismatchWitness on the
     first disagreement.
     """
+    if n_max < 0:
+        raise ValueError("the round-trip product order must be nonnegative")
     space = result.space
     checked = skipped = 0
     log = []
@@ -794,6 +798,8 @@ def simplicity_probe(
     """
     if not isinstance(alg, DifferentialAlgebra):
         raise TypeError("the simplicity probe runs on differential instances")
+    if trials < 0 or degree_bound < 0:
+        raise ValueError("the trial count and the degree bound must be nonnegative")
     base, delta = alg.base, alg.delta
     sub_basis, saturated = coefficient_subalgebra(alg, degree_bound)
     named = [(base.format(b), b) for b in sub_basis]

@@ -194,6 +194,7 @@ def test_parse_element_forms():
 
 WEYL_FILE = str(INSTANCE_DIR / "weyl.confal")
 CUR2_FILE = str(INSTANCE_DIR / "cur2.confal")
+CUREPS_FILE = str(INSTANCE_DIR / "cureps.confal")
 
 
 def test_cli_check_exit_codes(tmp_path):
@@ -273,6 +274,10 @@ def test_cli_resource_bound(monkeypatch):
     ["check", WEYL_FILE, "--window", "-1"],
     ["oracle", WEYL_FILE, "--max-order", "-1"],
     ["oracle", WEYL_FILE, "--window", "-1"],
+    ["simplicity", CUREPS_FILE, "--trials", "-1"],
+    ["simplicity", CUREPS_FILE, "--degree-bound", "-1"],
+    ["recognize", CUR2_FILE, "--word-bound", "0"],
+    ["recognize", CUR2_FILE, "--n-max", "-1"],
 ], ids=lambda a: " ".join(a[:1] + a[2:]))
 def test_cli_bounds_validated(argv, capsys):
     assert main(argv) == 2

@@ -185,3 +185,87 @@ def test_matpoly_derive_and_det():
 def test_matpoly_requires_square():
     with pytest.raises(ValueError):
         MatPoly([[Poly.one(), Poly.zero()]], "x")
+
+
+def test_matpoly_accepts_int_and_fraction_entries():
+    assert MatPoly([[1, 0], [0, 1]]) == MatPoly.identity(2)
+    m = MatPoly([[Fraction(1, 2), Poly.variable("y")], [0, -3]])
+    assert m.var == "y"
+    assert m.entry(0, 0) == Fraction(1, 2) and m.entry(1, 1) == -3
+    assert repr(m) == "[[1/2, y]; [0, -3]]"
+
+
+def test_matpoly_rejects_mixed_variables():
+    with pytest.raises(ValueError):
+        MatPoly([[Poly.variable("x"), 0], [0, Poly.variable("y")]])
+    with pytest.raises(ValueError):
+        MatPoly([[Poly.variable("x"), 0], [0, 1]], "y")
+    with pytest.raises(ValueError):
+        MatPoly.unit(2, 0, 0, "x", 1, 1) * MatPoly.unit(2, 0, 0, "y", 1, 1)
+    with pytest.raises(ValueError):
+        MatPoly.unit(2, 0, 0, "x", 1, 1) + MatPoly.unit(2, 0, 0, "y", 1, 1)
+    # a constant matrix adopts the other operand's variable, as Poly does
+    y = MatPoly.unit(2, 0, 1, "y", 1, 2)
+    assert (MatPoly.identity(2, "x") * y).var == "y"
+    assert MatPoly.identity(2, "x") * y == y
+
+
+# -- flat matrices against a nested-rows reference ------------------------------------------
+
+
+def _ref_det(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = Poly.zero("x")
+    for j in range(n):
+        minor = [[rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
+        term = rows[0][j] * _ref_det(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def _ref_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Poly.zero("x")) for j in range(n)]
+            for i in range(n)]
+
+
+def _ref_repr(rows):
+    return "[" + "; ".join("[" + ", ".join(str(e) for e in r) + "]" for r in rows) + "]"
+
+
+def nested_rows(n):
+    return st.lists(
+        st.lists(polys(max_degree=2), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(nested_rows(n), nested_rows(n))))
+def test_flat_matpoly_matches_nested_reference(pair):
+    ra, rb = pair
+    a, b = MatPoly(ra, "x"), MatPoly(rb, "x")
+    n = len(ra)
+    assert repr(a) == _ref_repr(ra)
+    assert a.rows == tuple(tuple(r) for r in ra)
+    assert all(a.entry(i, j) == ra[i][j] for i in range(n) for j in range(n))
+    assert a.det() == _ref_det(ra)
+    assert (a * b).rows == tuple(tuple(r) for r in _ref_mul(ra, rb))
+    assert repr(a * b) == _ref_repr(_ref_mul(ra, rb))
+    assert (a + b).rows == tuple(tuple(ra[i][j] + rb[i][j] for j in range(n)) for i in range(n))
+    assert a.derive().rows == tuple(tuple(e.derive() for e in r) for r in ra)
+    assert (a == b) == (a.rows == b.rows)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_flat_matpoly_equality_and_hash_across_variables():
+    const = [[Poly.const(2, "x"), Poly.zero("x")], [Poly.one("x"), Poly.const(-1, "x")]]
+    cx, cy = MatPoly(const, "x"), MatPoly(const, "y")
+    assert cx == cy and hash(cx) == hash(cy) and len({cx, cy}) == 1
+    xs = MatPoly.unit(2, 1, 0, "x", 3, 2)
+    ys = MatPoly.unit(2, 1, 0, "y", 3, 2)
+    assert xs != ys and len({xs, ys}) == 2
+    assert repr(xs) == "[[0, 0]; [3*x^2, 0]]" and repr(ys) == "[[0, 0]; [3*y^2, 0]]"

@@ -292,3 +292,16 @@ def test_simplicity_no_witness_on_simple_instances():
 def test_simplicity_requires_differential_instance():
     with pytest.raises(TypeError):
         simplicity_probe(cur_matrix_presented(2))
+
+
+def test_probe_bounds_validated():
+    # library callers get the same ValueError the CLI turns into exit 2
+    with pytest.raises(ValueError):
+        simplicity_probe(cur_dual_numbers(), trials=-1)
+    with pytest.raises(ValueError):
+        simplicity_probe(cur_dual_numbers(), degree_bound=-1)
+    with pytest.raises(ValueError):
+        recognize_unital(CUR2, word_bound=0)
+    res = recognize_unital(CUR2)
+    with pytest.raises(ValueError):
+        recognition_roundtrip(CUR2, res, n_max=-1)
