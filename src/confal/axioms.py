@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exact_arith import gen_binom
-from .diff_conformal import ALL_ZERO
+from .products import ALL_ZERO
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .axioms import (
     conformal_axioms_report,
     identity_report,
 )
-from .diff_conformal import ALL_ZERO, DifferentialAlgebra, dong_check
+from .diff_conformal import DifferentialAlgebra, dong_check
 from .errors import (
     BoundExceeded,
     ClosureBoundExceeded,
@@ -49,6 +49,7 @@ from .errors import (
 from .dsl import load_path, parse_element
 from .growth import coeff_growth_check, growth_table
 from .ore_skew import FinDim
+from .products import ALL_ZERO
 from .structure import (
     recognition_roundtrip,
     recognize_unital,

@@ -23,187 +23,47 @@ all correctness testing of the symbolic route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .exact_arith import DOp, gen_binom, rat
+from .exact_arith import DOp
 from .ore_skew import BaseAlgebra, Derivation, OreRing, SkewLaurent, nilpotency_index
-from .products import (
-    nth_product_terms,
-    terms_apply_dop,
-    terms_clean,
-    terms_key,
-    terms_max_dop_degree,
-    terms_normal_form,
-)
+from .products import ALL_ZERO, ConformalAlgebra, Elem, terms_normal_form
+
+ConfElem = Elem  # the public name of the shared element class
 
 
-class _AllZero:
-    """Locality degree of a pair whose products all vanish."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "AllZero"
-
-
-ALL_ZERO = _AllZero()
-
-
-class ConfElem:
-    """Element of a differential conformal algebra: dict basis-key -> DOp."""
-
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: "DifferentialAlgebra", terms: dict):
-        self.alg = alg
-        self.terms = terms_clean(terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_dop_degree(self) -> int:
-        return terms_max_dop_degree(self.terms)
-
-    def key(self):
-        return terms_key(self.terms)
-
-    def _same(self, other: "ConfElem"):
-        if self.alg is not other.alg:
-            raise ValueError("elements of different algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, ConfElem):
-            return NotImplemented
-        self._same(other)
-        out = dict(self.terms)
-        for k, q in other.terms.items():
-            nq = out[k] + q if k in out else q
-            if nq.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = nq
-        return ConfElem(self.alg, out)
-
-    def __neg__(self):
-        return ConfElem(self.alg, {k: -q for k, q in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ConfElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return ConfElem(self.alg, {k: q * c for k, q in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def derive(self) -> "ConfElem":
-        """Apply d once."""
-        return ConfElem(self.alg, {k: q.times_d() for k, q in self.terms.items()})
-
-    def apply_dop(self, q: DOp) -> "ConfElem":
-        return ConfElem(self.alg, terms_apply_dop(self.terms, q))
-
-    def __eq__(self, other):
-        if not isinstance(other, ConfElem):
-            return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
-
-    def __repr__(self):
-        return self.alg.format_elem(self)
-
-
-class DifferentialAlgebra:
+class DifferentialAlgebra(ConformalAlgebra):
     """A (base, delta) pair with named generating distributions."""
 
-    kind = "differential"
+    # benchmarks/tracing.py wraps these by name in this class's own namespace
+    coordinates = ConformalAlgebra.coordinates
+    format_elem = ConformalAlgebra.format_elem
+    nth = ConformalAlgebra.nth
+    locality = ConformalAlgebra.locality
+    locality_coeff_sum = ConformalAlgebra.locality_coeff_sum
 
     def __init__(self, base: BaseAlgebra, delta: Derivation, generators: dict | None = None,
                  name: str = "diff"):
         self.base = base
         self.delta = delta
-        self.name = name
         self.ore = OreRing(base, delta)
         self._delta_pow_cache: dict = {}
-        self.generators: dict = {}
+        gens = {}
         for gname, val in (generators or {}).items():
-            self.generators[gname] = val if isinstance(val, ConfElem) else self.primitive(val)
+            if isinstance(val, Elem):
+                raise ValueError(
+                    f"generator {gname!r} must be a base-algebra value, not a conformal element"
+                )
+            gens[gname] = self.primitive(val)
+        super().__init__(name, gens)
 
-    # -- element constructors -------------------------------------------------
-
-    def primitive(self, a) -> ConfElem:
+    def primitive(self, a) -> Elem:
         """f_a for a base element a."""
-        return ConfElem(
+        return Elem(
             self, {key: DOp.const(c) for key, c in self.base.decompose(a).items()}
         )
 
-    def zero_elem(self) -> ConfElem:
-        return ConfElem(self, {})
-
-    def generator(self, name: str) -> ConfElem:
-        return self.generators[name]
-
-    def generator_items(self):
-        return list(self.generators.items())
-
-    # -- linear interface shared with the presented model ---------------------
-
-    def add(self, u: ConfElem, v: ConfElem) -> ConfElem:
-        return u + v
-
-    def sub(self, u: ConfElem, v: ConfElem) -> ConfElem:
-        return u - v
-
-    def scale(self, u: ConfElem, c) -> ConfElem:
-        return u * rat(c)
-
-    def derive_elem(self, u: ConfElem) -> ConfElem:
-        return u.derive()
-
-    def apply_dop_power(self, u: ConfElem, p: int) -> ConfElem:
-        return u.apply_dop(DOp.d(p)) if p else u
-
-    def is_zero(self, u: ConfElem) -> bool:
-        return u.is_zero()
-
-    def eq(self, u: ConfElem, v: ConfElem) -> bool:
-        return u == v
-
-    def coordinates(self, u: ConfElem) -> dict:
-        """Flatten to {(basis_key, d_power): Fraction}."""
-        out = {}
-        for key, q in u.terms.items():
-            for p, c in q.coeffs.items():
-                out[(key, p)] = c
-        return out
-
-    def format_elem(self, u: ConfElem) -> str:
-        if u.is_zero():
-            return "0"
-        parts = []
-        for key in sorted(u.terms):
-            q = u.terms[key]
-            name = f"f[{self.base.describe_key(key)}]"
-            for p, c in sorted(q.coeffs.items()):
-                head = name if p == 0 else (f"d*{name}" if p == 1 else f"d^{p}*{name}")
-                if c == 1:
-                    parts.append(head)
-                elif c == -1:
-                    parts.append(f"-{head}")
-                else:
-                    parts.append(f"{c}*{head}")
-        text = parts[0]
-        for t in parts[1:]:
-            text += " - " + t[1:] if t.startswith("-") else " + " + t
-        return text
+    def symbol_name(self, key) -> str:
+        return f"f[{self.base.describe_key(key)}]"
 
     # -- products --------------------------------------------------------------
 
@@ -225,13 +85,9 @@ class DifferentialAlgebra:
         sign = -1 if m % 2 else 1
         return {key: DOp.const(sign * c) for key, c in self.base.decompose(prod).items()}
 
-    def nth(self, u: ConfElem, v: ConfElem, n: int) -> ConfElem:
-        u._same(v)
-        return ConfElem(self, nth_product_terms(u.terms, v.terms, n, self._base_case))
-
     # -- coefficients and the oracle --------------------------------------------
 
-    def coefficient(self, u: ConfElem, k: int) -> SkewLaurent:
+    def coefficient(self, u: Elem, k: int) -> SkewLaurent:
         """k-th coefficient of u in A[t, t^-1; delta]."""
         by_exp: dict = {}
         for key, exp, c in terms_normal_form(u.terms, k):
@@ -239,28 +95,13 @@ class DifferentialAlgebra:
         from_coords = self.base.from_coords
         return SkewLaurent(self.ore, {exp: from_coords(cs) for exp, cs in by_exp.items()})
 
-    def oracle(self, u: ConfElem, v: ConfElem, n: int, k: int) -> SkewLaurent:
+    def oracle(self, u: Elem, v: Elem, n: int, k: int) -> SkewLaurent:
         """(u (n) v)(k) computed purely from coefficients in the skew ring."""
         return self.locality_coeff_sum(u, v, n, n, k)
 
-    def locality_coeff_sum(self, u: ConfElem, v: ConfElem, n: int, l: int, m: int) -> SkewLaurent:
-        """sum_j (-1)^j C(n, j) u(l-j) v(m+j), the order-n locality combination."""
-        if n < 0:
-            raise ValueError("product order must be nonnegative")
-        acc = self.ore.zero()
-        for j in range(n + 1):
-            c = gen_binom(n, j)
-            if j % 2:
-                c = -c
-            acc = acc + (self.coefficient(u, l - j) * self.coefficient(v, m + j)).scale(c)
-        return acc
-
-    def model_is_zero(self, m: SkewLaurent) -> bool:
-        return m.is_zero()
-
     # -- locality ----------------------------------------------------------------
 
-    def support_nilpotency(self, u: ConfElem) -> int:
+    def support_nilpotency(self, u: Elem) -> int:
         """Max nilpotency index of delta over u's basis support (0 for u = 0)."""
         out = 0
         for key in u.terms:
@@ -268,26 +109,16 @@ class DifferentialAlgebra:
             out = max(out, nilpotency_index(self.delta, a))
         return out
 
-    def locality_scan_bound(self, u: ConfElem, v: ConfElem) -> int:
+    def locality_scan_bound(self, u: Elem, v: Elem) -> int:
         """Provable bound: products of u and v vanish above this order."""
         return u.max_dop_degree() + v.max_dop_degree() + self.support_nilpotency(v)
 
-    def locality(self, u: ConfElem, v: ConfElem):
-        """Largest n with u (n) v != 0, or ALL_ZERO."""
-        if u.is_zero() or v.is_zero():
-            return ALL_ZERO
-        best = ALL_ZERO
-        for n in range(self.locality_scan_bound(u, v) + 1):
-            if not self.nth(u, v, n).is_zero():
-                best = n
-        return best
-
     # -- coefficient model hooks used by growth ----------------------------------
 
-    def phi(self, u: ConfElem, k: int) -> SkewLaurent:
+    def phi(self, u: Elem, k: int) -> SkewLaurent:
         return self.coefficient(u, k)
 
-    def phi0_coords(self, u: ConfElem) -> dict:
+    def phi0_coords(self, u: Elem) -> dict:
         """Coordinates of the 0-th coefficient over the base's basis.
 
         Raises if the 0-th coefficient does not sit at t^0 (it always does:
@@ -299,10 +130,13 @@ class DifferentialAlgebra:
                 raise ValueError("zeroth coefficient escaped t^0")
         return self.base.decompose(c0.coeffs.get(0, self.base.zero()))
 
-    def phi0_base(self, u: ConfElem):
+    def phi0_base(self, u: Elem):
         """The 0-th coefficient as a base-algebra element."""
         c0 = self.coefficient(u, 0)
         return c0.coeffs.get(0, self.base.zero())
+
+    def model_zero(self) -> SkewLaurent:
+        return self.ore.zero()
 
     def model_coords(self, m: SkewLaurent) -> dict:
         return m.coords()
@@ -314,23 +148,19 @@ class DifferentialAlgebra:
 # -- module-level operation names ------------------------------------------------
 
 
-def primitive(alg: DifferentialAlgebra, a) -> ConfElem:
+def primitive(alg: DifferentialAlgebra, a) -> Elem:
     return alg.primitive(a)
 
 
-def nth_product(u: ConfElem, v: ConfElem, n: int) -> ConfElem:
-    return u.alg.nth(u, v, n)
-
-
-def coefficient(u: ConfElem, k: int) -> SkewLaurent:
+def coefficient(u: Elem, k: int) -> SkewLaurent:
     return u.alg.coefficient(u, k)
 
 
-def product_coeff_oracle(u: ConfElem, v: ConfElem, n: int, k: int) -> SkewLaurent:
+def product_coeff_oracle(u: Elem, v: Elem, n: int, k: int) -> SkewLaurent:
     return u.alg.oracle(u, v, n, k)
 
 
-def locality_degree(u: ConfElem, v: ConfElem):
+def locality_degree(u: Elem, v: Elem):
     return u.alg.locality(u, v)
 
 

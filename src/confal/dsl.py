@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from .diff_conformal import DifferentialAlgebra
 from .errors import ParseError
-from .exact_arith import DOp, Poly, rat
+from .exact_arith import DOp, Poly
 from .ore_skew import (
     DdxPlusAd,
     FinDim,

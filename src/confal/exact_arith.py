@@ -123,30 +123,33 @@ def _sp_divexact(a: dict, b: dict) -> dict:
     return quo
 
 
-def _sp_format(data: dict, sym: str) -> str:
-    if not data:
+def term_text(c, head: str | None) -> str:
+    """One term c*head of a sum; a head of None stands for the constant term c."""
+    if head is None:
+        return str(c)
+    if c == 1:
+        return head
+    if c == -1:
+        return "-" + head
+    return f"{c}*{head}"
+
+
+def signed_sum(terms) -> str:
+    """The (coefficient, head) pairs as one sum, joined by " + " and " - "."""
+    parts = [term_text(c, head) for c, head in terms]
+    if not parts:
         return "0"
-    parts = []
-    for k in sorted(data, reverse=True):
-        c = data[k]
-        if k == 0:
-            term = str(c)
-        else:
-            head = sym if k == 1 else f"{sym}^{k}"
-            if c == 1:
-                term = head
-            elif c == -1:
-                term = "-" + head
-            else:
-                term = f"{c}*{head}"
-        parts.append(term)
     text = parts[0]
-    for term in parts[1:]:
-        if term.startswith("-"):
-            text += " - " + term[1:]
-        else:
-            text += " + " + term
+    for t in parts[1:]:
+        text += " - " + t[1:] if t.startswith("-") else " + " + t
     return text
+
+
+def _sp_format(data: dict, sym: str) -> str:
+    return signed_sum(
+        (data[k], None if k == 0 else (sym if k == 1 else f"{sym}^{k}"))
+        for k in sorted(data, reverse=True)
+    )
 
 
 class Poly:
@@ -284,11 +287,6 @@ class Poly:
 
     def __repr__(self):
         return _sp_format(self.coeffs, self.var)
-
-
-def poly_derive(p: Poly) -> Poly:
-    """Formal derivative d/dvar of a sparse polynomial."""
-    return p.derive()
 
 
 class DOp:

@@ -24,10 +24,9 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .diff_conformal import ALL_ZERO
 from .errors import ResourceBound
 from .linalg import RowSpace
-from .products import terms_scalar_normalized_key
+from .products import ALL_ZERO, terms_scalar_normalized_key
 
 DEFAULT_MONOMIAL_CAP = 200_000
 CAP_ENV_VAR = "CONFAL_MAX_MONOMIALS"

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BoundExceeded, NotNilpotent
-from .exact_arith import MatPoly, Poly, gen_binom, rat
+from .exact_arith import MatPoly, Poly, gen_binom, rat, signed_sum
 from .linalg import dense_solve
 
 NILPOTENCY_BOUND = 64  # default cap on derivation iteration
@@ -37,8 +37,6 @@ class BaseAlgebra:
     (`from_coords`).  Basis keys are hashable and mutually comparable.
     """
 
-    kind = "base"
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
@@ -46,31 +44,15 @@ class BaseAlgebra:
         return self.is_zero(self.sub(a, b))
 
     def format(self, a) -> str:
-        coords = self.decompose(a)
-        if not coords:
-            return "0"
-        parts = []
-        for key in sorted(coords):
-            c = coords[key]
+        terms = []
+        for key, c in sorted(self.decompose(a).items()):
             name = self.describe_key(key)
-            if name == "1":
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c}*{name}")
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+            terms.append((c, None if name == "1" else name))  # the unit shows as c alone
+        return signed_sum(terms)
 
 
 class PolyRing(BaseAlgebra):
     """Q[x] with basis x^k, k >= 0."""
-
-    kind = "poly"
 
     def __init__(self, var: str = "x"):
         self.var = var
@@ -124,8 +106,6 @@ class PolyRing(BaseAlgebra):
 
 class MatPolyRing(BaseAlgebra):
     """Mat_n(Q[x]) with basis x^k E_ij.  Basis keys are (i, j, k), 0-based."""
-
-    kind = "matpoly"
 
     def __init__(self, n: int, var: str = "x"):
         if n < 1:
@@ -197,8 +177,6 @@ class FinDim(BaseAlgebra):
     Associativity is checked exactly on all basis triples at construction.
     Elements are coordinate tuples of Fractions.
     """
-
-    kind = "findim"
 
     def __init__(self, table, names=None):
         d = len(table)
@@ -636,11 +614,6 @@ class SkewLaurent:
             tpow = "t" if n == 1 else f"t^{n}"
             parts.append(tpow if a == "1" else f"({a})*{tpow}")
         return " + ".join(parts)
-
-
-def skew_mul(u: SkewLaurent, v: SkewLaurent) -> SkewLaurent:
-    """Product in A[t, t^-1; delta] (normal-form coefficients left of t)."""
-    return u * v
 
 
 def weyl_instance(n: int = 1):

@@ -16,87 +16,14 @@ makes it an ordinary associative algebra when the table is associative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .axioms import CheckReport, associativity_report, identity_report
 from .axioms import left_annihilator_probe as _generic_annihilator
-from .diff_conformal import ALL_ZERO
-from .exact_arith import DOp, gen_binom, rat
-from .products import (
-    nth_product_terms,
-    terms_apply_dop,
-    terms_clean,
-    terms_key,
-    terms_max_dop_degree,
-    terms_normal_form,
-)
+from .exact_arith import DOp, gen_binom, rat, signed_sum
+from .products import ConformalAlgebra, Elem, terms_clean, terms_normal_form
 
-
-class PresElem:
-    """Element of a presented conformal algebra: dict generator-index -> DOp."""
-
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: "PresentedAlgebra", terms: dict):
-        self.alg = alg
-        self.terms = terms_clean(terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_dop_degree(self) -> int:
-        return terms_max_dop_degree(self.terms)
-
-    def key(self):
-        return terms_key(self.terms)
-
-    def _same(self, other: "PresElem"):
-        if self.alg is not other.alg:
-            raise ValueError("elements of different presentations")
-
-    def __add__(self, other):
-        if not isinstance(other, PresElem):
-            return NotImplemented
-        self._same(other)
-        out = dict(self.terms)
-        for k, q in other.terms.items():
-            nq = out[k] + q if k in out else q
-            if nq.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = nq
-        return PresElem(self.alg, out)
-
-    def __neg__(self):
-        return PresElem(self.alg, {k: -q for k, q in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, PresElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return PresElem(self.alg, {k: q * c for k, q in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def derive(self) -> "PresElem":
-        return PresElem(self.alg, {k: q.times_d() for k, q in self.terms.items()})
-
-    def apply_dop(self, q: DOp) -> "PresElem":
-        return PresElem(self.alg, terms_apply_dop(self.terms, q))
-
-    def __eq__(self, other):
-        if not isinstance(other, PresElem):
-            return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
-
-    def __repr__(self):
-        return self.alg.format_elem(self)
+PresElem = Elem  # the public name of the shared element class
 
 
 class ProductTable:
@@ -111,9 +38,18 @@ class ProductTable:
         self.gens = tuple(gens)
         if len(set(self.gens)) != len(self.gens):
             raise ValueError("duplicate generator names")
+        symbols = range(len(self.gens))
         self.entries = {}
         for (i, j), prods in entries.items():
-            prods = tuple(terms_clean(dict(p)) for p in prods)
+            prods = tuple(dict(p) for p in prods)
+            for key in (i, j, *(k for p in prods for k in p)):
+                if key not in symbols:
+                    raise ValueError(f"product table names symbol {key!r}, not a generator index")
+            for p in prods:
+                for q in p.values():
+                    if not isinstance(q, DOp):
+                        raise TypeError(f"product table value {q!r} is not a DOp")
+            prods = tuple(terms_clean(p) for p in prods)
             while prods and not prods[-1]:
                 prods = prods[:-1]
             if prods:
@@ -127,136 +63,45 @@ class ProductTable:
         return prods[n]
 
 
-class PresentedAlgebra:
+class PresentedAlgebra(ConformalAlgebra):
     """A product table with the same operation surface as the differential model."""
 
-    kind = "presented"
+    # benchmarks/tracing.py wraps these by name in this class's own namespace
+    coordinates = ConformalAlgebra.coordinates
+    format_elem = ConformalAlgebra.format_elem
+    nth = ConformalAlgebra.nth
+    locality = ConformalAlgebra.locality
+    locality_coeff_sum = ConformalAlgebra.locality_coeff_sum
 
     def __init__(self, table: ProductTable, name: str = "presented"):
         self.table = table
-        self.name = name
-        self.generators = {
-            g: PresElem(self, {i: DOp.one()}) for i, g in enumerate(table.gens)
-        }
+        super().__init__(name, {g: Elem(self, {i: DOp.one()}) for i, g in enumerate(table.gens)})
 
-    # -- constructors ----------------------------------------------------------
-
-    def gen(self, name: str) -> PresElem:
-        return self.generators[name]
-
-    def generator(self, name: str) -> PresElem:
-        return self.generators[name]
-
-    def generator_items(self):
-        return list(self.generators.items())
-
-    def zero_elem(self) -> PresElem:
-        return PresElem(self, {})
-
-    def from_terms(self, terms: dict) -> PresElem:
-        return PresElem(self, terms)
-
-    # -- linear interface --------------------------------------------------------
-
-    def add(self, u, v):
-        return u + v
-
-    def sub(self, u, v):
-        return u - v
-
-    def scale(self, u, c):
-        return u * rat(c)
-
-    def derive_elem(self, u):
-        return u.derive()
-
-    def apply_dop_power(self, u, p: int):
-        return u.apply_dop(DOp.d(p)) if p else u
-
-    def is_zero(self, u) -> bool:
-        return u.is_zero()
-
-    def eq(self, u, v) -> bool:
-        return u == v
-
-    def coordinates(self, u) -> dict:
-        out = {}
-        for key, q in u.terms.items():
-            for p, c in q.coeffs.items():
-                out[(key, p)] = c
-        return out
-
-    def format_elem(self, u) -> str:
-        if u.is_zero():
-            return "0"
-        parts = []
-        for key in sorted(u.terms):
-            q = u.terms[key]
-            name = self.table.gens[key]
-            for p, c in sorted(q.coeffs.items()):
-                head = name if p == 0 else (f"d*{name}" if p == 1 else f"d^{p}*{name}")
-                if c == 1:
-                    parts.append(head)
-                elif c == -1:
-                    parts.append(f"-{head}")
-                else:
-                    parts.append(f"{c}*{head}")
-        text = parts[0]
-        for t in parts[1:]:
-            text += " - " + t[1:] if t.startswith("-") else " + " + t
-        return text
-
-    # -- products ------------------------------------------------------------------
+    def symbol_name(self, key: int) -> str:
+        return self.table.gens[key]
 
     def _base_case(self, i, m: int, j) -> dict:
         return self.table.lookup(i, j, m)
 
-    def nth(self, u: PresElem, v: PresElem, n: int) -> PresElem:
-        u._same(v)
-        return PresElem(self, nth_product_terms(u.terms, v.terms, n, self._base_case))
-
-    def locality_scan_bound(self, u: PresElem, v: PresElem) -> int:
+    def locality_scan_bound(self, u: Elem, v: Elem) -> int:
         return u.max_dop_degree() + v.max_dop_degree() + self.table.order_bound + 1
-
-    def locality(self, u: PresElem, v: PresElem):
-        if u.is_zero() or v.is_zero():
-            return ALL_ZERO
-        best = ALL_ZERO
-        for n in range(self.locality_scan_bound(u, v) + 1):
-            if not self.nth(u, v, n).is_zero():
-                best = n
-        return best
 
     # -- coefficient model -----------------------------------------------------------
 
-    def phi(self, u: PresElem, k: int) -> "CoeffElem":
+    def phi(self, u: Elem, k: int) -> "CoeffElem":
         """phi(u t^k) in normal form."""
         return CoeffElem._make(
             self, {(i, exp): c for i, exp, c in terms_normal_form(u.terms, k)}
         )
 
-    def phi0_coords(self, u: PresElem) -> dict:
-        return dict(self.phi(u, 0).coords)
+    def model_zero(self) -> "CoeffElem":
+        return CoeffElem._make(self, {})
 
     def model_coords(self, m: "CoeffElem") -> dict:
         return dict(m.coords)
 
     def model_mul(self, a: "CoeffElem", b: "CoeffElem") -> "CoeffElem":
         return coeff_mul(a, b)
-
-    def model_is_zero(self, m: "CoeffElem") -> bool:
-        return m.is_zero()
-
-    def locality_coeff_sum(self, u, v, n: int, l: int, m: int) -> "CoeffElem":
-        if n < 0:
-            raise ValueError("product order must be nonnegative")
-        acc = CoeffElem(self, {})
-        for j in range(n + 1):
-            c = gen_binom(n, j)
-            if j % 2:
-                c = -c
-            acc = acc + coeff_mul(self.phi(u, l - j), self.phi(v, m + j)).scale(c)
-        return acc
 
 
 class CoeffElem:
@@ -314,28 +159,11 @@ class CoeffElem:
         return self.alg is other.alg and self.coords == other.coords
 
     def __repr__(self):
-        if not self.coords:
-            return "0"
-        parts = []
-        for (i, k), c in sorted(self.coords.items()):
-            name = f"({self.alg.table.gens[i]},{k})"
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c}*{name}")
-        text = parts[0]
-        for t in parts[1:]:
-            text += " - " + t[1:] if t.startswith("-") else " + " + t
-        return text
+        gens = self.alg.table.gens
+        return signed_sum((c, f"({gens[i]},{k})") for (i, k), c in sorted(self.coords.items()))
 
 
 # -- module-level operations -----------------------------------------------------
-
-
-def eval_product(u: PresElem, v: PresElem, n: int) -> PresElem:
-    return u.alg.nth(u, v, n)
 
 
 def check_associativity(alg_or_table, max_m: int = 4, max_n: int = 4) -> CheckReport:

@@ -1,8 +1,20 @@
-"""The d-reduction engine shared by the differential and presented models.
+"""The conformal-algebra core shared by the differential and presented models.
 
-Elements are dicts mapping a basis symbol to a DOp (a polynomial in d).  The
-caller supplies the base case: the order-m product of two pure symbols, as
-another such dict.  The engine supplies bilinearity and the removal of d from
+An element is a finite combination sum_a q_a(d) a of basis symbols a with
+q_a in Q[d], stored as a dict basis symbol -> DOp (`Elem`).  `ConformalAlgebra`
+holds everything the two models share: the named generators, the linear
+interface, coordinates and formatting, the n-th product, locality degrees and
+the coefficient-level locality sums.  A model supplies only
+
+  * `_base_case(a, m, b)`: the order-m product of two pure symbols, as a
+    terms dict;
+  * `symbol_name(a)`: how a basis symbol prints;
+  * `locality_scan_bound(u, v)`: an order above which u (n) v provably
+    vanishes;
+  * its coefficient model: `phi(u, k)` (the k-th coefficient of u),
+    `model_zero`, `model_mul` and `model_coords`.
+
+The engine `nth_product_terms` supplies bilinearity and the removal of d from
 both slots of the n-th product:
 
   * left slot:  a power d^i contributes (-1)^i n(n-1)...(n-i+1) at order n-i,
@@ -22,9 +34,27 @@ costs at most n+1 of them in total.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb, perm
 
-from .exact_arith import DOp, falling_factorial
+from .exact_arith import DOp, falling_factorial, gen_binom, rat, signed_sum
+
+
+class _AllZero:
+    """Locality degree of a pair whose products all vanish."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "AllZero"
+
+
+ALL_ZERO = _AllZero()
 
 
 def terms_clean(terms: dict) -> dict:
@@ -105,3 +135,173 @@ def terms_max_dop_degree(terms: dict) -> int:
 
 def terms_apply_dop(terms: dict, q: DOp) -> dict:
     return terms_clean({k: p * q for k, p in terms.items()})
+
+
+class Elem:
+    """Element of a conformal algebra: dict basis symbol -> DOp."""
+
+    __slots__ = ("alg", "terms")
+
+    def __init__(self, alg: "ConformalAlgebra", terms: dict):
+        self.alg = alg
+        self.terms = terms_clean(terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def max_dop_degree(self) -> int:
+        return terms_max_dop_degree(self.terms)
+
+    def key(self):
+        return terms_key(self.terms)
+
+    def _same(self, other: "Elem"):
+        if self.alg is not other.alg:
+            raise ValueError("elements of different algebras")
+
+    def __add__(self, other):
+        if not isinstance(other, Elem):
+            return NotImplemented
+        self._same(other)
+        out = dict(self.terms)
+        for k, q in other.terms.items():
+            nq = out[k] + q if k in out else q
+            if nq.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = nq
+        return Elem(self.alg, out)
+
+    def __neg__(self):
+        return Elem(self.alg, {k: -q for k, q in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, Elem):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = rat(other)
+            return Elem(self.alg, {k: q * c for k, q in self.terms.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def derive(self) -> "Elem":
+        """Apply d once."""
+        return Elem(self.alg, {k: q.times_d() for k, q in self.terms.items()})
+
+    def apply_dop(self, q: DOp) -> "Elem":
+        return Elem(self.alg, terms_apply_dop(self.terms, q))
+
+    def __eq__(self, other):
+        if not isinstance(other, Elem):
+            return NotImplemented
+        return self.alg is other.alg and self.terms == other.terms
+
+    def __repr__(self):
+        return self.alg.format_elem(self)
+
+
+class ConformalAlgebra:
+    """Named generators and the operations both models share (see the module doc)."""
+
+    def __init__(self, name: str, generators: dict):
+        self.name = name
+        self.generators = generators
+
+    # -- elements ----------------------------------------------------------------
+
+    def generator(self, name: str) -> Elem:
+        return self.generators[name]
+
+    def generator_items(self):
+        return list(self.generators.items())
+
+    def zero_elem(self) -> Elem:
+        return Elem(self, {})
+
+    def from_terms(self, terms: dict) -> Elem:
+        return Elem(self, terms)
+
+    # -- linear interface ----------------------------------------------------------
+
+    def add(self, u: Elem, v: Elem) -> Elem:
+        return u + v
+
+    def sub(self, u: Elem, v: Elem) -> Elem:
+        return u - v
+
+    def scale(self, u: Elem, c) -> Elem:
+        return u * rat(c)
+
+    def derive_elem(self, u: Elem) -> Elem:
+        return u.derive()
+
+    def apply_dop_power(self, u: Elem, p: int) -> Elem:
+        return u.apply_dop(DOp.d(p)) if p else u
+
+    def is_zero(self, u: Elem) -> bool:
+        return u.is_zero()
+
+    def eq(self, u: Elem, v: Elem) -> bool:
+        return u == v
+
+    def coordinates(self, u: Elem) -> dict:
+        """Flatten to {(basis_key, d_power): Fraction}."""
+        out = {}
+        for key, q in u.terms.items():
+            for p, c in q.coeffs.items():
+                out[(key, p)] = c
+        return out
+
+    def format_elem(self, u: Elem) -> str:
+        parts = []
+        for key in sorted(u.terms):
+            name = self.symbol_name(key)
+            for p, c in sorted(u.terms[key].coeffs.items()):
+                head = name if p == 0 else (f"d*{name}" if p == 1 else f"d^{p}*{name}")
+                parts.append((c, head))
+        return signed_sum(parts)
+
+    # -- products and locality ---------------------------------------------------------
+
+    def nth(self, u: Elem, v: Elem, n: int) -> Elem:
+        u._same(v)
+        return Elem(self, nth_product_terms(u.terms, v.terms, n, self._base_case))
+
+    def locality(self, u: Elem, v: Elem):
+        """Largest n with u (n) v != 0, or ALL_ZERO."""
+        if u.is_zero() or v.is_zero():
+            return ALL_ZERO
+        best = ALL_ZERO
+        for n in range(self.locality_scan_bound(u, v) + 1):
+            if not self.nth(u, v, n).is_zero():
+                best = n
+        return best
+
+    # -- the coefficient model ------------------------------------------------------------
+
+    def model_is_zero(self, m) -> bool:
+        return m.is_zero()
+
+    def locality_coeff_sum(self, u: Elem, v: Elem, n: int, l: int, m: int):
+        """sum_j (-1)^j C(n, j) u(l-j) v(m+j), the order-n locality combination.
+
+        Formed from coefficients alone, without any memo: this is the
+        independent route the symbolic products are checked against.
+        """
+        if n < 0:
+            raise ValueError("product order must be nonnegative")
+        acc = self.model_zero()
+        for j in range(n + 1):
+            c = gen_binom(n, j)
+            if j % 2:
+                c = -c
+            acc = acc + self.model_mul(self.phi(u, l - j), self.phi(v, m + j)).scale(c)
+        return acc
+
+
+def nth_product(u: Elem, v: Elem, n: int) -> Elem:
+    return u.alg.nth(u, v, n)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .axioms import IdentityReport, identity_report
-from .diff_conformal import ALL_ZERO, DifferentialAlgebra
+from .diff_conformal import DifferentialAlgebra
 from .errors import (
     ClosureBoundExceeded,
     ConfalError,
@@ -42,6 +42,7 @@ from .errors import (
 from .exact_arith import DOp
 from .linalg import RowSpace, dense_solve
 from .ore_skew import FinDim, MatPolyRing, PolyRing, ad_derivation
+from .products import ALL_ZERO
 
 
 # -- d-layer decomposition ---------------------------------------------------------
@@ -646,26 +647,24 @@ def _named_elements(base, generators):
     return out
 
 
-def delta_stable_closure(
-    base,
-    delta,
-    seeds,
-    degree_bound: int = 5,
-    generators=None,
-    basis_cap: int = 4096,
-) -> IdealClosure:
-    """Saturate seeds under delta and multiplication by the generator set.
+SATURATION_CAP = 4096  # default basis cap of the saturation loops
 
-    Multiplication is applied on both sides, so within the degree filtration
-    the result spans the delta-stable two-sided ideal generated by the seeds
-    relative to the given generators (ring generators by default).
+
+def _saturate(base, seeds, moves, degree_bound: int, basis_cap: int, what: str, log=None):
+    """Span closure of seeds under moves, inside the degree filtration.
+
+    Elements are taken up in the order they joined the basis, and each one u
+    spreads to the (element, note) pairs moves(u, basis) yields; the pairs
+    are consumed one at a time, so moves sees every element added before it
+    yields the next.  An element is dropped (and counted) above the degree
+    bound, skipped when it lies in the span, and added otherwise; a new
+    element past basis_cap raises ClosureBoundExceeded.  The first 8
+    additions are named in log when one is given.  Returns (space, basis,
+    dropped).
     """
-    gens = _named_elements(base, generators)
     space = RowSpace()
     basis: list = []
-    work: list = []
     dropped = 0
-    log: list = []
 
     def push(elem, note):
         nonlocal dropped
@@ -678,25 +677,49 @@ def delta_stable_closure(
         if len(basis) >= basis_cap:
             if space.contains(vec):
                 return
-            raise ClosureBoundExceeded(
-                f"ideal closure exceeded the basis cap of {basis_cap}"
-            )
+            raise ClosureBoundExceeded(f"{what} exceeded the basis cap of {basis_cap}")
         if not space.add(vec, len(basis)):
             return
         basis.append(elem)
-        work.append(elem)
-        if len(basis) <= 8:
+        if log is not None and len(basis) <= 8:
             log.append(f"added {base.format(elem)} ({note})")
 
     for s in seeds:
         push(s, "seed")
-    while work:
-        u = work.pop(0)
-        push(delta(u), "derivative")
-        for gname, g in gens:
-            push(base.mul(g, u), f"left by {gname}")
-            push(base.mul(u, g), f"right by {gname}")
+    done = 0
+    while done < len(basis):
+        u = basis[done]
+        done += 1
+        for elem, note in moves(u, basis):
+            push(elem, note)
+    return space, basis, dropped
 
+
+def delta_stable_closure(
+    base,
+    delta,
+    seeds,
+    degree_bound: int = 5,
+    generators=None,
+    basis_cap: int = SATURATION_CAP,
+) -> IdealClosure:
+    """Saturate seeds under delta and multiplication by the generator set.
+
+    Multiplication is applied on both sides, so within the degree filtration
+    the result spans the delta-stable two-sided ideal generated by the seeds
+    relative to the given generators (ring generators by default).
+    """
+    gens = _named_elements(base, generators)
+
+    def moves(u, basis):
+        yield delta(u), "derivative"
+        for gname, g in gens:
+            yield base.mul(g, u), f"left by {gname}"
+            yield base.mul(u, g), f"right by {gname}"
+
+    log: list = []
+    space, basis, dropped = _saturate(
+        base, seeds, moves, degree_bound, basis_cap, "ideal closure", log)
     unit_found, unit_reason = _detect_unit(base, space, basis)
     return IdealClosure(
         degree_bound=degree_bound,
@@ -714,33 +737,21 @@ def delta_stable_closure(
 
 def coefficient_subalgebra(alg: DifferentialAlgebra, degree_bound: int = 5):
     """Basis of the delta-closed subalgebra generated by the generators'
-    zeroth coefficients, within the degree filtration."""
+    zeroth coefficients, within the degree filtration.
+
+    Raises ClosureBoundExceeded past SATURATION_CAP basis elements.
+    """
     base, delta = alg.base, alg.delta
-    space = RowSpace()
-    basis: list = []
-    work: list = []
-    dropped = 0
 
-    def push(elem):
-        nonlocal dropped
-        if base.is_zero(elem):
-            return
-        if base.degree(elem) > degree_bound:
-            dropped += 1
-            return
-        if not space.add(base.decompose(elem), len(basis)):
-            return
-        basis.append(elem)
-        work.append(elem)
+    def moves(u, basis):
+        yield delta(u), None
+        for b in list(basis):  # the basis as it stands after delta(u)
+            yield base.mul(u, b), None
+            yield base.mul(b, u), None
 
-    for _, g in alg.generator_items():
-        push(alg.phi0_base(g))
-    while work:
-        u = work.pop(0)
-        push(delta(u))
-        for b in list(basis):
-            push(base.mul(u, b))
-            push(base.mul(b, u))
+    seeds = [alg.phi0_base(g) for _, g in alg.generator_items()]
+    _, basis, dropped = _saturate(
+        base, seeds, moves, degree_bound, SATURATION_CAP, "coefficient subalgebra")
     return basis, dropped == 0
 
 

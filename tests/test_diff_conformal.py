@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 from confal import (
     ALL_ZERO,
     DOp,
+    DifferentialAlgebra,
     Poly,
+    PolyRing,
+    ScaledDdx,
     coefficient,
     cur_matrix,
+    cur_matrix_presented,
     dong_check,
     locality_degree,
     nth_product,
@@ -161,7 +165,7 @@ def test_cur2_products_are_order_zero_only():
 
 
 def test_all_zero_singleton():
-    import confal.diff_conformal as dc
+    import confal.products as dc
 
     assert dc._AllZero() is ALL_ZERO
     assert repr(ALL_ZERO) == "AllZero"
@@ -182,3 +186,20 @@ def test_negative_order_rejected():
     e = WEYL.generator("e")
     with pytest.raises(ValueError):
         WEYL.nth(e, e, -1)
+
+
+def test_generator_values_are_base_elements():
+    # an element of another algebra would keep that algebra's products
+    base = PolyRing("x")
+    for foreign in (WEYL.generator("L"), cur_matrix_presented(2).generator("u11")):
+        with pytest.raises(ValueError):
+            DifferentialAlgebra(base, ScaledDdx(base, 2), {"g": foreign})
+    alg = DifferentialAlgebra(base, ScaledDdx(base, 2), {"g": Poly.variable("x")})
+    assert alg.generator("g").alg is alg
+
+
+def test_one_element_class_for_both_models():
+    import confal
+
+    assert confal.ConfElem is confal.PresElem
+    assert type(WEYL.zero_elem()) is type(cur_matrix_presented(2).zero_elem())

@@ -160,7 +160,7 @@ def test_presented_build_products():
     from fractions import Fraction
 
     toy = build_all(PRESENTED_SRC)["toy"]
-    a, b = toy.gen("a"), toy.gen("b")
+    a, b = toy.generator("a"), toy.generator("b")
     got = toy.nth(a, b, 1)
     # a (1) b = 2*b - 1/3 d a
     assert toy.coordinates(got) == {(1, 0): Fraction(2), (0, 1): Fraction(-1, 3)}

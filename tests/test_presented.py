@@ -12,10 +12,11 @@ from confal import (
     cur_matrix_presented,
     is_conformal_identity,
     left_annihilator_probe,
+    nth_product,
     ProductTable,
     PresentedAlgebra,
 )
-from confal.presented_conformal import CoeffElem, coeff_mul, eval_product
+from confal.presented_conformal import CoeffElem, coeff_mul
 
 CUR2P = cur_matrix_presented(2)
 
@@ -37,13 +38,31 @@ def test_duplicate_generator_names_rejected():
         ProductTable(("a", "a"), {})
 
 
+@pytest.mark.parametrize("entries", [
+    {(0, 0): ({1: DOp.one()},)},
+    {(3, 7): ({0: DOp.one()},)},
+    {(0, -1): ({0: DOp.one()},)},
+    {(0, 0): ({}, {"a": DOp.one()})},
+])
+def test_table_rejects_unknown_symbols(entries):
+    with pytest.raises(ValueError):
+        ProductTable(["a"], entries)
+
+
+def test_table_rejects_values_that_are_not_dops():
+    with pytest.raises(TypeError):
+        ProductTable(["a"], {(0, 0): ({0: 1},)})
+    with pytest.raises(TypeError):
+        ProductTable(["a"], {(0, 0): ({0: Fraction(1, 2)},)})
+
+
 def test_presented_matches_differential_current_algebra():
     diff = cur_matrix(2)
     names = [g for g, _ in CUR2P.generator_items()]
     for a in names:
         for b in names:
             for n in range(3):
-                lhs = CUR2P.nth(CUR2P.gen(a), CUR2P.gen(b), n)
+                lhs = CUR2P.nth(CUR2P.generator(a), CUR2P.generator(b), n)
                 rhs = diff.nth(diff.generator(a), diff.generator(b), n)
                 # compare coordinates under the generator correspondence
                 l = {(k, p): c for (k, p), c in CUR2P.coordinates(lhs).items()}
@@ -56,13 +75,13 @@ def test_presented_matches_differential_current_algebra():
 
 
 def test_eval_product_bilinearity_with_d():
-    a, b = CUR2P.gen("u12"), CUR2P.gen("u21")
+    a, b = CUR2P.generator("u12"), CUR2P.generator("u21")
     da = CUR2P.derive_elem(a)
-    assert CUR2P.is_zero(eval_product(da, b, 0))
-    assert eval_product(da, b, 1) == CUR2P.scale(eval_product(a, b, 0), -1)
+    assert CUR2P.is_zero(nth_product(da, b, 0))
+    assert nth_product(da, b, 1) == CUR2P.scale(nth_product(a, b, 0), -1)
     # right slot: u (0) (d v) = d (u (0) v) when all higher products vanish
     db = CUR2P.derive_elem(b)
-    assert eval_product(a, db, 0) == CUR2P.derive_elem(eval_product(a, b, 0))
+    assert nth_product(a, db, 0) == CUR2P.derive_elem(nth_product(a, b, 0))
 
 
 def test_coeff_mul_reproduces_laurent_current_algebra():
@@ -121,11 +140,11 @@ def test_identity_in_presented_current_algebra():
     assert rep.ok and rep.self_locality == 0
     # f_1 - d f_r with r = E12 (r^2 = 0) is a second conformal identity
     shifted = CUR2P.sub(
-        one, CUR2P.derive_elem(CUR2P.gen("u12"))
+        one, CUR2P.derive_elem(CUR2P.generator("u12"))
     )
     assert is_conformal_identity(shifted).ok
     # a single matrix unit is not an identity
-    assert not is_conformal_identity(CUR2P.gen("u11")).ok
+    assert not is_conformal_identity(CUR2P.generator("u11")).ok
 
 
 def test_known_fail_table_breaks_associativity():
@@ -143,7 +162,7 @@ def test_left_annihilator_trivial_when_unital():
 
 
 def test_pres_elem_linear_structure():
-    a, b = CUR2P.gen("u12"), CUR2P.gen("u21")
+    a, b = CUR2P.generator("u12"), CUR2P.generator("u21")
     u = CUR2P.add(CUR2P.scale(a, Fraction(2, 3)), b.apply_dop(DOp.d(2)))
     assert CUR2P.coordinates(u) == {
         (1, 0): Fraction(2, 3),

@@ -1,11 +1,17 @@
-"""The shared product engine: closed-form right slot, a second route, its cost."""
+"""The shared core: closed-form right slot, a second route, its cost, one model base."""
 
 from fractions import Fraction
 
 import pytest
 
-from confal import cur_matrix_presented, poly_zero, weyl_algebra
-from confal.products import nth_product_terms, terms_clean
+from confal import (
+    DifferentialAlgebra,
+    PresentedAlgebra,
+    cur_matrix_presented,
+    poly_zero,
+    weyl_algebra,
+)
+from confal.products import ConformalAlgebra, nth_product_terms, terms_clean
 
 WEYL = weyl_algebra()
 POLYZERO = poly_zero()
@@ -140,3 +146,15 @@ def test_recursion_cost_is_exponential_in_the_power():
     )
     assert closed.calls <= 13
     assert recursive.calls == 2 ** 12
+
+
+SHARED = ("add", "sub", "scale", "derive_elem", "apply_dop_power", "is_zero", "eq",
+          "generator", "generator_items", "zero_elem", "model_is_zero", "coordinates",
+          "format_elem", "nth", "locality", "locality_coeff_sum")
+
+
+@pytest.mark.parametrize("model", [DifferentialAlgebra, PresentedAlgebra])
+def test_models_inherit_the_shared_operations(model):
+    # a name bound in the model's own namespace must be the base's function
+    for name in SHARED:
+        assert getattr(model, name) is getattr(ConformalAlgebra, name), name

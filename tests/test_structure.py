@@ -1,5 +1,6 @@
 """Structure recovery: identities, peeling, recognition, transport, ideals."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,9 @@ from confal import (
     transport_identity,
     weyl_algebra,
 )
-from confal.structure import class_coords, iterated_derivation_check
+from confal import structure
+from confal.cli import main
+from confal.structure import class_coords, coefficient_subalgebra, iterated_derivation_check
 
 WEYL = weyl_algebra()
 CUR2 = cur_matrix(2)
@@ -305,3 +308,14 @@ def test_probe_bounds_validated():
     res = recognize_unital(CUR2)
     with pytest.raises(ValueError):
         recognition_roundtrip(CUR2, res, n_max=-1)
+
+
+def test_coefficient_subalgebra_has_a_basis_cap(monkeypatch):
+    # the coefficient subalgebra of cureps has dimension 2
+    basis, saturated = coefficient_subalgebra(cur_dual_numbers())
+    assert len(basis) == 2 and saturated
+    monkeypatch.setattr(structure, "SATURATION_CAP", 1)
+    with pytest.raises(ClosureBoundExceeded):
+        coefficient_subalgebra(cur_dual_numbers())
+    path = pathlib.Path(__file__).resolve().parent.parent / "instances" / "cureps.confal"
+    assert main(["simplicity", str(path)]) == 3
