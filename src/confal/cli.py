@@ -46,7 +46,7 @@ from .errors import (
     ParseError,
     ResourceBound,
 )
-from .dsl import load_path, parse_element
+from .dsl import eval_base_expr, load_path, parse_base_expr, parse_element
 from .growth import coeff_growth_check, growth_table
 from .ore_skew import FinDim
 from .products import ALL_ZERO
@@ -56,7 +56,6 @@ from .structure import (
     simplicity_probe,
     transport_identity,
 )
-from .dsl import eval_base_expr, tokenize, _Parser
 
 SCHEMA = "confal/1"
 
@@ -271,7 +270,7 @@ def _cmd_transport(args) -> int:
     base = alg.base if hasattr(alg, "base") else None
     if not isinstance(base, FinDim):
         raise ValueError("transport needs a findim differential instance")
-    r = eval_base_expr(_Parser(tokenize(args.r)).parse_expr(), base)
+    r = eval_base_expr(parse_base_expr(args.r), base)
     res = transport_identity(base, r, name=f"{alg.name}+ad")
     result = res.to_json_dict()
     text = [

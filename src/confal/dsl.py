@@ -17,18 +17,33 @@ Grammar (EBNF; `#` starts a comment running to end of line):
                 | "d/d"IDENT ("+" "ad" "(" expr ")")?
                 | "matrix" "[" rational ("," rational)* "]"
     gendef     := IDENT "=" expr ";"
-    proddef    := IDENT "(" INT ")" IDENT "=" rhs ";"
-    rhs        := "0" | term (("+" | "-") term)*
-    term       := [rational ["*"]] ["d" ["^" INT] ["*"]] IDENT
+    proddef    := IDENT "(" INT ")" IDENT "=" comb ";"
+    comb       := "0" | cterm (("+" | "-") cterm)*
+    cterm      := ("+" | "-")* [literal ["*"]] ("d" ["^" INT] ["*"])*
+                  ("(" comb ")" | IDENT)
     expr       := eterm (("+" | "-") eterm)*
     eterm      := factor ("*" factor)*
     factor     := atom ("^" INT)?
-    atom       := rational | IDENT | "E" "(" INT "," INT ")"
+    atom       := literal | IDENT | "E" "(" INT "," INT ")"
                 | "(" expr ")" | "-" atom
-    rational   := ["-"] INT ["/" INT]
+    rational   := ("+" | "-")* literal
+    literal    := INT ["/" INT]
 
-The symbol `d` is reserved: it denotes the module operator in product
-right-hand sides and in element expressions (`d g`, `d^2 g`, `d(g)`).
+INT is a run of ASCII digits.  `comb` is a Q[d]-combination of generators,
+read as (coefficient, d-power, generator) triples in source order: it is the
+right-hand side of a product and the text of an element (`parse_element`,
+`--element`).  Its "0" alternative stands for a whole combination, followed
+by ";", ")" or the end.  `expr` is an expression over the base algebra: a
+generator value, an `ad(...)` correction and the nilpotent `r` of identity
+transport (`parse_base_expr`, `--r`).  Text given on its own, as an element
+or an `r`, must be consumed whole: anything after the rule is an error.
+
+MAX_EXPONENT caps every exponent: the d-power of each term of a
+combination, nested `d`s added up, and the product of the `^` exponents
+nested around each atom of an expression, scalars included.
+
+The symbol `d` is reserved: it denotes the module operator in combinations
+(`d g`, `d^2 g`, `d(g)`) and cannot name a generator or a variable.
 `findim` structure constants are d*d*d rationals, row-major over
 (i, j, k) = coefficient of b_{k+1} in b_{i+1} * b_{j+1}; the default basis
 names are b1..bd.  A `matrix` derivation is d*d rationals, row-major, with
@@ -40,12 +55,13 @@ defined at most once in a `products` block.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diff_conformal import DifferentialAlgebra
 from .errors import ParseError
-from .exact_arith import DOp, Poly
+from .exact_arith import DOp, Poly, signed_sum
 from .ore_skew import (
     DdxPlusAd,
     FinDim,
@@ -58,7 +74,17 @@ from .ore_skew import (
 )
 from .presented_conformal import PresentedAlgebra, ProductTable
 
+MAX_EXPONENT = 256
+"""Largest exponent input text may ask for (see the module doc); more is a ParseError.
+
+On a 2-vCPU Xeon VM under Python 3.11, `confal identity` of d^256 e on the
+Weyl instance takes about 0.5 s and of d^1000 e about 50 s; the benchmark's
+workloads use powers up to d^15.
+"""
+
 _PUNCT = set("{}()[];,=+-*/^")
+_DIGITS = "0123456789"
+_TORSION = "torsion presentations are rejected: generators must be free over the operator ring"
 
 
 @dataclass(frozen=True)
@@ -88,9 +114,9 @@ def tokenize(source: str):
             while i < n and source[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start, c0 = i, col
-            while i < n and source[i].isdigit():
+            while i < n and source[i] in _DIGITS:
                 i += 1
                 col += 1
             tokens.append(Token("int", source[start:i], line, c0))
@@ -131,6 +157,18 @@ class AlgebraSpec:
     line: int = field(default=0, compare=False)
 
 
+def _nested_power(expr) -> int:
+    """The largest product of the `^` exponents around one atom of an expression."""
+    kind = expr[0]
+    if kind == "pow":
+        return max(expr[2], 1) * _nested_power(expr[1])
+    if kind in ("add", "sub", "mul"):
+        return max(_nested_power(expr[1]), _nested_power(expr[2]))
+    if kind == "neg":
+        return _nested_power(expr[1])
+    return 1
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -149,20 +187,27 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col, expected)
 
+    def unexpected(self, *expected, tok: Token | None = None):
+        tok = tok or self.peek()
+        self.error(f"found {tok.value!r}" if tok.value else "unexpected end of input",
+                   tok, expected)
+
     def expect_punct(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != value:
-            self.error(f"found {tok.value!r}" if tok.value else "unexpected end of input",
-                       expected=(repr(value),))
+        if not self.at_punct(value):
+            self.unexpected(repr(value))
         return self.next()
 
     def expect_ident(self, value: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or (value is not None and tok.value != value):
-            what = repr(value) if value else "a name"
-            self.error(f"found {tok.value!r}" if tok.value else "unexpected end of input",
-                       expected=(what,))
+        if not self.at_ident(value):
+            self.unexpected(repr(value) if value else "a name")
         return self.next()
+
+    def expect_name(self) -> Token:
+        """A name of one's own: any identifier but the reserved `d`."""
+        tok = self.expect_ident()
+        if tok.value == "d":
+            self.error("'d' is reserved for the module operator", tok)
+        return tok
 
     def at_punct(self, value: str) -> bool:
         tok = self.peek()
@@ -175,24 +220,74 @@ class _Parser:
     def expect_int(self) -> int:
         tok = self.peek()
         if tok.kind != "int":
-            self.error(f"found {tok.value!r}", expected=("an integer",))
+            self.unexpected("an integer")
         self.next()
+        if 0 < sys.get_int_max_str_digits() < len(tok.value):
+            self.error("integer literal too long", tok)
         return int(tok.value)
 
-    def parse_rational(self) -> Fraction:
+    def check_exponent(self, power: int, tok: Token):
+        if power > MAX_EXPONENT:
+            self.error(f"power {power} exceeds the exponent cap {MAX_EXPONENT}", tok)
+
+    def parse_sign(self) -> int:
         sign = 1
         while self.at_punct("-") or self.at_punct("+"):
             if self.next().value == "-":
                 sign = -sign
+        return sign
+
+    def parse_literal(self) -> Fraction:
         tok = self.peek()
         num = self.expect_int()
-        if self.at_punct("/"):
+        if not self.at_punct("/"):
+            return Fraction(num)
+        self.next()
+        den = self.expect_int()
+        if den == 0:
+            self.error("zero denominator", tok)
+        return Fraction(num, den)
+
+    def parse_rational(self) -> Fraction:
+        return self.parse_sign() * self.parse_literal()
+
+    # -- Q[d]-combinations of generators -------------------------------------------
+
+    def parse_combination(self) -> list:
+        """A `comb`, as (coefficient, d_power, name token) triples in source order."""
+        after = self.peek(1)
+        if self.peek().kind == "int" and self.peek().value == "0" \
+                and (after.kind == "eof" or after.value in (";", ")")):
             self.next()
-            den = self.expect_int()
-            if den == 0:
-                self.error("zero denominator", tok)
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+            return []
+        terms = []
+        while True:
+            coeff = Fraction(self.parse_sign())
+            if self.peek().kind == "int":
+                coeff *= self.parse_literal()
+                if self.at_punct("*"):
+                    self.next()
+            power, tok = 0, None
+            while self.at_ident("d"):
+                tok, step = self.next(), 1
+                if self.at_punct("^"):
+                    self.next()
+                    tok, step = self.peek(), self.expect_int()
+                power += step
+                if self.at_punct("*"):
+                    self.next()
+            if self.at_punct("("):
+                self.next()
+                inner = self.parse_combination()
+                self.expect_punct(")")
+            else:
+                inner = [(Fraction(1), 0, self.expect_name())]
+            inner = [(coeff * c, p + power, name) for c, p, name in inner]
+            if tok is not None:
+                self.check_exponent(max((p for _, p, _ in inner), default=power), tok)
+            terms += inner
+            if not (self.at_punct("+") or self.at_punct("-")):
+                return terms
 
     # -- expression trees ------------------------------------------------------
 
@@ -214,30 +309,22 @@ class _Parser:
         node = self.parse_atom()
         if self.at_punct("^"):
             self.next()
-            exp = self.expect_int()
+            tok, exp = self.peek(), self.expect_int()
+            self.check_exponent(exp * _nested_power(node), tok)
             node = ("pow", node, exp)
         return node
 
     def parse_atom(self) -> tuple:
         tok = self.peek()
-        if tok.kind == "punct" and tok.value == "-":
+        if self.at_punct("-"):
             self.next()
             inner = self.parse_atom()
             if inner[0] == "num":
                 return ("num", -inner[1])
             return ("neg", inner)
         if tok.kind == "int":
-            self.next()
-            num = int(tok.value)
-            if self.at_punct("/") and self.peek(1).kind == "int":
-                self.next()
-                den = self.expect_int()
-                if den == 0:
-                    self.error("zero denominator", tok)
-                return ("num", Fraction(num, den))
-            return ("num", Fraction(num))
-        if tok.kind == "ident" and tok.value == "E" and self.peek(1).kind == "punct" \
-                and self.peek(1).value == "(":
+            return ("num", self.parse_literal())
+        if self.at_ident("E") and self.peek(1).kind == "punct" and self.peek(1).value == "(":
             self.next()
             self.expect_punct("(")
             i = self.expect_int()
@@ -248,13 +335,12 @@ class _Parser:
         if tok.kind == "ident":
             self.next()
             return ("name", tok.value)
-        if tok.kind == "punct" and tok.value == "(":
+        if self.at_punct("("):
             self.next()
             node = self.parse_expr()
             self.expect_punct(")")
             return node
-        self.error(f"found {tok.value!r}" if tok.value else "unexpected end of input",
-                   expected=("an expression",))
+        self.unexpected("an expression")
 
     # -- clauses -----------------------------------------------------------------
 
@@ -262,13 +348,9 @@ class _Parser:
         specs = []
         while not self.peek().kind == "eof":
             if self.at_ident("module"):
-                self.error(
-                    "torsion presentations are rejected: generators must be free "
-                    "over the operator ring",
-                    expected=("'algebra'",),
-                )
+                self.error(_TORSION, expected=("'algebra'",))
             if not self.at_ident("algebra"):
-                self.error(f"found {self.peek().value!r}", expected=("'algebra'",))
+                self.unexpected("'algebra'")
             specs.append(self.parse_algebra())
         if not specs:
             self.error("empty definition file", expected=("'algebra'",))
@@ -281,59 +363,26 @@ class _Parser:
         head = self.expect_ident("algebra")
         name = self.expect_ident().value
         self.expect_punct("{")
-        kind = None
-        base = None
-        deriv = None
-        generators = None
-        gen_style = None
-        products = None
+        rules = {"kind": self.parse_kind, "base": self.parse_base, "deriv": self.parse_deriv,
+                 "generators": self.parse_generators, "products": self.parse_products}
+        clauses = {}
         while not self.at_punct("}"):
             tok = self.peek()
             if tok.kind != "ident":
-                self.error(f"found {tok.value!r}" if tok.value else "unexpected end of input",
-                           expected=("a clause keyword",))
-            word = tok.value
-            if word == "kind":
-                if kind is not None:
-                    self.error("duplicate kind clause", tok)
-                self.next()
-                kt = self.expect_ident()
-                if kt.value not in ("differential", "presented"):
-                    self.error(f"found {kt.value!r}", kt,
-                               expected=("'differential'", "'presented'"))
-                kind = kt.value
+                self.unexpected("a clause keyword")
+            if tok.value == "module":
+                self.error(_TORSION, tok)
+            if tok.value not in rules:
+                self.error(f"unknown clause {tok.value!r}", tok, expected=tuple(rules))
+            if tok.value in clauses:
+                self.error(f"duplicate {tok.value} clause", tok)
+            self.next()
+            clauses[tok.value] = rules[tok.value]()
+            if tok.value in ("kind", "base", "deriv"):
                 self.expect_punct(";")
-            elif word == "base":
-                if base is not None:
-                    self.error("duplicate base clause", tok)
-                self.next()
-                base = self.parse_base()
-                self.expect_punct(";")
-            elif word == "deriv":
-                if deriv is not None:
-                    self.error("duplicate deriv clause", tok)
-                self.next()
-                deriv = self.parse_deriv()
-                self.expect_punct(";")
-            elif word == "generators":
-                if generators is not None:
-                    self.error("duplicate generators clause", tok)
-                self.next()
-                generators, gen_style = self.parse_generators()
-            elif word == "products":
-                if products is not None:
-                    self.error("duplicate products clause", tok)
-                self.next()
-                products = self.parse_products()
-            elif word == "module":
-                self.error(
-                    "torsion presentations are rejected: generators must be free "
-                    "over the operator ring", tok,
-                )
-            else:
-                self.error(f"unknown clause {word!r}", tok,
-                           expected=("kind", "base", "deriv", "generators", "products"))
         close = self.expect_punct("}")
+        kind, base, deriv, products = map(clauses.get, ("kind", "base", "deriv", "products"))
+        generators, gen_style = clauses.get("generators", (None, None))
         # block-level validation
         if kind is None:
             self.error("missing kind clause", head)
@@ -358,7 +407,6 @@ class _Parser:
                 for refd in (lname, rname, *(t[2] for t in terms)):
                     if refd not in gen_set:
                         self.error(f"undeclared generator {refd!r} in products", close)
-        del close
         return AlgebraSpec(
             name=name,
             kind=kind,
@@ -369,19 +417,21 @@ class _Parser:
             line=head.line,
         )
 
+    def parse_kind(self) -> str:
+        tok = self.expect_ident()
+        if tok.value not in ("differential", "presented"):
+            self.unexpected("'differential'", "'presented'", tok=tok)
+        return tok.value
+
     def parse_base(self) -> tuple:
         tok = self.expect_ident()
         if tok.value == "poly":
-            vtok = self.expect_ident()
-            self._check_var(vtok)
-            return ("poly", vtok.value)
+            return ("poly", self.expect_name().value)
         if tok.value == "matpoly":
             n = self.expect_int()
             if n < 1:
                 self.error("matrix dimension must be positive", tok)
-            vtok = self.expect_ident()
-            self._check_var(vtok)
-            return ("matpoly", n, vtok.value)
+            return ("matpoly", n, self.expect_name().value)
         if tok.value == "findim":
             dim = self.expect_int()
             if dim < 1:
@@ -393,12 +443,7 @@ class _Parser:
                     f"findim table needs {dim ** 3} rationals, got {len(rats)}", tok
                 )
             return ("findim", dim, tuple(rats))
-        self.error(f"found {tok.value!r}", tok,
-                   expected=("'poly'", "'matpoly'", "'findim'"))
-
-    def _check_var(self, tok: Token):
-        if tok.value == "d":
-            self.error("'d' is reserved for the module operator", tok)
+        self.unexpected("'poly'", "'matpoly'", "'findim'", tok=tok)
 
     def parse_rational_list(self):
         self.expect_punct("[")
@@ -410,7 +455,6 @@ class _Parser:
         return rats
 
     def parse_deriv(self) -> tuple:
-        tok = self.peek()
         if self.at_ident("zero"):
             self.next()
             return ("zero",)
@@ -422,7 +466,7 @@ class _Parser:
             self.expect_punct("/")
             dvar = self.expect_ident()
             if not dvar.value.startswith("d") or len(dvar.value) < 2:
-                self.error(f"found {dvar.value!r}", dvar, expected=("'d<var>'",))
+                self.unexpected("'d<var>'", tok=dvar)
             var = dvar.value[1:]
             adjoint = None
             if self.at_punct("+"):
@@ -432,46 +476,35 @@ class _Parser:
                 adjoint = self.parse_expr()
                 self.expect_punct(")")
             return ("ddx", var, adjoint)
-        self.error(f"found {tok.value!r}", tok,
-                   expected=("'zero'", "'d/d<var>'", "'matrix'"))
+        self.unexpected("'zero'", "'d/d<var>'", "'matrix'")
 
     def parse_generators(self):
+        gens, seen = [], set()
+
+        def new_name() -> str:
+            tok = self.expect_name()
+            if tok.value in seen:
+                self.error(f"duplicate generator {tok.value!r}", tok)
+            seen.add(tok.value)
+            return tok.value
+
         if self.at_punct("{"):
             self.next()
-            gens = []
-            seen = set()
             while not self.at_punct("}"):
-                nm = self.expect_ident()
-                self._check_gen_name(nm, seen)
+                nm = new_name()
                 self.expect_punct("=")
-                expr = self.parse_expr()
+                gens.append((nm, self.parse_expr()))
                 self.expect_punct(";")
-                gens.append((nm.value, expr))
-                seen.add(nm.value)
-            self.expect_punct("}")
+            self.next()
             if not gens:
                 self.error("empty generators block")
             return gens, "braced"
-        gens = []
-        seen = set()
-        nm = self.expect_ident()
-        self._check_gen_name(nm, seen)
-        gens.append(nm.value)
-        seen.add(nm.value)
+        gens.append(new_name())
         while self.at_punct(","):
             self.next()
-            nm = self.expect_ident()
-            self._check_gen_name(nm, seen)
-            gens.append(nm.value)
-            seen.add(nm.value)
+            gens.append(new_name())
         self.expect_punct(";")
         return gens, "bare"
-
-    def _check_gen_name(self, tok: Token, seen):
-        if tok.value == "d":
-            self.error("'d' is reserved for the module operator", tok)
-        if tok.value in seen:
-            self.error(f"duplicate generator {tok.value!r}", tok)
 
     def parse_products(self):
         self.expect_punct("{")
@@ -488,50 +521,34 @@ class _Parser:
                 self.error(f"duplicate product {lname} ({order}) {rname}", head)
             seen.add((lname, order, rname))
             self.expect_punct("=")
-            terms = self.parse_product_rhs()
+            terms = tuple((c, p, tok.value) for c, p, tok in self.parse_combination())
             self.expect_punct(";")
-            clauses.append((lname, order, rname, tuple(terms)))
-        self.expect_punct("}")
+            clauses.append((lname, order, rname, terms))
+        self.next()
         return clauses
 
-    def parse_product_rhs(self):
-        if self.peek().kind == "int" and self.peek().value == "0" \
-                and self.peek(1).kind == "punct" and self.peek(1).value == ";":
-            self.next()
-            return []
-        terms = [self.parse_product_term(1)]
-        while self.at_punct("+") or self.at_punct("-"):
-            sign = 1 if self.next().value == "+" else -1
-            terms.append(self.parse_product_term(sign))
-        return terms
 
-    def parse_product_term(self, sign: int):
-        while self.at_punct("-") or self.at_punct("+"):
-            if self.next().value == "-":
-                sign = -sign
-        coeff = Fraction(sign)
-        if self.peek().kind == "int":
-            coeff = sign * self.parse_rational()
-            if self.at_punct("*"):
-                self.next()
-        dpow = 0
-        if self.at_ident("d"):
-            self.next()
-            dpow = 1
-            if self.at_punct("^"):
-                self.next()
-                dpow = self.expect_int()
-            if self.at_punct("*"):
-                self.next()
-        nm = self.expect_ident()
-        if nm.value == "d":
-            self.error("'d' is reserved for the module operator", nm)
-        return (coeff, dpow, nm.value)
+def _parse_whole(text: str, rule):
+    """Apply a parser rule to the whole of a text; input left after it is an error."""
+    parser = _Parser(tokenize(text))
+    try:
+        out = rule(parser)
+    except RecursionError:
+        parser.error("nested too deeply")
+    tok = parser.peek()
+    if tok.kind != "eof":
+        parser.error(f"trailing input {tok.value!r}", tok)
+    return out
 
 
 def parse(source: str):
     """Parse a definition file into a list of AlgebraSpec."""
-    return _Parser(tokenize(source)).parse_file()
+    return _parse_whole(source, _Parser.parse_file)
+
+
+def parse_base_expr(text: str) -> tuple:
+    """Parse a base-algebra expression (`expr`), such as the `r` of `--r`."""
+    return _parse_whole(text, _Parser.parse_expr)
 
 
 # -- pretty printing ------------------------------------------------------------------
@@ -560,15 +577,6 @@ def _expr_text(expr, prec: int = 0) -> str:
     if kind == "pow":
         return _expr_text(expr[1], 3) + f"^{expr[2]}"
     raise ValueError(f"unknown expression node {kind!r}")
-
-
-def _term_text(coeff: Fraction, dpow: int, name: str) -> str:
-    dpart = "" if dpow == 0 else ("d " if dpow == 1 else f"d^{dpow} ")
-    if coeff == 1:
-        return f"{dpart}{name}"
-    if coeff == -1:
-        return f"-{dpart}{name}"
-    return f"{coeff} {dpart}{name}"
 
 
 def pretty(spec: AlgebraSpec) -> str:
@@ -602,15 +610,8 @@ def pretty(spec: AlgebraSpec) -> str:
         if spec.products:
             lines.append("  products {")
             for lname, order, rname, terms in spec.products:
-                if terms:
-                    rhs = ""
-                    for k, (c, p, nm) in enumerate(terms):
-                        t = _term_text(abs(c) if k else c, p, nm)
-                        if k:
-                            rhs += " - " if c < 0 else " + "
-                        rhs += t
-                else:
-                    rhs = "0"
+                rhs = signed_sum((c, (f"d^{p} " if p > 1 else "d " * p) + nm)
+                                 for c, p, nm in terms)
                 lines.append(f"    {lname}({order}){rname} = {rhs};")
             lines.append("  }")
     lines.append("}")
@@ -667,11 +668,24 @@ def _eval(expr, base, atoms):
             raise ValueError("negative exponents are not supported")
         if tag == "scalar":
             return ("scalar", val ** k)
-        out = base.one() if k == 0 else val
-        for _ in range(k - 1):
-            out = base.mul(out, val)
-        return ("elem", out)
+        return ("elem", _power(base, val, k))
     raise ValueError(f"unknown expression node {kind!r}")
+
+
+def _power(base, val, k: int):
+    """val^k in a base algebra by repeated squaring, stopping once a square vanishes."""
+    if k == 0:
+        return base.one()
+    out = None
+    while True:
+        if k & 1:
+            out = val if out is None else base.mul(out, val)
+        k >>= 1
+        if not k:
+            return out
+        val = base.mul(val, val)
+        if base.is_zero(val):
+            return val
 
 
 def eval_base_expr(expr, base):
@@ -770,72 +784,20 @@ def load_path(path: str) -> dict:
         return build_all(fh.read())
 
 
-# -- element expressions (for --element) -------------------------------------------------
+# -- elements (for --element) ----------------------------------------------------------
 
 
 def parse_element(alg, text: str):
-    """Evaluate an element expression over an algebra's generators.
+    """Evaluate a Q[d]-combination of an algebra's generators (`comb` in the grammar).
 
     Accepts sums of terms like `u11`, `d(u12)`, `d^2 u12`, `3*d g`, with
-    rational coefficients and parentheses.
+    rational coefficients and parentheses; an unknown generator is a
+    ParseError at its name.
     """
-    parser = _Parser(tokenize(text))
-
-    def atom():
-        tok = parser.peek()
-        if parser.at_ident("d"):
-            parser.next()
-            dpow = 1
-            if parser.at_punct("^"):
-                parser.next()
-                dpow = parser.expect_int()
-            if parser.at_punct("("):
-                parser.next()
-                inner = expr()
-                parser.expect_punct(")")
-            else:
-                if parser.at_punct("*"):
-                    parser.next()
-                inner = atom()
-            return alg.apply_dop_power(inner, dpow)
-        if parser.at_punct("("):
-            parser.next()
-            inner = expr()
-            parser.expect_punct(")")
-            return inner
-        if tok.kind == "ident":
-            parser.next()
-            if tok.value not in dict(alg.generator_items()):
-                parser.error(f"unknown generator {tok.value!r}", tok)
-            return alg.generator(tok.value)
-        parser.error(f"found {tok.value!r}" if tok.value else "unexpected end of input",
-                     expected=("a generator", "'d'", "'('"))
-
-    def term():
-        coeff = None
-        if parser.peek().kind == "int":
-            coeff = parser.parse_rational()
-            if parser.at_punct("*"):
-                parser.next()
-        val = atom()
-        return alg.scale(val, coeff) if coeff is not None else val
-
-    def expr():
-        sign = 1
-        if parser.at_punct("-"):
-            parser.next()
-            sign = -1
-        val = term()
-        if sign < 0:
-            val = alg.scale(val, -1)
-        while parser.at_punct("+") or parser.at_punct("-"):
-            neg = parser.next().value == "-"
-            nxt = term()
-            val = alg.sub(val, nxt) if neg else alg.add(val, nxt)
-        return val
-
-    out = expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.error(f"trailing input {tok.value!r}", tok)
+    gens = dict(alg.generator_items())
+    out = alg.zero_elem()
+    for coeff, dpow, tok in _parse_whole(text, _Parser.parse_combination):
+        if tok.value not in gens:
+            raise ParseError(f"unknown generator {tok.value!r}", tok.line, tok.col)
+        out = alg.add(out, alg.scale(alg.apply_dop_power(gens[tok.value], dpow), coeff))
     return out

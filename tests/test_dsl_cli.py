@@ -1,13 +1,17 @@
 """Definition files and the command-line surface."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
-from confal import ParseError, build_all, load_path, parse, parse_element, pretty
+from confal import MatPolyRing, ParseError, build_all, load_path, parse, parse_element, pretty
 from confal.cli import main
-from confal.dsl import AlgebraSpec
+from confal.dsl import MAX_EXPONENT, AlgebraSpec, eval_base_expr, parse_base_expr
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INSTANCE_DIR = ROOT / "instances"
@@ -189,6 +193,80 @@ def test_parse_element_forms():
         parse_element(alg, "u11 u22")
 
 
+def test_product_rhs_is_the_element_grammar():
+    # d(...) and parentheses are read as the same flat triples
+    (plain,) = parse(PRESENTED_SRC)
+    (nested,) = parse(PRESENTED_SRC.replace("2 b - 1/3 * d a", "2 (b - 1/6 d(a))"))
+    assert nested == plain
+    (zero,) = parse(PRESENTED_SRC.replace("2 b - 1/3 * d a", "d^2 (0)"))
+    assert {(l, n, r): terms for l, n, r, terms in zero.products}[("a", 1, "b")] == ()
+    toy = build_all(PRESENTED_SRC)["toy"]
+    a, b = toy.generator("a"), toy.generator("b")
+    assert toy.eq(parse_element(toy, "2 (b - 1/6 d(a))"),
+                  toy.sub(toy.scale(b, 2), toy.scale(toy.derive_elem(a), Fraction(1, 3))))
+    assert toy.is_zero(parse_element(toy, "0"))
+    assert toy.is_zero(parse_element(toy, "-(0) + d(0)"))
+    with pytest.raises(ParseError) as err:
+        parse_element(toy, "a + d^2 nosuch")
+    assert err.value.col == 9 and "unknown generator 'nosuch'" in str(err.value)
+
+
+def test_exponent_cap():
+    weyl = load_path(WEYL_FILE)["weyl"]
+    e = weyl.generator("e")
+    at_cap = parse_element(weyl, f"d^{MAX_EXPONENT}(e)")
+    assert weyl.eq(at_cap, weyl.apply_dop_power(e, MAX_EXPONENT))
+    for text, col in [(f"d^{MAX_EXPONENT + 1}(e)", 3), ("d^200 (e + d^57 e)", 3),
+                      ("d^100(d^100(d^57 e))", 3)]:
+        with pytest.raises(ParseError) as err:
+            parse_element(weyl, text)
+        assert err.value.col == col and "exponent cap" in str(err.value)
+    cureps = load_path(CUREPS_FILE)["cureps"].base
+    assert cureps.is_zero(eval_base_expr(parse_base_expr(f"b2^{MAX_EXPONENT}"), cureps))
+    assert parse_base_expr("(2^16)^16") == ("pow", ("pow", ("num", 2), 16), 16)
+    for text, col in [(f"b2^{MAX_EXPONENT + 1}", 4), ("(2^16)^17", 8), ("(b1^2 + 1)^200", 12),
+                      ("-(-(b1^100))^3", 14)]:
+        with pytest.raises(ParseError) as err:
+            parse_base_expr(text)
+        assert err.value.col == col and "exponent cap" in str(err.value)
+    with pytest.raises(ParseError):
+        parse("algebra w { kind differential; base poly x; deriv zero;"
+              f" generators {{ e = x^{MAX_EXPONENT + 1}; }} }}")
+
+
+def test_deep_nesting_is_a_parse_error():
+    weyl = load_path(WEYL_FILE)["weyl"]
+    deep = "(" * 2000 + "e" + ")" * 2000
+    for call in (lambda: parse_element(weyl, deep), lambda: parse_base_expr(deep),
+                 lambda: parse("algebra w { kind differential; base poly x; deriv zero;"
+                               f" generators {{ e = {deep}; }} }}")):
+        with pytest.raises(ParseError) as err:
+            call()
+        assert "nested too deeply" in str(err.value)
+
+
+def test_base_powers_by_squaring():
+    products = []
+
+    class CountingRing(MatPolyRing):
+        def mul(self, a, b):
+            products.append((a, b))
+            return super().mul(a, b)
+
+    ring = CountingRing(2, "x")
+    r = eval_base_expr(parse_base_expr("E(1,2) + x*E(2,1) + 1"), ring)
+    expected = ring.one()
+    for _ in range(13):
+        expected = ring.mul(expected, r)
+    products.clear()
+    assert ring.eq(eval_base_expr(parse_base_expr("(E(1,2) + x*E(2,1) + 1)^13"), ring), expected)
+    assert len(products) == 6  # x*E(2,1), three squarings and two more factors
+    assert ring.eq(eval_base_expr(parse_base_expr("E(1,2)^0"), ring), ring.one())
+    products.clear()
+    assert ring.is_zero(eval_base_expr(parse_base_expr("E(1,2)^255"), ring))
+    assert len(products) == 1  # E(1,2)^2 = 0 ends the squaring
+
+
 # -- command line -------------------------------------------------------------------------
 
 
@@ -303,6 +381,27 @@ def test_cli_transport_and_recognize(capsys):
     assert main(["recognize", CUR2_FILE]) == 0
     out = capsys.readouterr().out
     assert "recovered basis (4)" in out and "delta is zero: True" in out
+
+
+@pytest.mark.parametrize("r", ["b2 )", "b2 b2"])
+def test_cli_transport_rejects_trailing_input(r, capsys):
+    assert main(["transport", CUREPS_FILE, "--r", r]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1, column 4: trailing input")
+
+
+@pytest.mark.parametrize("argv", [
+    ["identity", WEYL_FILE, "--element", "d^99999999(e)"],
+    ["transport", CUREPS_FILE, "--r", "b2^99999999"],
+], ids=["element", "r"])
+def test_cli_exponent_cap_exits_2(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "confal.cli", *argv], capture_output=True,
+                          text=True, timeout=10, env=env, cwd=ROOT)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exponent cap" in proc.stderr
 
 
 def test_cli_simplicity(capsys):

@@ -1,15 +1,18 @@
-"""Fuzzing of the .confal text layer: parse and pretty only.
+"""Fuzzing of the .confal text layer.
 
-Specs are never built here: building evaluates base-ring expressions, whose
-cost is unbounded on inputs such as `x^99999999`.
+Edited definition files are parsed and pretty-printed.  Edited element texts
+and base-algebra expressions are also evaluated, as `--element` and `--r`
+evaluate them: the exponent cap (`dsl.MAX_EXPONENT`) bounds the cost of
+every power they can ask for.
 """
 
 import pathlib
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from confal import ParseError, parse, pretty
+from confal import ParseError, load_path, parse, parse_element, pretty
+from confal.dsl import eval_base_expr, parse_base_expr
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 SOURCES = {p.name: p.read_text(encoding="utf-8") for p in sorted(INSTANCES.glob("*.confal"))}
@@ -22,16 +25,33 @@ FRAGMENTS = [
     "deriv", "generators", "products", "module", "presented", "differential",
 ]
 
-EDITS = st.lists(
-    st.tuples(
-        st.booleans(),  # True: insert a fragment, False: delete a span
-        st.integers(min_value=0, max_value=10**6),
-        st.sampled_from(FRAGMENTS),
-        st.integers(min_value=1, max_value=6),
-    ),
-    min_size=1,
-    max_size=6,
-)
+
+def _edits(fragments):
+    return st.lists(
+        st.tuples(
+            st.booleans(),  # True: insert a fragment, False: delete a span
+            st.integers(min_value=0, max_value=10**6),
+            st.sampled_from(fragments),
+            st.integers(min_value=1, max_value=6),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+
+EDITS = _edits(FRAGMENTS)
+
+ALGEBRAS = {name: alg for path in INSTANCES.glob("*.confal")
+            for name, alg in load_path(str(path)).items()}
+ELEMENTS = [("weyl", "e"), ("weyl", "2*d^2 e - 1/3 L"), ("weyl", "d(e + 3 d L) - d^16 L"),
+            ("cur2p", "u11 + u22 - d(u12)"), ("cur2p", "-(u12 - 3/2 d^3 u21)"), ("cur2p", "0")]
+BASE_EXPRS = ["b2", "b1 + 2*b2", "(b1 - 1/2*b2)^3 * b2", "-b1^2 + (3*b2)^16"]
+# names and exponents near the cap, so that evaluation is reached and bounded
+EXPR_FRAGMENTS = FRAGMENTS + [
+    "e", "L", "u11", "u12", "u22", "b1", "b2", "d(", "^16", "^256", "^257", "^99999999",
+    "d^256 ", "d^99999999 ", "\u00b2", "\u0663",
+]
+EXPR_EDITS = _edits(EXPR_FRAGMENTS)
 
 
 def _edit(text: str, edits) -> str:
@@ -67,8 +87,31 @@ def test_edited_instances_round_trip(name, edits):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(), st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join)))
+@example("algebra a { kind presented; generators g; products { g(\u00b2)g = g; } }")
+@example("algebra a { kind presented; generators g; products { g(\u0663)g = g; } }")
+@example("algebra a { kind presented; generators g; products { g(0)g = %s g; } }" % ("7" * 5000))
 def test_parse_raises_only_parse_error(text):
     try:
         parse(text)
     except ParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(ELEMENTS), EXPR_EDITS)
+def test_edited_elements_evaluate(case, edits):
+    name, text = case
+    try:
+        parse_element(ALGEBRAS[name], _edit(text, edits))
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(BASE_EXPRS), EXPR_EDITS)
+def test_edited_base_expressions_evaluate(text, edits):
+    base = ALGEBRAS["cureps"].base
+    try:
+        eval_base_expr(parse_base_expr(_edit(text, edits)), base)
+    except (ParseError, ValueError):
         pass
