@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_arith import gen_binom
+from .exact_arith import add_scaled, gen_binom
 from .products import ALL_ZERO
 
 
@@ -185,12 +185,7 @@ def locality_combinations(alg, u, v):
         acc: dict = {}
         for j in range(n + 1):
             c = -gen_binom(n, j) if j % 2 else gen_binom(n, j)
-            for coord, x in product(l - j, m + j).items():
-                s = acc.get(coord, 0) + c * x
-                if s:
-                    acc[coord] = s
-                else:
-                    acc.pop(coord)
+            add_scaled(acc, product(l - j, m + j), c)
         return acc
 
     return combination

@@ -92,9 +92,6 @@ def _emit(args, command: str, algebra: str, ok: bool | None, result: dict,
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     elif args.format == "csv":
-        if csv_text is None:
-            print("csv output is only available for tabular commands", file=sys.stderr)
-            return 2
         sys.stdout.write(csv_text)
     else:
         for line in text_lines:
@@ -319,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algebra", help="algebra name when the file holds several")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
+        p.set_defaults(tabular=tabular)
 
     p = sub.add_parser("check", help="axiom suite")
     common(p)
@@ -333,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("locality", help="pairwise locality degrees")
-    common(p)
+    common(p, tabular=True)
     p.set_defaults(func=_cmd_locality)
 
     p = sub.add_parser("identity", help="conformal-identity check")
@@ -377,6 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.format == "csv" and not args.tabular:
+        print("csv output is only available for tabular commands", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ParseError as exc:

@@ -80,6 +80,17 @@ def _sp_add(a: dict, b: dict) -> dict:
     return out
 
 
+def add_scaled(dst: dict, src: dict, c) -> dict:
+    """dst += c * src on sparse maps, in place, dropping cancelled entries; returns dst."""
+    for k, v in src.items():
+        s = dst.get(k, 0) + c * v
+        if s:
+            dst[k] = s
+        else:
+            dst.pop(k, None)
+    return dst
+
+
 def _sp_scale(a: dict, c: Fraction) -> dict:
     if c == 0:
         return {}
@@ -121,6 +132,15 @@ def _sp_divexact(a: dict, b: dict) -> dict:
             else:
                 rem[kb + k] = s
     return quo
+
+
+def _join_var(a, b) -> str:
+    """The variable of a result of Poly or MatPoly operands: a constant adopts the other's."""
+    if a.var == b.var or b.is_const():
+        return a.var
+    if a.is_const():
+        return b.var
+    raise ValueError(f"variable mismatch: {a.var} vs {b.var}")
 
 
 def term_text(c, head: str | None) -> str:
@@ -216,20 +236,13 @@ class Poly:
     def key(self):
         return (self.var, tuple(sorted(self.coeffs.items())))
 
-    def _join_var(self, other: "Poly") -> str:
-        if self.var == other.var or other.is_const():
-            return self.var
-        if self.is_const():
-            return other.var
-        raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
     # arithmetic
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other, self.var)
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly._make(_sp_add(self.coeffs, other.coeffs), self._join_var(other))
+        return Poly._make(_sp_add(self.coeffs, other.coeffs), _join_var(self, other))
 
     __radd__ = __add__
 
@@ -251,7 +264,7 @@ class Poly:
             return Poly._make(_sp_scale(self.coeffs, rat(other)), self.var)
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly._make(_sp_mul(self.coeffs, other.coeffs), self._join_var(other))
+        return Poly._make(_sp_mul(self.coeffs, other.coeffs), _join_var(self, other))
 
     __rmul__ = __mul__
 
@@ -268,7 +281,7 @@ class Poly:
         return Poly._make({k - 1: v * k for k, v in self.coeffs.items() if k > 0}, self.var)
 
     def divexact(self, other: "Poly") -> "Poly":
-        return Poly._make(_sp_divexact(self.coeffs, other.coeffs), self._join_var(other))
+        return Poly._make(_sp_divexact(self.coeffs, other.coeffs), _join_var(self, other))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -493,27 +506,11 @@ class MatPoly:
         if self.n != other.n:
             raise ValueError("matrix dimension mismatch")
 
-    def _join_var(self, other) -> str:
-        """The result variable, as for Poly: a constant adopts the other's variable."""
-        if self.var == other.var or other.is_const():
-            return self.var
-        if self.is_const():
-            return other.var
-        raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
     def __add__(self, other):
         if not isinstance(other, MatPoly):
             return NotImplemented
         self._check(other)
-        var = self._join_var(other)
-        out = dict(self.data)
-        for key, c in other.data.items():
-            s = out.get(key, 0) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return MatPoly._make(self.n, var, out)
+        return MatPoly._make(self.n, _join_var(self, other), _sp_add(self.data, other.data))
 
     def __neg__(self):
         return MatPoly._make(self.n, self.var, {key: -c for key, c in self.data.items()})
@@ -529,7 +526,7 @@ class MatPoly:
             data = {key: v * c for key, v in self.data.items()} if c else {}
             return MatPoly._make(self.n, self.var, data)
         if isinstance(other, Poly):
-            var = self._join_var(other)
+            var = _join_var(self, other)
             out: dict = {}
             for (i, j, k), v in self.data.items():
                 for e, w in other.coeffs.items():
@@ -537,7 +534,7 @@ class MatPoly:
                     out[key] = out[key] + v * w if key in out else v * w
         elif isinstance(other, MatPoly):
             self._check(other)
-            var = self._join_var(other)
+            var = _join_var(self, other)
             by_row: dict = {}
             for (l, j, e), w in other.data.items():
                 by_row.setdefault(l, []).append((j, e, w))

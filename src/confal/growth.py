@@ -455,22 +455,17 @@ def coeff_growth_check(alg, window: tuple, r_max: int, cap: int | None = None) -
     base_report = growth_table(alg, r_max, cap)
     n_bound = base_report.order_bound
 
+    total = RowSpace()
     vees = []
-    layer_space = RowSpace()
     for name, g in alg.generator_items():
         for k in range(m_minus, m_plus + 1):
             val = alg.phi(g, k)
             if alg.model_is_zero(val):
                 continue
-            if layer_space.add(alg.model_coords(val), (name, k)):
+            if total.add(alg.model_coords(val), (name, k)):
                 vees.append(val)
-
-    total = RowSpace()
-    dims = []
-    layer = list(vees)
-    for i, v in enumerate(vees):
-        total.add(alg.model_coords(v), ("v", i))
-    dims.append(total.dim)
+    dims = [total.dim]
+    layer = vees
     count = len(vees)
     for r in range(2, r_max + 1):
         next_space = RowSpace()

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Plumbing for the probes, closures, and rank engines: an incremental
-row-echelon span with expression tracking, a dense nullspace, and a dense
+row-echelon span with expression tracking (`RowSpace`, the one elimination
+over Q), and on top of it a dense reduced row echelon form, nullspace and
 solver.  Vectors are sparse dicts from hashable coordinate keys to Fraction
 (or int); keys within one computation must be mutually comparable (they
 always are: each algebra uses one homogeneous key shape).
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .exact_arith import add_scaled
 
 _OWN = -1  # combination key of the vector being reduced
 
@@ -38,16 +41,6 @@ def _scale(vec: dict, c: int) -> None:
 def _divide(vec: dict, g: int) -> None:
     for k in vec:
         vec[k] //= g
-
-
-def _sub_scaled(dst: dict, src: dict, c: int) -> None:
-    """dst -= c * src, in place, dropping zeros."""
-    for k, v in src.items():
-        s = dst.get(k, 0) - c * v
-        if s:
-            dst[k] = s
-        else:
-            del dst[k]
 
 
 class RowSpace:
@@ -103,9 +96,9 @@ class RowSpace:
             if p != 1:
                 _scale(w, p)
                 _scale(combo, p)
-            _sub_scaled(w, row, a)
+            add_scaled(w, row, -a)
             if track:
-                _sub_scaled(combo, rcombo, a)
+                add_scaled(combo, rcombo, -a)
             g = gcd(*w.values())
             if g != 1:
                 g = gcd(g, *combo.values())
@@ -157,40 +150,34 @@ class RowSpace:
 
 
 def dense_rref(matrix: list[list[Fraction]]):
-    """Reduced row echelon form in place; returns the list of pivot columns."""
+    """Reduced row echelon form in place; returns the list of pivot columns.
+
+    One pass over the columns with a RowSpace of columns: a column is a
+    pivot column exactly when it is independent of the earlier columns, and
+    any other column of the RREF holds its coefficients over the pivot
+    columns (the RREF is unique).
+    """
     if not matrix:
         return []
     nrows, ncols = len(matrix), len(matrix[0])
+    rref = [[Fraction(0)] * ncols for _ in range(nrows)]
+    space = RowSpace()
     pivots = []
-    r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if matrix[i][c] != 0), None)
-        if pr is None:
-            continue
-        matrix[r], matrix[pr] = matrix[pr], matrix[r]
-        lead = matrix[r][c]
-        matrix[r] = [v / lead for v in matrix[r]]
-        for i in range(nrows):
-            if i != r and matrix[i][c] != 0:
-                f = matrix[i][c]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+        col = {i: row[c] for i, row in enumerate(matrix) if row[c]}
+        if space.add(col, len(pivots)):
+            rref[len(pivots)][c] = Fraction(1)
+            pivots.append(c)
+        else:
+            for r, x in space.express(col).items():
+                rref[r][c] = x
+    matrix[:] = rref
     return pivots
 
 
 def dense_nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right nullspace of the matrix (ncols unknowns)."""
     work = [list(map(Fraction, row)) for row in matrix if any(v != 0 for v in row)]
-    if not work:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
     pivots = dense_rref(work)
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]

@@ -34,8 +34,31 @@ class BaseAlgebra:
     Elements are plain values (Poly, MatPoly, or coordinate tuples); the
     algebra object combines them, decomposes them over its canonical countable
     basis (`decompose`) and builds them back from such coordinates
-    (`from_coords`).  Basis keys are hashable and mutually comparable.
+    (`from_coords`).  Basis keys are hashable and mutually comparable.  The
+    ring operations default to the values' own operators, which Poly and
+    MatPoly supply; FinDim overrides them for its coordinate tuples.
     """
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def scale(self, a, c):
+        return a * rat(c)
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a) -> bool:
+        return a.is_zero()
+
+    def degree(self, a) -> int:
+        return a.degree()
+
+    def element_key(self, a):
+        return a.key()
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -63,21 +86,6 @@ class PolyRing(BaseAlgebra):
     def one(self):
         return Poly.one(self.var)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def scale(self, a, c):
-        return a * rat(c)
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
     def decompose(self, a) -> dict:
         return dict(a.coeffs)
 
@@ -97,12 +105,6 @@ class PolyRing(BaseAlgebra):
     def ring_generators(self):
         return [("1", self.one()), (self.var, Poly.variable(self.var))]
 
-    def degree(self, a) -> int:
-        return a.degree()
-
-    def element_key(self, a):
-        return a.key()
-
 
 class MatPolyRing(BaseAlgebra):
     """Mat_n(Q[x]) with basis x^k E_ij.  Basis keys are (i, j, k), 0-based."""
@@ -118,21 +120,6 @@ class MatPolyRing(BaseAlgebra):
 
     def one(self):
         return MatPoly.identity(self.n, self.var)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def scale(self, a, c):
-        return a * rat(c)
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
 
     def decompose(self, a) -> dict:
         return dict(a.data)
@@ -162,12 +149,6 @@ class MatPolyRing(BaseAlgebra):
             (f"{self.var}*1", MatPoly.identity(self.n, self.var) * Poly.variable(self.var))
         )
         return gens
-
-    def degree(self, a) -> int:
-        return a.degree()
-
-    def element_key(self, a):
-        return a.key()
 
 
 class FinDim(BaseAlgebra):

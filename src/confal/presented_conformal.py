@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .axioms import CheckReport, associativity_report, identity_report
 from .axioms import left_annihilator_probe as _generic_annihilator
-from .exact_arith import DOp, gen_binom, rat, signed_sum
+from .exact_arith import DOp, _sp_add, gen_binom, rat, signed_sum
 from .products import ConformalAlgebra, Elem, terms_clean, terms_normal_form
 
 PresElem = Elem  # the public name of the shared element class
@@ -132,14 +132,7 @@ class CoeffElem:
             return NotImplemented
         if self.alg is not other.alg:
             raise ValueError("coefficients of different presentations")
-        out = dict(self.coords)
-        for k, c in other.coords.items():
-            s = out.get(k, 0) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return CoeffElem(self.alg, out)
+        return CoeffElem._make(self.alg, _sp_add(self.coords, other.coords))
 
     def __neg__(self):
         return CoeffElem(self.alg, {k: -c for k, c in self.coords.items()})

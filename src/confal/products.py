@@ -272,14 +272,16 @@ class ConformalAlgebra:
         return Elem(self, nth_product_terms(u.terms, v.terms, n, self._base_case))
 
     def locality(self, u: Elem, v: Elem):
-        """Largest n with u (n) v != 0, or ALL_ZERO."""
+        """Largest n with u (n) v != 0, or ALL_ZERO.
+
+        Scans down from the scan bound and stops at the first nonzero product.
+        """
         if u.is_zero() or v.is_zero():
             return ALL_ZERO
-        best = ALL_ZERO
-        for n in range(self.locality_scan_bound(u, v) + 1):
+        for n in range(self.locality_scan_bound(u, v), -1, -1):
             if not self.nth(u, v, n).is_zero():
-                best = n
-        return best
+                return n
+        return ALL_ZERO
 
     # -- the coefficient model ------------------------------------------------------------
 

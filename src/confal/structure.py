@@ -39,7 +39,7 @@ from .errors import (
     NotNilpotent,
     NotUnital,
 )
-from .exact_arith import DOp
+from .exact_arith import DOp, add_scaled
 from .linalg import RowSpace, dense_solve
 from .ore_skew import FinDim, MatPolyRing, PolyRing, ad_derivation
 from .products import ALL_ZERO
@@ -171,14 +171,6 @@ def iterated_derivation_check(alg, e, n_max: int = 3):
 # -- table arithmetic over a recovered basis ---------------------------------------
 
 
-def _vec_clean(v: dict) -> dict:
-    return {k: c for k, c in v.items() if c != 0}
-
-
-def _vec_scale(v: dict, c) -> dict:
-    return _vec_clean({k: c * a for k, a in v.items()})
-
-
 def _vec_mul(product: dict, v: dict, w: dict):
     """Bilinear product of coordinate vectors; None if an entry is unresolved."""
     out: dict = {}
@@ -187,17 +179,15 @@ def _vec_mul(product: dict, v: dict, w: dict):
             entry = product.get((i, j))
             if entry is None:
                 return None
-            for k, c in entry.items():
-                out[k] = out.get(k, Fraction(0)) + a * b * c
-    return _vec_clean(out)
+            add_scaled(out, entry, a * b)
+    return out
 
 
 def _vec_delta(delta: dict, v: dict) -> dict:
     out: dict = {}
     for i, a in v.items():
-        for k, c in delta[i].items():
-            out[k] = out.get(k, Fraction(0)) + a * c
-    return _vec_clean(out)
+        add_scaled(out, delta[i], a)
+    return out
 
 
 # -- unital recognition -------------------------------------------------------------
@@ -439,10 +429,7 @@ def recognize_unital(
                     "an intermediate product is unresolved"
                 )
                 continue
-            rhs = dict(rhs_a)
-            for k, c in rhs_b.items():
-                rhs[k] = rhs.get(k, Fraction(0)) + c
-            if _vec_clean(rhs) != lhs:
+            if add_scaled(rhs_a, rhs_b, 1) != lhs:
                 leibniz_ok = False
                 failures.append(
                     f"induced derivation breaks Leibniz on ({labels[i]}, {labels[j]})"
@@ -496,7 +483,7 @@ def recognition_roundtrip(alg, result: RecognitionResult, n_max: int = 2) -> dic
                 dj = {j: Fraction(1)}
                 for _ in range(n):
                     dj = _vec_delta(result.delta, dj)
-                rhs = _vec_mul(result.product, {i: Fraction(1)}, dj)
+                rhs = _vec_mul(result.product, {i: Fraction(-1 if n % 2 else 1)}, dj)
                 if lhs is None or rhs is None:
                     skipped += 1
                     log.append(
@@ -504,8 +491,6 @@ def recognition_roundtrip(alg, result: RecognitionResult, n_max: int = 2) -> dic
                         + ("product escapes the span" if lhs is None else "unresolved table entry")
                     )
                     continue
-                if n % 2:
-                    rhs = _vec_scale(rhs, -1)
                 if lhs != rhs:
                     raise MismatchWitness(
                         result.labels[i], result.labels[j], n,

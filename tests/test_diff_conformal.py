@@ -64,6 +64,16 @@ def test_weyl_localities():
     assert WEYL.locality(e, WEYL.zero_elem()) is ALL_ZERO
 
 
+def test_locality_scans_down_from_the_bound(monkeypatch):
+    alg = weyl_algebra()
+    u = alg.apply_dop_power(alg.generator("e"), 256)
+    orders = []
+    nth = alg.nth
+    monkeypatch.setattr(alg, "nth", lambda a, b, n: orders.append(n) or nth(a, b, n))
+    assert alg.locality(u, u) == 512
+    assert orders == [513, 512]  # the scan bound, then the first nonzero order
+
+
 def test_derive_shifts_products():
     # (d u) (n) v = -n * u (n-1) v, and (d u) (0) v = 0.
     e, L = WEYL.generator("e"), WEYL.generator("L")

@@ -312,6 +312,21 @@ def test_cli_csv_rejected_for_scalar_commands(capsys):
     assert "tabular" in capsys.readouterr().err
 
 
+def test_cli_csv_rejected_before_any_computation(monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr("confal.cli.conformal_axioms_report", fail)
+    assert main(["check", WEYL_FILE, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tabular" in captured.err
+
+
+def test_cli_locality_csv(capsys):
+    assert main(["locality", WEYL_FILE, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "left,right,degree\ne,e,0\ne,L,1\nL,e,0\nL,L,1\n"
+
+
 def test_cli_json_deterministic(capsys):
     argv = ["check", WEYL_FILE, "--max-order", "2", "--window", "3",
             "--format", "json"]

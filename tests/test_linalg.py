@@ -23,7 +23,7 @@ from confal import (  # noqa: E402
     weyl_algebra,
 )
 from confal.growth import ModuleRank, _zpoly_divexact  # noqa: E402
-from confal.linalg import RowSpace, dense_nullspace, dense_solve  # noqa: E402
+from confal.linalg import RowSpace, dense_nullspace, dense_rref, dense_solve  # noqa: E402
 
 D = symbols("d")
 QD = QQ.frac_field(D)
@@ -232,6 +232,40 @@ def test_rowspace_residual_is_exact():
 
 def _to_qq(matrix):
     return [[QQ(v.numerator, v.denominator) for v in row] for row in matrix]
+
+
+def _random_rref_input(rng):
+    """A rational matrix, often with zero rows, zero columns or dependent rows."""
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+    matrix = [[_rand_q(rng) if rng.random() < 0.6 else Fraction(0) for _ in range(ncols)]
+              for _ in range(nrows)]
+    if rng.random() < 0.4:
+        matrix[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    if rng.random() < 0.4:
+        col = rng.randrange(ncols)
+        for row in matrix:
+            row[col] = Fraction(0)
+    if nrows > 2 and rng.random() < 0.5:
+        a, b = rng.sample(range(nrows - 1), 2)
+        ca, cb = _rand_q(rng, 3, 3), _rand_q(rng, 3, 3)
+        matrix[-1] = [ca * x + cb * y for x, y in zip(matrix[a], matrix[b])]
+    return matrix
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_rref_matches_sympy(seed):
+    rng = random.Random(4000 + seed)
+    cases = [[], [[]], [[], []], [[Fraction(0)] * 3] * 2]
+    cases += [_random_rref_input(rng) for _ in range(10)]
+    for matrix in cases:
+        nrows, ncols = len(matrix), len(matrix[0]) if matrix else 0
+        ref, ref_pivots = sympy.Matrix(
+            nrows, ncols, [Rational(v.numerator, v.denominator) for row in matrix for v in row]
+        ).rref()
+        work = [list(row) for row in matrix]
+        assert dense_rref(work) == list(ref_pivots)
+        assert work == [[Fraction(int(ref[i, j].p), int(ref[i, j].q)) for j in range(ncols)]
+                        for i in range(nrows)]
 
 
 @pytest.mark.parametrize("seed", range(6))

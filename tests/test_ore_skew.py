@@ -24,6 +24,7 @@ from confal import (
     nilpotency_index,
     weyl_instance,
 )
+from confal.ore_skew import BaseAlgebra
 
 
 def weyl_ring() -> OreRing:
@@ -91,6 +92,13 @@ def test_matrix_weyl_relation():
     ring = OreRing(base, delta)
     ex = ring.embed(MatPoly.identity(2) * Poly.variable("x"))
     assert ex * ring.t() - ring.t() * ex == ring.one()
+
+
+@pytest.mark.parametrize("ring", [PolyRing, MatPolyRing])
+def test_base_rings_use_the_operator_defaults(ring):
+    # only FinDim, whose values are tuples, overrides the ring operations
+    for name in ("add", "neg", "scale", "mul", "is_zero", "degree", "element_key"):
+        assert getattr(ring, name) is getattr(BaseAlgebra, name), name
 
 
 # -- derivations ---------------------------------------------------------------------------
