@@ -221,11 +221,6 @@ class Poly:
     def is_const(self) -> bool:
         return all(k == 0 for k in self.coeffs)
 
-    def const_value(self) -> Fraction:
-        if not self.is_const():
-            raise ValueError("not a constant polynomial")
-        return self.coeffs.get(0, Fraction(0))
-
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return max(self.coeffs) if self.coeffs else -1

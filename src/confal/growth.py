@@ -4,32 +4,33 @@ gamma(r) is the rank over Q[d] of the span of all nonzero left-normed
 monomials (..((g_{j1} (n1) g_{j2}) (n2) g_{j3})..) of length <= r in the
 declared generators, with every order n_i <= N, the maximum pairwise locality
 degree of the generators; monomials with a larger order evaluate to zero, so
-nothing is lost.  Ranks come from one incremental fraction-free elimination
-over Z[d] per table, read off after each word length; growth degree is
-detected from stabilized finite differences of the exact gamma values.  A
-log-log slope is reported for reference only; every decision is made in exact
-arithmetic.
+nothing is lost.  One layered walk, under one monomial cap, extends only the
+words that were new; for gamma, new means raising the rank in one incremental
+fraction-free elimination over Z[d], read off after each word length.  Growth
+degree is detected from stabilized finite differences of the exact gamma
+values.  A log-log slope is reported for reference only; every decision is
+made in exact arithmetic.
 
 The coefficient-growth check compares dim(V^1 + ... + V^r), where V is the
 span of the generators' coefficients with t-exponents in a window
 [M-, M+], against the exact bound (M+ - M- + max(N, 1)) * r * gamma(r); the
 literal variant with max(N, 1) replaced by N is evaluated and reported
-alongside.
+alongside; there new means raising dim(V^1 + ... + V^r).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
 
 from .errors import ResourceBound
-from .linalg import RowSpace
+from .linalg import RowSpace, primitive_integral
 from .products import ALL_ZERO, terms_scalar_normalized_key
 
 DEFAULT_MONOMIAL_CAP = 200_000
 CAP_ENV_VAR = "CONFAL_MAX_MONOMIALS"
+DIFF_DEPTH = 2  # finite-difference rows a growth report shows
 
 CSV_COLUMNS = ("r", "gamma", "delta1", "delta2", "coeff_dim", "bound_rhs", "bound_ok")
 
@@ -68,9 +69,6 @@ class MonomialSpan:
     order_bound: int
     entries: list = field(default_factory=list)
 
-    def elements(self):
-        return [e.elem for e in self.entries]
-
     def of_length(self, length: int):
         return [e for e in self.entries if e.length <= length]
 
@@ -87,6 +85,27 @@ def generator_order_bound(alg) -> int:
     return best
 
 
+def _walk(seeds, products, add, r_max: int, cap: int):
+    """Yield, per length 1..max(r_max, 1), the words that add kept (returned True for).
+
+    Length 1 is the seeds, length r + 1 is products(w) over the kept words w
+    of length r.  Each seed and product formed counts against cap; the one
+    past it raises ResourceBound (no silent truncation).
+    """
+    formed, kept = 0, None
+    for _ in range(max(r_max, 1)):
+        words = seeds if kept is None else (p for w in kept for p in products(w))
+        kept = []
+        for w in words:
+            formed += 1
+            if formed > cap:
+                raise ResourceBound(f"growth enumeration exceeded the cap of {cap}; "
+                                    f"raise {CAP_ENV_VAR} to continue")
+            if add(w):
+                kept.append(w)
+        yield kept
+
+
 def enumerate_span(alg, r: int, cap: int | None = None) -> MonomialSpan:
     """All nonzero left-normed monomials of length <= r, deduplicated up to scalar.
 
@@ -96,48 +115,28 @@ def enumerate_span(alg, r: int, cap: int | None = None) -> MonomialSpan:
     """
     cap = monomial_cap(cap)
     bound = generator_order_bound(alg)
+    gens = alg.generator_items()
     span = MonomialSpan(r=r, order_bound=bound)
     seen = set()
-    produced = 0
-    level = []
-    for name, g in alg.generator_items():
-        produced += 1
-        if produced > cap:
-            raise ResourceBound(
-                f"monomial enumeration exceeded the cap of {cap}; "
-                f"raise {CAP_ENV_VAR} to continue"
-            )
-        if alg.is_zero(g):
-            continue
-        key = terms_scalar_normalized_key(g.terms)
+
+    def add(entry):
+        if alg.is_zero(entry.elem):
+            return False
+        key = terms_scalar_normalized_key(entry.elem.terms)
         if key in seen:
-            continue
+            return False
         seen.add(key)
-        entry = SpanEntry((name,), (), g, 1)
-        span.entries.append(entry)
-        level.append(entry)
-    for length in range(2, r + 1):
-        nxt = []
-        for prev in level:
-            for name, g in alg.generator_items():
-                for n in range(bound + 1):
-                    produced += 1
-                    if produced > cap:
-                        raise ResourceBound(
-                            f"monomial enumeration exceeded the cap of {cap}; "
-                            f"raise {CAP_ENV_VAR} to continue"
-                        )
-                    p = alg.nth(prev.elem, g, n)
-                    if alg.is_zero(p):
-                        continue
-                    key = terms_scalar_normalized_key(p.terms)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    entry = SpanEntry(prev.word + (name,), prev.orders + (n,), p, length)
-                    span.entries.append(entry)
-                    nxt.append(entry)
-        level = nxt
+        return True
+
+    def products(e):
+        for name, g in gens:
+            for n in range(bound + 1):
+                yield SpanEntry(e.word + (name,), e.orders + (n,), alg.nth(e.elem, g, n),
+                                e.length + 1)
+
+    seeds = [SpanEntry((name,), (), g, 1) for name, g in gens]
+    for layer in _walk(seeds, products, add, r, cap):
+        span.entries += layer
     return span
 
 
@@ -202,19 +201,14 @@ def _zpoly_divexact(a: list, b: list) -> list:
 
 def _zpoly_vector(vector) -> dict:
     """The primitive Z[d] multiple of a Q[d] vector (dict key -> DOp)."""
-    entries = {k: q.coeffs for k, q in vector.items() if q.coeffs}
-    if not entries:
-        return {}
-    den = math.lcm(*[c.denominator for co in entries.values() for c in co.values()])
-    out = {}
-    for k, co in entries.items():
-        poly = [0] * (max(co) + 1)
-        for e, c in co.items():
-            poly[e] = c.numerator * (den // c.denominator)
-        out[k] = poly
-    g = math.gcd(*[c for poly in out.values() for c in poly])
-    if g != 1:
-        out = {k: [c // g for c in poly] for k, poly in out.items()}
+    flat, _ = primitive_integral(
+        {(k, e): c for k, q in vector.items() for e, c in q.coeffs.items()})
+    out: dict = {}
+    for (k, e), c in flat.items():
+        poly = out.setdefault(k, [])
+        if len(poly) <= e:
+            poly.extend([0] * (e + 1 - len(poly)))
+        poly[e] = c
     return out
 
 
@@ -301,10 +295,7 @@ def detect_degree(gamma, tail: int | None = None):
     if n < 3:
         return "inconclusive"
     window = tail if tail is not None else max(3, n // 4)
-    for d in range(n - 1):
-        seq = list(gamma)
-        for _ in range(d):
-            seq = [b - a for a, b in zip(seq, seq[1:])]
+    for d, seq in enumerate(difference_table(gamma, n - 2)):
         if len(seq) < window:
             break
         tail_vals = seq[-window:]
@@ -324,8 +315,6 @@ def loglog_slope(gamma):
     if len(pts) < 2:
         return None
     (r1, g1), (r2, g2) = pts[-2], pts[-1]
-    if r1 == r2:
-        return 0.0
     return (math.log(g2) - math.log(g1)) / (math.log(r2) - math.log(r1))
 
 
@@ -337,7 +326,6 @@ class GrowthReport:
     gamma: list
     degree: object
     slope: float | None
-    diff_depth: int = 2
     window: tuple | None = None
     coeff_dims: list | None = None
     bound_rhs: list | None = None
@@ -346,7 +334,7 @@ class GrowthReport:
     bound_ok_literal: list | None = None
 
     def rows(self):
-        table = difference_table(self.gamma, self.diff_depth)
+        table = difference_table(self.gamma, DIFF_DEPTH)
         out = []
         for idx in range(len(self.gamma)):
             row = {
@@ -378,7 +366,7 @@ class GrowthReport:
             "degree": self.degree,
             "gk_estimate": self.degree if isinstance(self.degree, int) else None,
             "loglog_slope": self.slope,
-            "difference_table": difference_table(self.gamma, self.diff_depth),
+            "difference_table": difference_table(self.gamma, DIFF_DEPTH),
             "rows": self.rows(),
         }
         if self.window is not None:
@@ -396,7 +384,7 @@ class GrowthReport:
             f"growth of {self.algebra}: order bound N = {self.order_bound}",
             "gamma: " + ", ".join(f"{r+1}:{g}" for r, g in enumerate(self.gamma)),
         ]
-        table = difference_table(self.gamma, self.diff_depth)
+        table = difference_table(self.gamma, DIFF_DEPTH)
         for depth, seq in enumerate(table[1:], start=1):
             lines.append(f"delta^{depth}: " + ", ".join(str(v) for v in seq))
         lines.append(f"detected degree: {self.degree}")
@@ -418,23 +406,30 @@ class GrowthReport:
 
 
 def growth_table(alg, r_max: int, cap: int | None = None) -> GrowthReport:
+    """gamma(1..r_max), extending only the words that raised the rank.
+
+    If q(d) w = sum p_i(d) b_i over kept words b_i, q != 0, then
+    q(-l) w_l g = sum p_i(-l) (b_i)_l g; division by q(-l) is Q-linear and
+    N(a (m) b, c) <= N(b, c) (assuming associativity, as the order bound
+    does), so every w (n) g lies in the Q-span of the formed (b_i) (m) g.
+    """
     if r_max < 1:
         raise ValueError("the word-length bound r_max must be at least 1")
-    span = enumerate_span(alg, r_max, cap)
-    # the entries come sorted by length: one elimination serves every r
+    cap = monomial_cap(cap)
+    bound = generator_order_bound(alg)
+    gens = [g for _, g in alg.generator_items()]
+
+    def products(w):
+        for g in gens:
+            for n in range(bound + 1):
+                yield alg.nth(w, g, n)
+
     ranker = ModuleRank()
-    entries = iter(span.entries)
-    pending = next(entries, None)
-    gamma = []
-    for r in range(1, r_max + 1):
-        while pending is not None and pending.length <= r:
-            ranker.add(pending.elem)
-            pending = next(entries, None)
-        gamma.append(ranker.rank)
+    gamma = [ranker.rank for _ in _walk(gens, products, ranker.add, r_max, cap)]
     return GrowthReport(
         algebra=getattr(alg, "name", "algebra"),
         r_max=r_max,
-        order_bound=span.order_bound,
+        order_bound=bound,
         gamma=gamma,
         degree=detect_degree(gamma),
         slope=loglog_slope(gamma),
@@ -446,7 +441,9 @@ def coeff_growth_check(alg, window: tuple, r_max: int, cap: int | None = None) -
 
     V spans the generators' coefficients with t-exponents in
     [window[0], window[1]].  Requires window[0] <= 0 <= window[1] so that V
-    sees the zeroth coefficients.
+    sees the zeroth coefficients.  V^(r+1) lies in (V^1 + ... + V^r) V, so
+    by bilinearity only the products that raised the dimension are
+    multiplied further, by the coefficients that span V.
     """
     m_minus, m_plus = window
     if not (m_minus <= 0 <= m_plus):
@@ -456,37 +453,18 @@ def coeff_growth_check(alg, window: tuple, r_max: int, cap: int | None = None) -
     n_bound = base_report.order_bound
 
     total = RowSpace()
-    vees = []
-    for name, g in alg.generator_items():
-        for k in range(m_minus, m_plus + 1):
-            val = alg.phi(g, k)
-            if alg.model_is_zero(val):
-                continue
-            if total.add(alg.model_coords(val), (name, k)):
-                vees.append(val)
-    dims = [total.dim]
-    layer = vees
-    count = len(vees)
-    for r in range(2, r_max + 1):
-        next_space = RowSpace()
-        nxt = []
-        for a in layer:
-            for b in vees:
-                count += 1
-                if count > cap:
-                    raise ResourceBound(
-                        f"coefficient-power enumeration exceeded the cap of {cap}; "
-                        f"raise {CAP_ENV_VAR} to continue"
-                    )
-                p = alg.model_mul(a, b)
-                if alg.model_is_zero(p):
-                    continue
-                coords = alg.model_coords(p)
-                if next_space.add(coords, ("p", r, len(nxt))):
-                    nxt.append(p)
-                total.add(coords, ("t", r, count))
-        dims.append(total.dim)
-        layer = nxt
+
+    def add(p):
+        return total.add(alg.model_coords(p), total.dim)
+
+    def products(a):
+        return (alg.model_mul(a, b) for b in vees)
+
+    seeds = [alg.phi(g, k) for _, g in alg.generator_items()
+             for k in range(m_minus, m_plus + 1)]
+    walk = _walk(seeds, products, add, r_max, cap)
+    vees = next(walk)  # the coefficients that span V
+    dims = [total.dim] + [total.dim for _ in walk]
 
     width = m_plus - m_minus
     rhs = [(width + max(n_bound, 1)) * (r + 1) * base_report.gamma[r] for r in range(r_max)]
@@ -498,7 +476,3 @@ def coeff_growth_check(alg, window: tuple, r_max: int, cap: int | None = None) -
     base_report.bound_rhs_literal = rhs_lit
     base_report.bound_ok_literal = [d <= b for d, b in zip(dims, rhs_lit)]
     return base_report
-
-
-def report_json(report: GrowthReport) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2)

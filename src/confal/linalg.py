@@ -18,7 +18,7 @@ from .exact_arith import add_scaled
 _OWN = -1  # combination key of the vector being reduced
 
 
-def _integral(vec: dict):
+def primitive_integral(vec: dict):
     """(w, s): the primitive integer vector w = s * vec and its scale s > 0."""
     vec = {k: v for k, v in vec.items() if v}
     if not vec:
@@ -113,7 +113,7 @@ class RowSpace:
 
     def residual(self, vec: dict) -> dict:
         """vec minus the member of the span that agrees with it on every pivot."""
-        w, s = _integral(vec)
+        w, s = primitive_integral(vec)
         w, combo = self._reduce(w, False)
         num, den = s.denominator, combo[_OWN] * s.numerator
         return {k: Fraction(v * num, den) for k, v in w.items()}
@@ -123,7 +123,7 @@ class RowSpace:
 
     def express(self, vec: dict):
         """Coefficients over added tags reproducing vec, or None if outside."""
-        w, s = _integral(vec)
+        w, s = primitive_integral(vec)
         w, combo = self._reduce(w, True)
         if w:
             return None
@@ -136,7 +136,7 @@ class RowSpace:
 
     def add(self, vec: dict, tag) -> bool:
         """Insert vec under tag; returns False if it was already in the span."""
-        w, s = _integral(vec)
+        w, s = primitive_integral(vec)
         w, combo = self._reduce(w, True)
         if not w:
             return False

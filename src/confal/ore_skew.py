@@ -297,11 +297,10 @@ class Derivation:
 
     label = "delta"
 
-    def __init__(self, base: BaseAlgebra, bound: int = NILPOTENCY_BOUND, verify: bool = True):
+    def __init__(self, base: BaseAlgebra, bound: int = NILPOTENCY_BOUND):
         self.base = base
         self.bound = bound
-        if verify:
-            self._verify()
+        self._verify()
 
     def _apply(self, a):
         raise NotImplementedError
@@ -503,9 +502,6 @@ class SkewLaurent:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def support(self):
-        return sorted(self.coeffs)
 
     def _same(self, other: "SkewLaurent"):
         if self.ring is not other.ring:

@@ -40,6 +40,7 @@ from .errors import (
     NotUnital,
 )
 from .exact_arith import DOp, add_scaled
+from .growth import difference_table
 from .linalg import RowSpace, dense_solve
 from .ore_skew import FinDim, MatPolyRing, PolyRing, ad_derivation
 from .products import ALL_ZERO
@@ -123,17 +124,7 @@ def peel_components(alg, f, e):
     return comps
 
 
-def _sequence_degree(vals):
-    """Degree of the polynomial interpolating an exact value sequence (-1 if zero)."""
-    seq = list(vals)
-    depth = -1
-    while seq and any(v != 0 for v in seq):
-        depth += 1
-        seq = [b - a for a, b in zip(seq, seq[1:])]
-    return depth
-
-
-def coefficient_fit_degree(alg, f, samples: int | None = None) -> int:
+def coefficient_fit_degree(alg, f) -> int:
     """Fitted degree of n -> (n-shifted) coefficients of f.
 
     The k-th coefficient of a d-layer at depth p contributes a degree-p
@@ -141,14 +132,17 @@ def coefficient_fit_degree(alg, f, samples: int | None = None) -> int:
     degree must equal the top d-degree of f.  An independent probe of the
     coefficient functor: it never looks at the symbolic d-degree.
     """
-    n_hi = samples if samples is not None else f.max_dop_degree() + 3
+    n_hi = f.max_dop_degree() + 3
     seqs: dict = {}
     for n in range(n_hi + 1):
         for (key, exp), c in alg.model_coords(alg.phi(f, n)).items():
             seqs.setdefault((key, exp - n), [Fraction(0)] * (n_hi + 1))[n] = c
     best = -1
     for vals in seqs.values():
-        best = max(best, _sequence_degree(vals))
+        # the interpolating degree: one less than the first all-zero row
+        table = difference_table(vals, n_hi)
+        best = max(best, next((d - 1 for d, row in enumerate(table) if not any(row)),
+                              len(table) - 1))
     return best
 
 
@@ -288,12 +282,13 @@ class RecognitionResult:
         }
 
 
+RECOGNITION_CAP = 64  # basis cap of recognize_unital
+
+
 def recognize_unital(
     alg,
     e=None,
     word_bound: int = 8,
-    basis_cap: int = 64,
-    cross_checks: bool = True,
 ) -> RecognitionResult:
     """Recover a differential presentation from an algebra with identity e.
 
@@ -324,11 +319,11 @@ def recognize_unital(
     def add_basis(elem, label, length):
         vec = class_coords(alg, elem)
         idx = len(reps)
-        if idx >= basis_cap:
+        if idx >= RECOGNITION_CAP:
             if space.contains(vec):
                 return None
             raise ClosureBoundExceeded(
-                f"recovered basis exceeded the cap of {basis_cap} elements"
+                f"recovered basis exceeded the cap of {RECOGNITION_CAP} elements"
             )
         if not space.add(vec, idx):
             return None
@@ -392,27 +387,26 @@ def recognize_unital(
     closed = all(entry is not None for entry in product.values())
 
     failures: list = []
-    fit_ok = dtilde_ok = True
-    if cross_checks:
-        for name, g in alg.generator_items():
-            if alg.is_zero(g):
-                continue
-            top = g.max_dop_degree()
-            fitted = coefficient_fit_degree(alg, g)
-            peel_top = alg.locality(g, e)
-            if fitted != top:
-                fit_ok = False
-                failures.append(
-                    f"coefficient fit degree {fitted} != d-degree {top} on {name}"
-                )
-            if peel_top != top:
-                fit_ok = False
-                failures.append(
-                    f"top product order against e is {peel_top!r}, expected {top}, on {name}"
-                )
-        dt_failures = iterated_derivation_check(alg, e)
-        dtilde_ok = not dt_failures
-        failures.extend(dt_failures)
+    fit_ok = True
+    for name, g in alg.generator_items():
+        if alg.is_zero(g):
+            continue
+        top = g.max_dop_degree()
+        fitted = coefficient_fit_degree(alg, g)
+        peel_top = alg.locality(g, e)
+        if fitted != top:
+            fit_ok = False
+            failures.append(
+                f"coefficient fit degree {fitted} != d-degree {top} on {name}"
+            )
+        if peel_top != top:
+            fit_ok = False
+            failures.append(
+                f"top product order against e is {peel_top!r}, expected {top}, on {name}"
+            )
+    dt_failures = iterated_derivation_check(alg, e)
+    dtilde_ok = not dt_failures
+    failures.extend(dt_failures)
 
     leibniz_ok = True
     for i in range(len(reps)):
@@ -632,10 +626,10 @@ def _named_elements(base, generators):
     return out
 
 
-SATURATION_CAP = 4096  # default basis cap of the saturation loops
+SATURATION_CAP = 4096  # basis cap of the saturation loops
 
 
-def _saturate(base, seeds, moves, degree_bound: int, basis_cap: int, what: str, log=None):
+def _saturate(base, seeds, moves, degree_bound: int, what: str, log=None):
     """Span closure of seeds under moves, inside the degree filtration.
 
     Elements are taken up in the order they joined the basis, and each one u
@@ -643,10 +637,11 @@ def _saturate(base, seeds, moves, degree_bound: int, basis_cap: int, what: str, 
     are consumed one at a time, so moves sees every element added before it
     yields the next.  An element is dropped (and counted) above the degree
     bound, skipped when it lies in the span, and added otherwise; a new
-    element past basis_cap raises ClosureBoundExceeded.  The first 8
-    additions are named in log when one is given.  Returns (space, basis,
-    dropped).
+    element past SATURATION_CAP (read at call time) raises
+    ClosureBoundExceeded.  The first 8 additions are named in log when one
+    is given.  Returns (space, basis, dropped).
     """
+    basis_cap = SATURATION_CAP
     space = RowSpace()
     basis: list = []
     dropped = 0
@@ -686,7 +681,6 @@ def delta_stable_closure(
     seeds,
     degree_bound: int = 5,
     generators=None,
-    basis_cap: int = SATURATION_CAP,
 ) -> IdealClosure:
     """Saturate seeds under delta and multiplication by the generator set.
 
@@ -704,7 +698,7 @@ def delta_stable_closure(
 
     log: list = []
     space, basis, dropped = _saturate(
-        base, seeds, moves, degree_bound, basis_cap, "ideal closure", log)
+        base, seeds, moves, degree_bound, "ideal closure", log)
     unit_found, unit_reason = _detect_unit(base, space, basis)
     return IdealClosure(
         degree_bound=degree_bound,
@@ -736,7 +730,7 @@ def coefficient_subalgebra(alg: DifferentialAlgebra, degree_bound: int = 5):
 
     seeds = [alg.phi0_base(g) for _, g in alg.generator_items()]
     _, basis, dropped = _saturate(
-        base, seeds, moves, degree_bound, SATURATION_CAP, "coefficient subalgebra")
+        base, seeds, moves, degree_bound, "coefficient subalgebra")
     return basis, dropped == 0
 
 

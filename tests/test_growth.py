@@ -1,6 +1,7 @@
 """Growth functions: monomial spans, ranks over Q[d], degree detection."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from confal import (
     coeff_growth_check,
     cur_dual_numbers,
     cur_matrix,
+    cur_matrix_presented,
     detect_degree,
     enumerate_span,
     growth_table,
@@ -24,9 +26,18 @@ from confal import (
     weyl_algebra,
 )
 from confal.growth import difference_table, generator_order_bound, monomial_cap
+from confal.linalg import RowSpace
 
 WEYL = weyl_algebra()
 CUR2 = cur_matrix(2)
+
+
+def _weylx():
+    """The Weyl generators plus f = 3/2 x^2 - 5/4 x^3, whose orders reach N = 3."""
+    base = PolyRing("x")
+    f = Poly({2: Fraction(3, 2), 3: Fraction(-5, 4)})
+    gens = {"e": base.one(), "L": Poly.variable("x"), "f": f}
+    return DifferentialAlgebra(base, ScaledDdx(base), gens, name="weylx")
 
 
 # -- frozen growth values --------------------------------------------------------------------
@@ -212,3 +223,68 @@ def test_csv_shape():
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "4"
+
+
+def _full_layer_coeff_dims(alg, window, r_max):
+    """dim(V^1 + ... + V^r) multiplying every independent product of the last
+    layer by V, with no pruning against the lower powers: a reference."""
+    total, vees = RowSpace(), []
+    for _, g in alg.generator_items():
+        for k in range(window[0], window[1] + 1):
+            val = alg.phi(g, k)
+            if not alg.model_is_zero(val) and total.add(alg.model_coords(val), len(vees)):
+                vees.append(val)
+    dims, layer = [total.dim], vees
+    for _ in range(2, r_max + 1):
+        layer_space, nxt = RowSpace(), []
+        for a in layer:
+            for b in vees:
+                p = alg.model_mul(a, b)
+                if alg.model_is_zero(p):
+                    continue
+                coords = alg.model_coords(p)
+                if layer_space.add(coords, len(nxt)):
+                    nxt.append(p)
+                total.add(coords, None)
+        dims.append(total.dim)
+        layer = nxt
+    return dims
+
+
+@pytest.mark.parametrize("alg, window, r_max", [
+    (WEYL, (-2, 2), 5),
+    (_weylx(), (-1, 1), 3),
+    (CUR2, (-1, 1), 4),
+    (cur_matrix_presented(2), (-1, 1), 4),
+], ids=["weyl", "weylx", "cur2", "cur2p"])
+def test_coeff_dims_match_the_full_layer_loop(alg, window, r_max):
+    rep = coeff_growth_check(alg, window, r_max)
+    assert rep.coeff_dims == _full_layer_coeff_dims(alg, window, r_max)
+
+
+def test_growth_extends_only_rank_raising_words(monkeypatch):
+    # outside the locality scans, a table to length r forms exactly the
+    # products of the gamma(r - 1) kept words with every generator and order
+    alg, r = _weylx(), 7
+    bound = generator_order_bound(alg)
+    nth, locality = alg.nth, alg.locality
+    calls, scanning = 0, False
+
+    def counted_nth(*args):
+        nonlocal calls
+        calls += not scanning
+        return nth(*args)
+
+    def uncounted_locality(*args):
+        nonlocal scanning
+        scanning = True
+        try:
+            return locality(*args)
+        finally:
+            scanning = False
+
+    monkeypatch.setattr(alg, "nth", counted_nth)
+    monkeypatch.setattr(alg, "locality", uncounted_locality)
+    gamma = growth_table(alg, r).gamma
+    assert gamma == [3, 7, 10, 13, 16, 19, 22] and bound == 3
+    assert calls <= gamma[r - 2] * len(alg.generator_items()) * (bound + 1)

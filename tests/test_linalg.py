@@ -15,11 +15,18 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from confal import (  # noqa: E402
     DOp,
+    DifferentialAlgebra,
+    Poly,
+    PolyRing,
+    ScaledDdx,
     build_all,
+    cur_dual_numbers,
+    cur_matrix,
     cur_matrix_presented,
     enumerate_span,
     growth_table,
     module_rank,
+    poly_zero,
     weyl_algebra,
 )
 from confal.growth import ModuleRank, _zpoly_divexact  # noqa: E402
@@ -138,13 +145,25 @@ DTABLE_SOURCE = """algebra dtab {
 """
 
 
+def _weyl_with_random_generator(seed):
+    """e = 1, L = x and f = a random combination of x^2 and x^3, seeded."""
+    rng = random.Random(seed)
+    base = PolyRing("x")
+    f = Poly({2: _rand_q(rng) or 1, 3: _rand_q(rng) or 1})
+    gens = {"e": base.one(), "L": Poly.variable("x"), "f": f}
+    return DifferentialAlgebra(base, ScaledDdx(base), gens, name=f"weylx{seed}")
+
+
 def _growth_instances():
     (weylx,) = build_all(WEYLX_SOURCE).values()
     (dtab,) = build_all(DTABLE_SOURCE).values()
-    return [(weylx, 4), (cur_matrix_presented(2), 4), (weyl_algebra(), 5), (dtab, 4)]
+    return [(weylx, 4), (cur_matrix_presented(2), 4), (weyl_algebra(), 5), (dtab, 4),
+            (cur_matrix(3), 4), (cur_matrix_presented(3), 4), (poly_zero(), 5),
+            (cur_dual_numbers(), 4), (weylx, 7),
+            (_weyl_with_random_generator(1), 7), (_weyl_with_random_generator(2), 7)]
 
 
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", range(11))
 def test_growth_table_matches_prefix_ranks(index):
     alg, r_max = _growth_instances()[index]
     gamma = growth_table(alg, r_max).gamma

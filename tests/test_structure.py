@@ -278,6 +278,13 @@ def test_closure_detects_unit_through_derivation():
     assert closure.unit_found
 
 
+def test_closure_reads_the_basis_cap_at_call_time(monkeypatch):
+    base = PolyRing("x")
+    monkeypatch.setattr(structure, "SATURATION_CAP", 1)
+    with pytest.raises(ClosureBoundExceeded):
+        delta_stable_closure(base, ScaledDdx(base), [Poly.variable("x")])
+
+
 def test_simplicity_witnesses():
     eps_rep = simplicity_probe(cur_dual_numbers(), trials=10)
     assert eps_rep.witness_found and eps_rep.witness_missing
