@@ -57,11 +57,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .diff_conformal import DifferentialAlgebra
 from .errors import ParseError
-from .exact_arith import DOp, Poly, signed_sum
+from .exact_arith import DOp, Poly, ratio, signed_sum
 from .ore_skew import (
     DdxPlusAd,
     FinDim,
@@ -142,10 +141,11 @@ def tokenize(source: str):
 class AlgebraSpec:
     """Parsed definition of one algebra instance.
 
-    Expressions are nested tuples: ("num", Fraction), ("name", str),
-    ("E", i, j), ("neg", x), ("add"|"sub"|"mul", left, right),
-    ("pow", base, int).  Product clauses are (left, n, right, terms) with
-    terms a tuple of (coefficient, d_power, generator) triples.
+    Expressions are nested tuples: ("num", c) with c an int or Fraction (an
+    int when integral), ("name", str), ("E", i, j), ("neg", x),
+    ("add"|"sub"|"mul", left, right), ("pow", base, int).  Product clauses
+    are (left, n, right, terms) with terms a tuple of (coefficient, d_power,
+    generator) triples.
     """
 
     name: str
@@ -237,18 +237,18 @@ class _Parser:
                 sign = -sign
         return sign
 
-    def parse_literal(self) -> Fraction:
+    def parse_literal(self):
         tok = self.peek()
         num = self.expect_int()
         if not self.at_punct("/"):
-            return Fraction(num)
+            return num
         self.next()
         den = self.expect_int()
         if den == 0:
             self.error("zero denominator", tok)
-        return Fraction(num, den)
+        return ratio(num, den)
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self):
         return self.parse_sign() * self.parse_literal()
 
     # -- Q[d]-combinations of generators -------------------------------------------
@@ -262,7 +262,7 @@ class _Parser:
             return []
         terms = []
         while True:
-            coeff = Fraction(self.parse_sign())
+            coeff = self.parse_sign()
             if self.peek().kind == "int":
                 coeff *= self.parse_literal()
                 if self.at_punct("*"):
@@ -281,7 +281,7 @@ class _Parser:
                 inner = self.parse_combination()
                 self.expect_punct(")")
             else:
-                inner = [(Fraction(1), 0, self.expect_name())]
+                inner = [(1, 0, self.expect_name())]
             inner = [(coeff * c, p + power, name) for c, p, name in inner]
             if tok is not None:
                 self.check_exponent(max((p for _, p, _ in inner), default=power), tok)
@@ -622,7 +622,7 @@ def pretty(spec: AlgebraSpec) -> str:
 
 
 def _eval(expr, base, atoms):
-    """Evaluate an expression tree to ("scalar", Fraction) or ("elem", value)."""
+    """Evaluate an expression tree to ("scalar", int or Fraction) or ("elem", value)."""
     kind = expr[0]
     if kind == "num":
         return ("scalar", expr[1])
@@ -638,7 +638,7 @@ def _eval(expr, base, atoms):
             return ("elem", MatPoly.unit(base.n, i - 1, j - 1, base.var))
         if isinstance(base, FinDim) and f"E({i},{j})" in base.names:
             return ("elem", base.from_coords(
-                {base.names.index(f"E({i},{j})"): Fraction(1)}))
+                {base.names.index(f"E({i},{j})"): 1}))
         raise ValueError("matrix units need a matpoly or matrix-findim base")
     if kind == "neg":
         tag, val = _eval(expr[1], base, atoms)

@@ -1,9 +1,13 @@
 """Exact scalar, polynomial, and matrix arithmetic.
 
-Everything in the workbench computes exactly: scalars are arbitrary-precision
-rationals, polynomials are sparse maps from exponent to coefficient with no
-stored zero, and equality is structural on these canonical forms.  There is
-no floating point anywhere in the algebraic layer.
+Everything in the workbench computes exactly: scalars are ints and
+Fractions, polynomials are sparse maps from exponent to coefficient with no
+stored zero, and equality is structural on these canonical forms.  `rat`,
+the one normaliser, and `ratio`, the one exact division, return an int or
+Fraction (an int when integral).  Sums and products are left as Python
+makes them, so one of Fractions may be an integral Fraction; it equals and
+hashes as its int.  There is no floating point anywhere in the algebraic
+layer.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -13,19 +17,31 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# The scalar field.  Exact rationals: always reduced, positive denominator.
-Rat = Fraction
 
+def rat(value):
+    """An int, a string like ``-2/3``, or a Fraction as an exact scalar.
 
-def rat(value) -> Fraction:
-    """Coerce an int, a string like ``-2/3``, or a Fraction to a rational."""
-    if isinstance(value, Fraction):
+    The result is an int when the value is integral, else a Fraction (whose
+    denominator is then never 1).
+    """
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return rat(Fraction(value))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def ratio(num, den=1):
+    """The exact quotient num / den of two scalars, normalised as by `rat`."""
+    if type(num) is not int or type(den) is not int:
+        return rat(Fraction(rat(num), rat(den)))
+    if num % den:
+        return Fraction(num, den)
+    return num // den
 
 
 def gen_binom(n: int, k: int) -> int:
@@ -91,7 +107,7 @@ def add_scaled(dst: dict, src: dict, c) -> dict:
     return dst
 
 
-def _sp_scale(a: dict, c: Fraction) -> dict:
+def _sp_scale(a: dict, c) -> dict:
     if c == 0:
         return {}
     return {k: v * c for k, v in a.items()}
@@ -123,7 +139,7 @@ def _sp_divexact(a: dict, b: dict) -> dict:
         if dr < db:
             raise ArithmeticError("inexact polynomial division")
         k = dr - db
-        c = rem[dr] / lb
+        c = ratio(rem[dr], lb)
         quo[k] = c
         for kb, vb in b.items():
             s = rem.get(kb + k, 0) - c * vb
@@ -187,7 +203,7 @@ class Poly:
 
     @classmethod
     def _make(cls, coeffs: dict, var: str) -> "Poly":
-        """Wrap an already canonical map: int exponents >= 0, nonzero Fractions."""
+        """Wrap an already canonical map: int exponents >= 0, nonzero int or Fraction values."""
         out = object.__new__(cls)
         out.var = var
         out.coeffs = coeffs
@@ -242,7 +258,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._make(_sp_scale(self.coeffs, Fraction(-1)), self.var)
+        return Poly._make(_sp_scale(self.coeffs, -1), self.var)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -290,7 +306,7 @@ class Poly:
     def __hash__(self):
         # a constant equals its value and the same constant in any variable
         if self.is_const():
-            return hash(self.coeffs.get(0, Fraction(0)))
+            return hash(self.coeffs.get(0, 0))
         return hash(self.key())
 
     def __repr__(self):
@@ -311,7 +327,7 @@ class DOp:
 
     @classmethod
     def _make(cls, coeffs: dict) -> "DOp":
-        """Wrap an already canonical map: int exponents >= 0, nonzero Fractions."""
+        """Wrap an already canonical map: int exponents >= 0, nonzero int or Fraction values."""
         out = object.__new__(cls)
         out.coeffs = coeffs
         return out
@@ -358,7 +374,7 @@ class DOp:
     __radd__ = __add__
 
     def __neg__(self):
-        return DOp._make(_sp_scale(self.coeffs, Fraction(-1)))
+        return DOp._make(_sp_scale(self.coeffs, -1))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -390,6 +406,9 @@ class DOp:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its value, so it hashes as that value (as in Poly)
+        if all(k == 0 for k in self.coeffs):
+            return hash(self.coeffs.get(0, 0))
         return hash(self.key())
 
     def __repr__(self):
@@ -448,7 +467,7 @@ class MatPoly:
 
     @classmethod
     def _make(cls, n: int, var: str, data: dict) -> "MatPoly":
-        """Wrap an already canonical map: Fraction values, none of them zero."""
+        """Wrap an already canonical map: int or Fraction values, none of them zero."""
         out = object.__new__(cls)
         out.n = n
         out.var = var
@@ -461,7 +480,7 @@ class MatPoly:
 
     @classmethod
     def identity(cls, n: int, var: str = "x") -> "MatPoly":
-        return cls._make(n, var, {(i, i, 0): Fraction(1) for i in range(n)})
+        return cls._make(n, var, {(i, i, 0): 1 for i in range(n)})
 
     @classmethod
     def unit(cls, n: int, i: int, j: int, var: str = "x", coeff=1, xpow: int = 0) -> "MatPoly":

@@ -3,17 +3,17 @@
 Plumbing for the probes, closures, and rank engines: an incremental
 row-echelon span with expression tracking (`RowSpace`, the one elimination
 over Q), and on top of it a dense reduced row echelon form, nullspace and
-solver.  Vectors are sparse dicts from hashable coordinate keys to Fraction
-(or int); keys within one computation must be mutually comparable (they
+solver.  Vectors are sparse dicts from hashable coordinate keys to scalars,
+each an int or Fraction (an int when integral), and every value returned is
+such a scalar; keys within one computation must be mutually comparable (they
 always are: each algebra uses one homogeneous key shape).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .exact_arith import add_scaled
+from .exact_arith import add_scaled, rat, ratio
 
 _OWN = -1  # combination key of the vector being reduced
 
@@ -22,7 +22,7 @@ def primitive_integral(vec: dict):
     """(w, s): the primitive integer vector w = s * vec and its scale s > 0."""
     vec = {k: v for k, v in vec.items() if v}
     if not vec:
-        return {}, Fraction(1)
+        return {}, 1
     # star-args from a list, not a generator: a generator's tuple is grown by
     # resizing, which leaves blocks behind on CPython's tuple free lists
     den = lcm(*[v.denominator for v in vec.values()])
@@ -30,7 +30,7 @@ def primitive_integral(vec: dict):
     g = gcd(*w.values())
     if g != 1:
         w = {k: v // g for k, v in w.items()}
-    return w, Fraction(den, g)
+    return w, ratio(den, g)
 
 
 def _scale(vec: dict, c: int) -> None:
@@ -64,7 +64,7 @@ class RowSpace:
         self._rows: list[tuple[object, dict, dict]] = []
         self._pivot_index: dict = {}  # pivot_key -> index of its row
         self._tags: list = []
-        self._scales: list[Fraction] = []  # u[i] == scales[i] * (i-th added vector)
+        self._scales: list = []  # u[i] == scales[i] * (i-th added vector)
 
     @property
     def dim(self) -> int:
@@ -116,7 +116,7 @@ class RowSpace:
         w, s = primitive_integral(vec)
         w, combo = self._reduce(w, False)
         num, den = s.denominator, combo[_OWN] * s.numerator
-        return {k: Fraction(v * num, den) for k, v in w.items()}
+        return {k: ratio(v * num, den) for k, v in w.items()}
 
     def contains(self, vec: dict) -> bool:
         return not self.residual(vec)
@@ -130,7 +130,7 @@ class RowSpace:
         num, den = -s.denominator, combo.pop(_OWN) * s.numerator
         tags, scales = self._tags, self._scales
         return {
-            tags[i]: Fraction(c * num * scales[i].numerator, den * scales[i].denominator)
+            tags[i]: ratio(c * num * scales[i].numerator, den * scales[i].denominator)
             for i, c in combo.items()
         }
 
@@ -149,7 +149,7 @@ class RowSpace:
         return True
 
 
-def dense_rref(matrix: list[list[Fraction]]):
+def dense_rref(matrix: list[list]):
     """Reduced row echelon form in place; returns the list of pivot columns.
 
     One pass over the columns with a RowSpace of columns: a column is a
@@ -160,13 +160,13 @@ def dense_rref(matrix: list[list[Fraction]]):
     if not matrix:
         return []
     nrows, ncols = len(matrix), len(matrix[0])
-    rref = [[Fraction(0)] * ncols for _ in range(nrows)]
+    rref = [[0] * ncols for _ in range(nrows)]
     space = RowSpace()
     pivots = []
     for c in range(ncols):
         col = {i: row[c] for i, row in enumerate(matrix) if row[c]}
         if space.add(col, len(pivots)):
-            rref[len(pivots)][c] = Fraction(1)
+            rref[len(pivots)][c] = 1
             pivots.append(c)
         else:
             for r, x in space.express(col).items():
@@ -175,23 +175,23 @@ def dense_rref(matrix: list[list[Fraction]]):
     return pivots
 
 
-def dense_nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+def dense_nullspace(matrix: list[list], ncols: int) -> list[list]:
     """Basis of the right nullspace of the matrix (ncols unknowns)."""
-    work = [list(map(Fraction, row)) for row in matrix if any(v != 0 for v in row)]
+    work = [list(map(rat, row)) for row in matrix if any(v != 0 for v in row)]
     pivots = dense_rref(work)
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -work[r][f]
         basis.append(v)
     return basis
 
 
-def dense_solve(matrix: list[list[Fraction]], rhs: list[Fraction]):
+def dense_solve(matrix: list[list], rhs: list):
     """One exact solution of matrix * x = rhs, or None if inconsistent.
 
     Free unknowns are set to zero.
@@ -199,11 +199,11 @@ def dense_solve(matrix: list[list[Fraction]], rhs: list[Fraction]):
     if not matrix:
         return None
     ncols = len(matrix[0])
-    work = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    work = [list(map(rat, row)) + [rat(b)] for row, b in zip(matrix, rhs)]
     pivots = dense_rref(work)
     if ncols in pivots:
         return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = work[r][ncols]
     return x

@@ -156,7 +156,7 @@ class FinDim(BaseAlgebra):
 
     Structure constants: table[i][j] is the coordinate tuple of b_i * b_j.
     Associativity is checked exactly on all basis triples at construction.
-    Elements are coordinate tuples of Fractions.
+    Elements are coordinate tuples of ints and Fractions.
     """
 
     def __init__(self, table, names=None):
@@ -199,14 +199,14 @@ class FinDim(BaseAlgebra):
         for j in range(d):
             for k in range(d):
                 rows.append([self.table[i][j][k] for i in range(d)])
-                rhs.append(Fraction(1) if k == j else Fraction(0))
+                rhs.append(1 if k == j else 0)
                 rows.append([self.table[j][i][k] for i in range(d)])
-                rhs.append(Fraction(1) if k == j else Fraction(0))
+                rhs.append(1 if k == j else 0)
         sol = dense_solve(rows, rhs)
         return tuple(sol) if sol is not None else None
 
     def zero(self):
-        return tuple(Fraction(0) for _ in range(self.dim))
+        return (0,) * self.dim
 
     def one(self):
         if self.unit is None:
@@ -224,7 +224,7 @@ class FinDim(BaseAlgebra):
         return tuple(x * c for x in a)
 
     def mul(self, a, b):
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for i, x in enumerate(a):
             if x == 0:
                 continue
@@ -244,13 +244,13 @@ class FinDim(BaseAlgebra):
         return {i: c for i, c in enumerate(a) if c != 0}
 
     def from_coords(self, coords: dict):
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for i, c in coords.items():
             out[i] = rat(c)
         return tuple(out)
 
     def basis_element(self, key: int):
-        return tuple(Fraction(1) if i == key else Fraction(0) for i in range(self.dim))
+        return tuple(1 if i == key else 0 for i in range(self.dim))
 
     def describe_key(self, key: int) -> str:
         return self.names[key]
@@ -279,9 +279,9 @@ def matrix_findim(n: int) -> FinDim:
         row = []
         for b in range(d):
             k, l = divmod(b, n)
-            coords = [Fraction(0)] * d
+            coords = [0] * d
             if j == k:
-                coords[idx(i, l)] = Fraction(1)
+                coords[idx(i, l)] = 1
             row.append(coords)
         table.append(row)
     return FinDim(table, names)
@@ -396,7 +396,7 @@ class LinearAction(Derivation):
 
     def _apply(self, a):
         d = self.base.dim
-        out = [Fraction(0)] * d
+        out = [0] * d
         for j, c in enumerate(a):
             if c == 0:
                 continue
@@ -570,7 +570,7 @@ class SkewLaurent:
         return tuple((n, base.element_key(self.coeffs[n])) for n in sorted(self.coeffs))
 
     def coords(self) -> dict:
-        """Flatten to {(basis_key, t_exponent): Fraction} for linear algebra."""
+        """Flatten to {(basis_key, t_exponent): int or Fraction} for linear algebra."""
         base = self.ring.base
         out = {}
         for n, a in self.coeffs.items():

@@ -16,8 +16,6 @@ makes it an ordinary associative algebra when the table is associative.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .axioms import CheckReport, associativity_report, identity_report
 from .axioms import left_annihilator_probe as _generic_annihilator
 from .exact_arith import DOp, _sp_add, gen_binom, rat, signed_sum
@@ -105,7 +103,7 @@ class PresentedAlgebra(ConformalAlgebra):
 
 
 class CoeffElem:
-    """Element of the coefficient algebra: dict (generator-index, k) -> Fraction.
+    """Element of the coefficient algebra: dict (generator-index, k) -> int or Fraction.
 
     Normal form only: no d symbols remain.
     """
@@ -118,7 +116,7 @@ class CoeffElem:
 
     @classmethod
     def _make(cls, alg: PresentedAlgebra, coords: dict) -> "CoeffElem":
-        """Wrap an already canonical map: nonzero Fraction values only."""
+        """Wrap an already canonical map: nonzero int or Fraction values only."""
         out = object.__new__(cls)
         out.alg = alg
         out.coords = coords
@@ -207,7 +205,7 @@ def coeff_assoc_check(alg_or_table, window: int = 3) -> CheckReport:
     alg = _as_algebra(alg_or_table)
     rep = CheckReport("coefficient-associativity")
     symbols = [
-        CoeffElem(alg, {(i, k): Fraction(1)})
+        CoeffElem(alg, {(i, k): 1})
         for i in range(len(alg.table.gens))
         for k in range(-window, window + 1)
     ]

@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, perm
 
-from .exact_arith import DOp, falling_factorial, gen_binom, rat, signed_sum
+from .exact_arith import DOp, falling_factorial, gen_binom, rat, ratio, signed_sum
 
 
 class _AllZero:
@@ -98,7 +98,7 @@ def nth_product_terms(u_terms: dict, v_terms: dict, n: int, base_case) -> dict:
 
 
 def terms_normal_form(terms: dict, k: int):
-    """The k-th coefficient of an element, as (symbol, t-exponent, Fraction) triples.
+    """The k-th coefficient of an element, as (symbol, t-exponent, int or Fraction) triples.
 
     (d^p a)(k) = (-1)^p k(k-1)...(k-p+1) a(k-p), so each term c d^p a gives
     (a, k - p, (-1)^p c k(k-1)...(k-p+1)); vanishing ones are skipped.  The
@@ -125,7 +125,7 @@ def terms_scalar_normalized_key(terms: dict):
         return ()
     lead_key = sorted(terms)[0]
     lead = terms[lead_key].coeffs[min(terms[lead_key].coeffs)]
-    inv = 1 / lead
+    inv = ratio(1, lead)
     return tuple((k, (terms[k] * inv).key()) for k in sorted(terms))
 
 
@@ -249,7 +249,7 @@ class ConformalAlgebra:
         return u == v
 
     def coordinates(self, u: Elem) -> dict:
-        """Flatten to {(basis_key, d_power): Fraction}."""
+        """Flatten to {(basis_key, d_power): c}, each c an int or Fraction."""
         out = {}
         for key, q in u.terms.items():
             for p, c in q.coeffs.items():

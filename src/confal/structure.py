@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .axioms import IdentityReport, identity_report
 from .diff_conformal import DifferentialAlgebra
@@ -39,7 +38,7 @@ from .errors import (
     NotNilpotent,
     NotUnital,
 )
-from .exact_arith import DOp, add_scaled
+from .exact_arith import DOp, add_scaled, ratio
 from .growth import difference_table
 from .linalg import RowSpace, dense_solve
 from .ore_skew import FinDim, MatPolyRing, PolyRing, ad_derivation
@@ -85,8 +84,8 @@ def find_identity(alg):
     rows, rhs = [], []
     for j in range(len(gens)):
         for key in keys:
-            rows.append([products[i][j].get(key, Fraction(0)) for i in range(len(gens))])
-            rhs.append(targets[j].get(key, Fraction(0)))
+            rows.append([products[i][j].get(key, 0) for i in range(len(gens))])
+            rhs.append(targets[j].get(key, 0))
     sol = dense_solve(rows, rhs)
     if sol is None:
         raise NotUnital("no conformal identity exists in the span of the generators")
@@ -114,7 +113,7 @@ def peel_components(alg, f, e):
                 "peeling against the identity candidate does not terminate; "
                 "it is not a conformal identity"
             )
-        comp = alg.scale(alg.nth(rest, e, top), Fraction(1, math.factorial(top)))
+        comp = alg.scale(alg.nth(rest, e, top), ratio(1, math.factorial(top)))
         comps.append((top, comp))
         step = alg.apply_dop_power(comp, top)
         if top % 2:
@@ -136,7 +135,7 @@ def coefficient_fit_degree(alg, f) -> int:
     seqs: dict = {}
     for n in range(n_hi + 1):
         for (key, exp), c in alg.model_coords(alg.phi(f, n)).items():
-            seqs.setdefault((key, exp - n), [Fraction(0)] * (n_hi + 1))[n] = c
+            seqs.setdefault((key, exp - n), [0] * (n_hi + 1))[n] = c
     best = -1
     for vals in seqs.values():
         # the interpolating degree: one less than the first all-zero row
@@ -243,7 +242,7 @@ class RecognitionResult:
             row = []
             for j in range(d):
                 entry = self.product[(i, j)]
-                row.append([entry.get(k, Fraction(0)) for k in range(d)])
+                row.append([entry.get(k, 0) for k in range(d)])
             table.append(row)
         return FinDim(table, self.labels)
 
@@ -354,7 +353,7 @@ def recognize_unital(
             vec = class_coords(alg, img)
             expr = space.express(vec)
             if expr is None:
-                expr = {add_basis(img, f"D({labels[i]})", lengths[i]): Fraction(1)}
+                expr = {add_basis(img, f"D({labels[i]})", lengths[i]): 1}
                 changed = True
             delta[i] = expr
         for i in range(len(reps)):
@@ -369,7 +368,7 @@ def recognize_unital(
                     continue
                 if lengths[i] + lengths[j] <= word_bound:
                     idx = add_basis(w, f"{labels[i]}*{labels[j]}", lengths[i] + lengths[j])
-                    product[(i, j)] = {idx: Fraction(1)}
+                    product[(i, j)] = {idx: 1}
                     changed = True
                 else:
                     product[(i, j)] = None
@@ -415,8 +414,8 @@ def recognize_unital(
             if entry is None:
                 continue
             lhs = _vec_delta(delta, entry)
-            rhs_a = _vec_mul(product, delta[i], {j: Fraction(1)})
-            rhs_b = _vec_mul(product, {i: Fraction(1)}, delta[j])
+            rhs_a = _vec_mul(product, delta[i], {j: 1})
+            rhs_b = _vec_mul(product, {i: 1}, delta[j])
             if rhs_a is None or rhs_b is None:
                 log.append(
                     f"Leibniz check skipped on ({labels[i]}, {labels[j]}): "
@@ -474,10 +473,10 @@ def recognition_roundtrip(alg, result: RecognitionResult, n_max: int = 2) -> dic
             for n in range(n_max + 1):
                 w = alg.nth(result.representatives[i], result.representatives[j], n)
                 lhs = space.express(class_coords(alg, w))
-                dj = {j: Fraction(1)}
+                dj = {j: 1}
                 for _ in range(n):
                     dj = _vec_delta(result.delta, dj)
-                rhs = _vec_mul(result.product, {i: Fraction(-1 if n % 2 else 1)}, dj)
+                rhs = _vec_mul(result.product, {i: -1 if n % 2 else 1}, dj)
                 if lhs is None or rhs is None:
                     skipped += 1
                     log.append(
@@ -542,7 +541,7 @@ def transport_identity(base: FinDim, r, name: str | None = None) -> TransportRes
     e = alg.zero_elem()
     for k in range(m):
         term = alg.apply_dop_power(alg.primitive(powers[k]), k)
-        e = alg.add(e, alg.scale(term, Fraction(1, math.factorial(k))))
+        e = alg.add(e, alg.scale(term, ratio(1, math.factorial(k))))
     rep = identity_report(alg, e)
     if not rep.ok:
         raise ConfalError(

@@ -6,12 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confal import DOp, MatPoly, Poly, rat
+from confal import DOp, MatPoly, Poly, rat, ratio
 from confal.exact_arith import falling_factorial, gen_binom
 
 rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=6
 )
+
+# every form rat and ratio accept: ints, bools, Fractions and "p/q" strings
+scalar_inputs = st.one_of(
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.booleans(),
+    rationals,
+    st.tuples(st.integers(-40, 40), st.integers(1, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+
+
+def is_canonical(c) -> bool:
+    """An int exactly when integral, otherwise a Fraction whose denominator is not 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 def polys(max_degree=4):
@@ -48,6 +61,31 @@ def test_rat_coercions():
 def test_rat_always_reduced_positive_denominator():
     v = rat(Fraction(6, -4))
     assert v.denominator > 0 and v.numerator == -3 and v.denominator == 2
+
+
+@given(scalar_inputs)
+def test_rat_is_canonical(value):
+    c = rat(value)
+    assert is_canonical(c) and c == Fraction(value)
+
+
+@given(scalar_inputs, scalar_inputs)
+def test_ratio_is_canonical(num, den):
+    assert is_canonical(ratio(num)) and ratio(num) == Fraction(num)
+    if Fraction(den) == 0:
+        with pytest.raises(ZeroDivisionError):
+            ratio(num, den)
+        return
+    q = ratio(num, den)
+    assert is_canonical(q) and q == Fraction(num) / Fraction(den)
+
+
+def test_rat_and_ratio_values():
+    assert type(rat(Fraction(4, 2))) is int and rat("6/3") == 2 and rat(True) == 1
+    assert ratio(6, 3) == 2 and type(ratio(6, 3)) is int
+    assert ratio(3, -6) == Fraction(-1, 2)
+    assert ratio(Fraction(3, 2), Fraction(3, 4)) == 2
+    assert type(ratio(Fraction(3, 2), 3)) is Fraction
 
 
 @given(st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=10))
@@ -115,6 +153,15 @@ def test_poly_divexact():
         Poly({1: 1, 0: 1}, "x").divexact(Poly({1: 1}, "x"))
 
 
+def test_poly_divexact_is_exact_over_q():
+    # x^2 - 1 = (2x + 2)(x/2 - 1/2): an integer dividend and divisor, a rational quotient
+    quo = Poly({2: 1, 0: -1}).divexact(Poly({1: 2, 0: 2}))
+    assert quo == Poly({1: Fraction(1, 2), 0: Fraction(-1, 2)})
+    assert all(is_canonical(c) for c in quo.coeffs.values())
+    quo = Poly({2: 1, 0: -1}).divexact(Poly({1: 1, 0: 1}))
+    assert quo.coeffs == {1: 1, 0: -1} and all(type(c) is int for c in quo.coeffs.values())
+
+
 def test_poly_equal_objects_hash_equal():
     pairs = [
         (Poly.const(2, "x"), Poly.const(2, "y")),
@@ -129,6 +176,19 @@ def test_poly_equal_objects_hash_equal():
         assert len({a, b}) == 1
     # non-constants still tell their variables apart
     assert len({Poly.variable("x"), Poly.variable("y")}) == 2
+
+
+@given(st.one_of(st.integers(-8, 8), rationals), polys(max_degree=1), dops(max_degree=1))
+def test_equal_poly_and_dop_values_hash_equal(c, p, q):
+    # constants of Poly and DOp equal their value, and a Poly constant equals itself
+    # in every variable; equal values must hash equal, or dict lookups miss them
+    values = [c, rat(c), Poly.const(c, "x"), Poly.const(c, "y"), DOp.const(c),
+              p, Poly(p.coeffs, "y"), q]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    assert {DOp.const(c): 1}.get(c) == 1 and {c: 1}.get(DOp.const(c)) == 1
 
 
 def test_poly_format():

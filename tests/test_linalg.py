@@ -40,6 +40,11 @@ def _rand_q(rng, num=6, den=4):
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 
 
+def _is_canonical(c) -> bool:
+    """An int exactly when integral, otherwise a Fraction whose denominator is not 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
 def _rand_dop(rng, max_deg):
     return DOp({e: _rand_q(rng) for e in range(rng.randint(0, max_deg) + 1)})
 
@@ -229,7 +234,7 @@ def test_rowspace_matches_sympy(seed):
         assert (not space.residual(query)) == inside
         if expr is None:
             continue
-        assert all(isinstance(c, Fraction) and c != 0 for c in expr.values())
+        assert all(_is_canonical(c) and c != 0 for c in expr.values())
         rebuilt: dict = {}
         for tag, c in expr.items():
             for k, v in originals[tag].items():
@@ -244,6 +249,30 @@ def test_rowspace_residual_is_exact():
     assert space.residual({0: Fraction(4, 3), 1: Fraction(1)}) == {1: Fraction(3, 5)}
     assert space.residual({0: Fraction(-2), 1: Fraction(-3, 5)}) == {}
     assert space.express({0: Fraction(-2), 1: Fraction(-3, 5)}) == {"a": Fraction(-3)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_linalg_returns_canonical_scalars(seed):
+    """express, residual, dense_solve and dense_nullspace give ints and Fractions, no floats."""
+    rng = random.Random(5000 + seed)
+    for ints in (True, False):
+        def entry():
+            return 0 if rng.random() < 0.4 else rng.randint(-5, 5) if ints else _rand_q(rng)
+
+        ncols = rng.randint(2, 6)
+        matrix = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, 5))]
+        space = RowSpace()
+        for i, row in enumerate(matrix):
+            space.add(dict(enumerate(row)), i)
+        for _ in range(8):
+            query = {k: entry() for k in range(ncols)}
+            assert all(map(_is_canonical, space.residual(query).values()))
+            expr = space.express(query)
+            assert expr is None or all(map(_is_canonical, expr.values()))
+        for v in dense_nullspace(matrix, ncols):
+            assert all(map(_is_canonical, v))
+        x = dense_solve(matrix, [sum(row) for row in matrix])  # x = (1, ..., 1) solves it
+        assert x is not None and all(map(_is_canonical, x))
 
 
 # -- dense solve and nullspace --------------------------------------------------------------------
