@@ -1,10 +1,11 @@
 """Law checkers shared by the differential and presented models.
 
-Every function here sees an algebra through a small duck-typed surface:
-named generators, the n-th products, the d action, linear arithmetic,
-locality degrees, and (for the coefficient-level checks) a coefficient model
-with its own multiplication.  Checks return report objects and never raise on
-a failed law; the reports carry the first witnesses found.
+Every function here takes an algebra for its named generators, n-th
+products, locality degrees and (for the coefficient-level checks) its
+coefficient model; elements and coefficients are added, scaled,
+differentiated and compared with their own operators.  Checks return report
+objects and never raise on a failed law; the reports carry the first
+witnesses found.
 """
 
 from __future__ import annotations
@@ -48,17 +49,17 @@ def conformal_axioms_report(alg, pairs) -> CheckReport:
     for label, (u, v) in pairs:
         top = alg.locality_scan_bound(u, v) + 1
         for n in range(top + 1):
-            du = alg.derive_elem(u)
+            du = u.derive()
             lhs = alg.nth(du, v, n)
-            rhs = alg.scale(alg.nth(u, v, n - 1), -n) if n > 0 else alg.scale(u, 0)
+            rhs = alg.nth(u, v, n - 1) * -n if n > 0 else alg.zero_elem()
             rep.checked += 1
-            if not alg.eq(lhs, rhs):
+            if lhs != rhs:
                 rep.fail(f"(d u)({n}) v != -n u({n - 1}) v at pair {label}")
                 return rep
-            left = alg.derive_elem(alg.nth(u, v, n))
-            right = alg.add(alg.nth(du, v, n), alg.nth(u, alg.derive_elem(v), n))
+            left = alg.nth(u, v, n).derive()
+            right = alg.nth(du, v, n) + alg.nth(u, v.derive(), n)
             rep.checked += 1
-            if not alg.eq(left, right):
+            if left != right:
                 rep.fail(f"d(u ({n}) v) != (d u)({n}) v + u ({n}) (d v) at pair {label}")
                 return rep
     return rep
@@ -88,31 +89,27 @@ def associativity_report(alg, max_m: int, max_n: int, triples=None) -> CheckRepo
         for m in range(max_m + 1):
             for n in range(max_n + 1):
                 left_lhs = alg.nth(u, alg.nth(v, w, n), m)
-                left_rhs = alg.scale(u, 0)
+                left_rhs = alg.zero_elem()
                 for j in range(m + 1):
                     c = gen_binom(m, j)
                     if c == 0:
                         continue
-                    left_rhs = alg.add(
-                        left_rhs, alg.scale(alg.nth(alg.nth(u, v, j), w, m + n - j), c)
-                    )
+                    left_rhs = left_rhs + alg.nth(alg.nth(u, v, j), w, m + n - j) * c
                 rep.checked += 1
-                if not alg.eq(left_lhs, left_rhs):
+                if left_lhs != left_rhs:
                     rep.fail(f"left-expansion failure at {label}, m={m}, n={n}")
                     return rep
                 right_lhs = alg.nth(alg.nth(u, v, m), w, n)
-                right_rhs = alg.scale(u, 0)
+                right_rhs = alg.zero_elem()
                 for j in range(m + 1):
                     c = gen_binom(m, j)
                     if j % 2:
                         c = -c
                     if c == 0:
                         continue
-                    right_rhs = alg.add(
-                        right_rhs, alg.scale(alg.nth(u, alg.nth(v, w, n + j), m - j), c)
-                    )
+                    right_rhs = right_rhs + alg.nth(u, alg.nth(v, w, n + j), m - j) * c
                 rep.checked += 1
-                if not alg.eq(right_lhs, right_rhs):
+                if right_lhs != right_rhs:
                     rep.fail(f"right-expansion failure at {label}, m={m}, n={n}")
                     return rep
     return rep
@@ -174,7 +171,7 @@ def locality_combinations(alg, u, v):
             y = phi_v.get(b)
             if y is None:
                 y = phi_v[b] = alg.phi(v, b)
-            if alg.model_is_zero(x) or alg.model_is_zero(y):
+            if x.is_zero() or y.is_zero():
                 got = {}
             else:
                 got = alg.model_coords(alg.model_mul(x, y))
@@ -217,12 +214,12 @@ def identity_report(alg, e) -> IdentityReport:
     """
     failures = []
     for name, g in alg.generator_items():
-        if not alg.eq(alg.nth(e, g, 0), g):
+        if alg.nth(e, g, 0) != g:
             failures.append(f"e (0) {name} != {name}")
     self_loc = alg.locality(e, e)
     if self_loc is not ALL_ZERO and self_loc > 1:
         failures.append(f"self-locality degree {self_loc} exceeds 1")
-    if alg.is_zero(e):
+    if e.is_zero():
         failures.append("the zero element is not an identity")
     return IdentityReport(
         ok=not failures,
@@ -269,10 +266,10 @@ def left_annihilator_probe(alg, dop_degree_bound: int = 3):
 
     out = []
     for combo in dense_nullspace(rows, len(cands)):
-        elem = alg.scale(cands[0][1], 0)
+        elem = alg.zero_elem()
         for c, (_, cand) in zip(combo, cands):
             if c != 0:
-                elem = alg.add(elem, alg.scale(cand, c))
-        if not alg.is_zero(elem):
+                elem = elem + cand * c
+        if not elem.is_zero():
             out.append(elem)
     return out

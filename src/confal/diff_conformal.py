@@ -145,25 +145,6 @@ class DifferentialAlgebra(ConformalAlgebra):
         return a * b
 
 
-# -- module-level operation names ------------------------------------------------
-
-
-def primitive(alg: DifferentialAlgebra, a) -> Elem:
-    return alg.primitive(a)
-
-
-def coefficient(u: Elem, k: int) -> SkewLaurent:
-    return u.alg.coefficient(u, k)
-
-
-def product_coeff_oracle(u: Elem, v: Elem, n: int, k: int) -> SkewLaurent:
-    return u.alg.oracle(u, v, n, k)
-
-
-def locality_degree(u: Elem, v: Elem):
-    return u.alg.locality(u, v)
-
-
 @dataclass
 class DongReport:
     """Result of a mutual-locality sweep over one triple."""
@@ -194,7 +175,7 @@ def dong_check(u, v, w, max_order: int) -> DongReport:
         rep.degrees[label] = alg.locality(a, b)
     for n in range(max_order + 1):
         p = alg.nth(u, v, n)
-        if alg.is_zero(p):
+        if p.is_zero():
             rep.degrees[f"(u {n} v),w"] = ALL_ZERO
             rep.degrees[f"w,(u {n} v)"] = ALL_ZERO
             continue
@@ -204,7 +185,7 @@ def dong_check(u, v, w, max_order: int) -> DongReport:
             # confirm vanishing strictly above the claimed degree
             start = 0 if deg is ALL_ZERO else deg + 1
             for m in range(start, alg.locality_scan_bound(a, b) + 1):
-                if not alg.is_zero(alg.nth(a, b, m)):
+                if not alg.nth(a, b, m).is_zero():
                     rep.ok = False
                     rep.witness = f"nonzero product above claimed degree at {label}, order {m}"
                     return rep

@@ -59,7 +59,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .diff_conformal import DifferentialAlgebra
-from .errors import ParseError
+from .errors import BoundExceeded, NotNilpotent, ParseError
 from .exact_arith import DOp, Poly, ratio, signed_sum
 from .ore_skew import (
     DdxPlusAd,
@@ -715,7 +715,10 @@ def build(spec: AlgebraSpec):
     """Construct the algebra an AlgebraSpec describes.
 
     Semantic failures (bad structure constants, a non-derivation, unknown
-    names) surface as ValueError/NotNilpotent from the constructors.
+    names, a derivation not locally nilpotent within its bound, an ad(r) with
+    r not nilpotent) surface as ValueError: the file is at fault, so the
+    constructor's NotNilpotent or BoundExceeded is re-raised as a ValueError
+    with the same message.
     """
     if spec.kind == "presented":
         entries: dict = {}
@@ -744,7 +747,7 @@ def build(spec: AlgebraSpec):
 
     dkind = spec.deriv[0]
     if dkind == "zero":
-        delta = ZeroDerivation(base)
+        make, args = ZeroDerivation, ()
     elif dkind == "matrix":
         if not isinstance(base, FinDim):
             raise ValueError("a matrix derivation needs a findim base")
@@ -753,7 +756,7 @@ def build(spec: AlgebraSpec):
             raise ValueError(
                 f"derivation matrix needs {base.dim ** 2} rationals, got {len(flat)}"
             )
-        delta = LinearAction(base, _reshape(flat, base.dim, base.dim))
+        make, args = LinearAction, (_reshape(flat, base.dim, base.dim),)
     else:
         _, var, adjoint = spec.deriv
         if isinstance(base, FinDim):
@@ -761,12 +764,15 @@ def build(spec: AlgebraSpec):
         if var != base.var:
             raise ValueError(f"derivation variable {var!r} does not match base {base.var!r}")
         if adjoint is None:
-            delta = ScaledDdx(base)
+            make, args = ScaledDdx, ()
         else:
             if not isinstance(base, MatPolyRing):
                 raise ValueError("ad(...) corrections need a matpoly base")
-            r = eval_base_expr(adjoint, base)
-            delta = DdxPlusAd(base, r)
+            make, args = DdxPlusAd, (eval_base_expr(adjoint, base),)
+    try:
+        delta = make(base, *args)
+    except (NotNilpotent, BoundExceeded) as exc:
+        raise ValueError(str(exc)) from exc
 
     gens = {}
     for name, expr in spec.generators:
@@ -799,5 +805,5 @@ def parse_element(alg, text: str):
     for coeff, dpow, tok in _parse_whole(text, _Parser.parse_combination):
         if tok.value not in gens:
             raise ParseError(f"unknown generator {tok.value!r}", tok.line, tok.col)
-        out = alg.add(out, alg.scale(alg.apply_dop_power(gens[tok.value], dpow), coeff))
+        out = out + alg.apply_dop_power(gens[tok.value], dpow) * coeff
     return out

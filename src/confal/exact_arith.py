@@ -241,9 +241,6 @@ class Poly:
         """Degree, with -1 for the zero polynomial."""
         return max(self.coeffs) if self.coeffs else -1
 
-    def items(self):
-        return sorted(self.coeffs.items())
-
     def key(self):
         return (self.var, tuple(sorted(self.coeffs.items())))
 
@@ -353,9 +350,6 @@ class DOp:
 
     def degree(self) -> int:
         return max(self.coeffs) if self.coeffs else -1
-
-    def items(self):
-        return sorted(self.coeffs.items())
 
     def key(self):
         return tuple(sorted(self.coeffs.items()))

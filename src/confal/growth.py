@@ -120,7 +120,7 @@ def enumerate_span(alg, r: int, cap: int | None = None) -> MonomialSpan:
     seen = set()
 
     def add(entry):
-        if alg.is_zero(entry.elem):
+        if entry.elem.is_zero():
             return False
         key = terms_scalar_normalized_key(entry.elem.terms)
         if key in seen:
@@ -284,7 +284,7 @@ def difference_table(values, depth: int):
     return table
 
 
-def detect_degree(gamma, tail: int | None = None):
+def detect_degree(gamma):
     """Detected polynomial degree, 'exponential', or 'inconclusive'.
 
     Degree d iff the d-th finite differences stabilize to a nonzero constant
@@ -294,7 +294,7 @@ def detect_degree(gamma, tail: int | None = None):
     n = len(gamma)
     if n < 3:
         return "inconclusive"
-    window = tail if tail is not None else max(3, n // 4)
+    window = max(3, n // 4)
     for d, seq in enumerate(difference_table(gamma, n - 2)):
         if len(seq) < window:
             break

@@ -334,7 +334,7 @@ class Derivation:
                     )
         for a in probe:
             if not base.is_zero(a):
-                nilpotency_index(self, a, self.bound)
+                nilpotency_index(self, a)
 
 
 class ScaledDdx(Derivation):
@@ -354,18 +354,17 @@ class ScaledDdx(Derivation):
 class DdxPlusAd(Derivation):
     """d/dx + ad(r) on Mat_n(Q[x]) for a nilpotent r."""
 
-    def __init__(self, base, r: MatPoly, coeff=1, bound: int = NILPOTENCY_BOUND):
+    def __init__(self, base, r: MatPoly, bound: int = NILPOTENCY_BOUND):
         if not isinstance(base, MatPolyRing):
             raise TypeError("d/dx + ad(r) needs a matrix-polynomial base")
         if not (r ** base.n).is_zero():
             raise NotNilpotent(f"r is not nilpotent: r^{base.n} != 0")
         self.r = r
-        self.coeff = rat(coeff)
         self.label = f"d/d{base.var} + ad({r})"
         super().__init__(base, bound)
 
     def _apply(self, a):
-        return a.derive() * self.coeff + self.r * a - a * self.r
+        return a.derive() + self.r * a - a * self.r
 
 
 class ZeroDerivation(Derivation):
@@ -418,15 +417,15 @@ def ad_derivation(base: FinDim, r, bound: int = NILPOTENCY_BOUND) -> LinearActio
     return LinearAction(base, matrix, bound)
 
 
-def nilpotency_index(delta: Derivation, a, bound: int | None = None) -> int:
+def nilpotency_index(delta: Derivation, a) -> int:
     """Minimal m >= 1 with delta^m(a) = 0, for nonzero a.
 
-    Raises BoundExceeded if no such m within the bound.
+    Raises BoundExceeded if no such m within the derivation's bound.
     """
     base = delta.base
     if base.is_zero(a):
         raise ValueError("nilpotency index is defined for nonzero elements")
-    limit = bound if bound is not None else delta.bound
+    limit = delta.bound
     cur = delta(a)
     m = 1
     while not base.is_zero(cur):

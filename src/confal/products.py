@@ -1,10 +1,13 @@
 """The conformal-algebra core shared by the differential and presented models.
 
 An element is a finite combination sum_a q_a(d) a of basis symbols a with
-q_a in Q[d], stored as a dict basis symbol -> DOp (`Elem`).  `ConformalAlgebra`
-holds everything the two models share: the named generators, the linear
-interface, coordinates and formatting, the n-th product, locality degrees and
-the coefficient-level locality sums.  A model supplies only
+q_a in Q[d], stored as a dict basis symbol -> DOp (`Elem`).  Elements are the
+values one computes with: `+`, `-`, scalar `*`, `derive()`, `==` and
+`is_zero()` belong to `Elem` itself, and the coefficient-model values carry
+the same operators.  `ConformalAlgebra` holds everything the two models
+share: the named generators, coordinates and formatting, the n-th product,
+locality degrees and the coefficient-level locality sums.  A model supplies
+only
 
   * `_base_case(a, m, b)`: the order-m product of two pure symbols, as a
     terms dict;
@@ -129,10 +132,6 @@ def terms_scalar_normalized_key(terms: dict):
     return tuple((k, (terms[k] * inv).key()) for k in sorted(terms))
 
 
-def terms_max_dop_degree(terms: dict) -> int:
-    return max((q.degree() for q in terms.values()), default=0)
-
-
 def terms_apply_dop(terms: dict, q: DOp) -> dict:
     return terms_clean({k: p * q for k, p in terms.items()})
 
@@ -150,7 +149,7 @@ class Elem:
         return not self.terms
 
     def max_dop_degree(self) -> int:
-        return terms_max_dop_degree(self.terms)
+        return max((q.degree() for q in self.terms.values()), default=0)
 
     def key(self):
         return terms_key(self.terms)
@@ -222,31 +221,12 @@ class ConformalAlgebra:
     def zero_elem(self) -> Elem:
         return Elem(self, {})
 
-    def from_terms(self, terms: dict) -> Elem:
-        return Elem(self, terms)
-
-    # -- linear interface ----------------------------------------------------------
-
-    def add(self, u: Elem, v: Elem) -> Elem:
-        return u + v
-
-    def sub(self, u: Elem, v: Elem) -> Elem:
-        return u - v
-
-    def scale(self, u: Elem, c) -> Elem:
-        return u * rat(c)
-
-    def derive_elem(self, u: Elem) -> Elem:
-        return u.derive()
-
     def apply_dop_power(self, u: Elem, p: int) -> Elem:
         return u.apply_dop(DOp.d(p)) if p else u
 
+    # benchmarks/workloads.py calls this on the algebra rather than on the element
     def is_zero(self, u: Elem) -> bool:
         return u.is_zero()
-
-    def eq(self, u: Elem, v: Elem) -> bool:
-        return u == v
 
     def coordinates(self, u: Elem) -> dict:
         """Flatten to {(basis_key, d_power): c}, each c an int or Fraction."""
@@ -285,9 +265,6 @@ class ConformalAlgebra:
 
     # -- the coefficient model ------------------------------------------------------------
 
-    def model_is_zero(self, m) -> bool:
-        return m.is_zero()
-
     def locality_coeff_sum(self, u: Elem, v: Elem, n: int, l: int, m: int):
         """sum_j (-1)^j C(n, j) u(l-j) v(m+j), the order-n locality combination.
 
@@ -303,7 +280,3 @@ class ConformalAlgebra:
                 c = -c
             acc = acc + self.model_mul(self.phi(u, l - j), self.phi(v, m + j)).scale(c)
         return acc
-
-
-def nth_product(u: Elem, v: Elem, n: int) -> Elem:
-    return u.alg.nth(u, v, n)

@@ -92,7 +92,7 @@ def find_identity(alg):
     e = alg.zero_elem()
     for c, (_, g) in zip(sol, gens):
         if c != 0:
-            e = alg.add(e, alg.scale(g, c))
+            e = e + g * c
     return e
 
 
@@ -106,19 +106,19 @@ def peel_components(alg, f, e):
     comps = []
     rest = f
     prev_top = None
-    while not alg.is_zero(rest):
+    while not rest.is_zero():
         top = alg.locality(rest, e)
         if top is ALL_ZERO or (prev_top is not None and top >= prev_top):
             raise NotUnital(
                 "peeling against the identity candidate does not terminate; "
                 "it is not a conformal identity"
             )
-        comp = alg.scale(alg.nth(rest, e, top), ratio(1, math.factorial(top)))
+        comp = alg.nth(rest, e, top) * ratio(1, math.factorial(top))
         comps.append((top, comp))
         step = alg.apply_dop_power(comp, top)
         if top % 2:
-            step = alg.scale(step, -1)
-        rest = alg.sub(rest, step)
+            step = -step
+        rest = rest - step
         prev_top = top
     return comps
 
@@ -145,17 +145,17 @@ def coefficient_fit_degree(alg, f) -> int:
     return best
 
 
-def iterated_derivation_check(alg, e, n_max: int = 3):
-    """(-e (1) .)^n == (-1)^n e (n) .  on the declared generators."""
+def iterated_derivation_check(alg, e):
+    """(-e (1) .)^n == (-1)^n e (n) .  on the declared generators, for n = 1, 2, 3."""
     failures = []
     for name, g in alg.generator_items():
         cur = g
-        for n in range(1, n_max + 1):
-            cur = alg.scale(alg.nth(e, cur, 1), -1)
+        for n in range(1, 4):
+            cur = -alg.nth(e, cur, 1)
             rhs = alg.nth(e, g, n)
             if n % 2:
-                rhs = alg.scale(rhs, -1)
-            if not alg.eq(cur, rhs):
+                rhs = -rhs
+            if cur != rhs:
                 failures.append(f"iterated-derivation law fails on {name} at n={n}")
                 break
     return failures
@@ -336,7 +336,7 @@ def recognize_unital(
     for name, g in alg.generator_items():
         components[name] = peel_components(alg, g, e)
         c = canonical_rep(alg, g)
-        if alg.is_zero(c):
+        if c.is_zero():
             log.append(f"generator {name} has a trivial class (pure d-image)")
             generator_classes[name] = {}
             continue
@@ -349,7 +349,7 @@ def recognize_unital(
         for i in range(len(reps)):
             if i in delta:
                 continue
-            img = canonical_rep(alg, alg.scale(alg.nth(e, reps[i], 1), -1))
+            img = canonical_rep(alg, -alg.nth(e, reps[i], 1))
             vec = class_coords(alg, img)
             expr = space.express(vec)
             if expr is None:
@@ -388,7 +388,7 @@ def recognize_unital(
     failures: list = []
     fit_ok = True
     for name, g in alg.generator_items():
-        if alg.is_zero(g):
+        if g.is_zero():
             continue
         top = g.max_dop_degree()
         fitted = coefficient_fit_degree(alg, g)
@@ -541,7 +541,7 @@ def transport_identity(base: FinDim, r, name: str | None = None) -> TransportRes
     e = alg.zero_elem()
     for k in range(m):
         term = alg.apply_dop_power(alg.primitive(powers[k]), k)
-        e = alg.add(e, alg.scale(term, ratio(1, math.factorial(k))))
+        e = e + term * ratio(1, math.factorial(k))
     rep = identity_report(alg, e)
     if not rep.ok:
         raise ConfalError(
@@ -613,18 +613,6 @@ def _detect_unit(base, space: RowSpace, basis):
     return False, None
 
 
-def _named_elements(base, generators):
-    if generators is None:
-        return list(base.ring_generators())
-    out = []
-    for k, g in enumerate(generators):
-        if isinstance(g, tuple):
-            out.append(g)
-        else:
-            out.append((f"g{k + 1}", g))
-    return out
-
-
 SATURATION_CAP = 4096  # basis cap of the saturation loops
 
 
@@ -685,9 +673,10 @@ def delta_stable_closure(
 
     Multiplication is applied on both sides, so within the degree filtration
     the result spans the delta-stable two-sided ideal generated by the seeds
-    relative to the given generators (ring generators by default).
+    relative to the given (name, element) generator pairs (the ring
+    generators by default).
     """
-    gens = _named_elements(base, generators)
+    gens = list(base.ring_generators()) if generators is None else generators
 
     def moves(u, basis):
         yield delta(u), "derivative"

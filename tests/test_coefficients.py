@@ -23,8 +23,8 @@ ALGEBRAS = [WEYL, CUR2, CUR2P]
 def _elements(alg):
     """The generators plus d-power combinations, so the normal form sees p > 0."""
     gens = [g for _, g in alg.generator_items()]
-    mixed = alg.add(alg.apply_dop_power(gens[0], 2), alg.scale(alg.derive_elem(gens[-1]), 3))
-    return gens + [mixed, alg.add(gens[-1], alg.apply_dop_power(gens[0], 1))]
+    mixed = alg.apply_dop_power(gens[0], 2) + gens[-1].derive() * 3
+    return gens + [mixed, gens[-1] + alg.apply_dop_power(gens[0], 1)]
 
 
 # -- second route: coefficients built one basis element at a time -----------------------------
@@ -53,7 +53,7 @@ def test_coefficient_matches_reference(alg):
 
 def test_presented_phi_normal_form():
     u11 = CUR2P.generator("u11")
-    u = CUR2P.add(CUR2P.apply_dop_power(u11, 2), CUR2P.generator("u12"))
+    u = CUR2P.apply_dop_power(u11, 2) + CUR2P.generator("u12")
     # d^2 u11 at k: k(k-1) (u11, k-2); u12 at k: (u12, k)
     assert CUR2P.phi(u, 3).coords == {(0, 1): 6, (1, 3): 1}
     assert CUR2P.phi(u, 1).coords == {(1, 1): 1}

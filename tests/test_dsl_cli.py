@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import pathlib
 import subprocess
 import sys
@@ -182,11 +183,8 @@ def test_parse_element_forms():
         ((1, 1, 0), 0): 1,
         ((0, 1, 0), 1): -1,
     }
-    assert alg.eq(parse_element(alg, "d^2 u12"), alg.apply_dop_power(alg.generator("u12"), 2))
-    assert alg.eq(
-        parse_element(alg, "1/2 * u21 + (u11 - u11)"),
-        alg.scale(alg.generator("u21"), Fraction(1, 2)),
-    )
+    assert parse_element(alg, "d^2 u12") == alg.apply_dop_power(alg.generator("u12"), 2)
+    assert parse_element(alg, "1/2 * u21 + (u11 - u11)") == alg.generator("u21") * Fraction(1, 2)
     with pytest.raises(ParseError):
         parse_element(alg, "nosuch + u11")
     with pytest.raises(ParseError):
@@ -202,10 +200,9 @@ def test_product_rhs_is_the_element_grammar():
     assert {(l, n, r): terms for l, n, r, terms in zero.products}[("a", 1, "b")] == ()
     toy = build_all(PRESENTED_SRC)["toy"]
     a, b = toy.generator("a"), toy.generator("b")
-    assert toy.eq(parse_element(toy, "2 (b - 1/6 d(a))"),
-                  toy.sub(toy.scale(b, 2), toy.scale(toy.derive_elem(a), Fraction(1, 3))))
-    assert toy.is_zero(parse_element(toy, "0"))
-    assert toy.is_zero(parse_element(toy, "-(0) + d(0)"))
+    assert parse_element(toy, "2 (b - 1/6 d(a))") == b * 2 - a.derive() * Fraction(1, 3)
+    assert parse_element(toy, "0").is_zero()
+    assert parse_element(toy, "-(0) + d(0)").is_zero()
     with pytest.raises(ParseError) as err:
         parse_element(toy, "a + d^2 nosuch")
     assert err.value.col == 9 and "unknown generator 'nosuch'" in str(err.value)
@@ -215,7 +212,7 @@ def test_exponent_cap():
     weyl = load_path(WEYL_FILE)["weyl"]
     e = weyl.generator("e")
     at_cap = parse_element(weyl, f"d^{MAX_EXPONENT}(e)")
-    assert weyl.eq(at_cap, weyl.apply_dop_power(e, MAX_EXPONENT))
+    assert at_cap == weyl.apply_dop_power(e, MAX_EXPONENT)
     for text, col in [(f"d^{MAX_EXPONENT + 1}(e)", 3), ("d^200 (e + d^57 e)", 3),
                       ("d^100(d^100(d^57 e))", 3)]:
         with pytest.raises(ParseError) as err:
@@ -419,11 +416,59 @@ def test_cli_exponent_cap_exits_2(argv):
     assert "exponent cap" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", WEYL_FILE],
+    ["oracle", WEYL_FILE],
+    ["locality", WEYL_FILE],
+    ["identity", WEYL_FILE, "--element", "e"],
+    ["growth", WEYL_FILE],
+    ["coeff-growth", WEYL_FILE],
+    ["recognize", WEYL_FILE],
+    ["transport", CUREPS_FILE, "--r", "b2"],
+], ids=lambda a: a[0])
+def test_cli_seed_is_a_simplicity_flag_only(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+BAD_DERIVATIONS = {
+    # the README's dual-numbers example: d(b2) = b2 never vanishes
+    "matrix": ("base findim 2 table [1, 0, 0, 1, 0, 1, 0, 0];\n  deriv matrix [0, 0, 0, 1];",
+               "u = b2;", "derivation did not vanish on b2 within 64 iterations"),
+    "ad": ("base matpoly 2 x;\n  deriv d/dx + ad(E(1,1));", "u = E(1,2);",
+           "r is not nilpotent: r^2 != 0"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_DERIVATIONS))
+def test_bad_derivation_in_a_file_is_an_input_error(kind, tmp_path, capsys):
+    head, gen, message = BAD_DERIVATIONS[kind]
+    source = (f"algebra bad {{\n  kind differential;\n  {head}\n"
+              f"  generators {{\n    {gen}\n  }}\n}}\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_all(source)
+    path = tmp_path / "bad.confal"
+    path.write_text(source)
+    assert main(["locality", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_cli_transport_of_a_non_nilpotent_element_is_a_failed_check(capsys):
+    # the element, not the file, is at fault here: exit 1, not 2
+    assert main(["transport", CUREPS_FILE, "--r", "b1"]) == 1
+    assert capsys.readouterr().err.startswith("check failed: ")
+
+
 def test_cli_simplicity(capsys):
     cureps = str(INSTANCE_DIR / "cureps.confal")
     assert main(["simplicity", cureps, "--trials", "5"]) == 0
     out = capsys.readouterr().out
     assert "proper delta-stable ideal found" in out
+    assert main(["simplicity", cureps, "--trials", "5", "--seed", "1"]) == 0
+    assert "proper delta-stable ideal found" in capsys.readouterr().out
     presented = str(INSTANCE_DIR / "cur2_presented.confal")
     assert main(["simplicity", presented, "--trials", "5"]) == 2
     assert "differential instance" in capsys.readouterr().err

@@ -109,7 +109,7 @@ def test_span_entries_respect_order_bound():
     span = enumerate_span(WEYL, 4)
     assert span.order_bound == generator_order_bound(WEYL) == 1
     for entry in span.entries:
-        assert not WEYL.is_zero(entry.elem)
+        assert not entry.elem.is_zero()
         assert all(n <= span.order_bound for n in entry.orders)
         assert entry.length == len(entry.word)
 
@@ -122,7 +122,7 @@ def test_over_order_monomials_vanish():
     for _ in range(25):
         u, v = rng.choice(gens), rng.choice(gens)
         cur = WEYL.nth(u, v, rng.randint(bound + 1, bound + 3))
-        assert WEYL.is_zero(cur)
+        assert cur.is_zero()
 
 
 # -- rank computation ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def _full_layer_coeff_dims(alg, window, r_max):
     for _, g in alg.generator_items():
         for k in range(window[0], window[1] + 1):
             val = alg.phi(g, k)
-            if not alg.model_is_zero(val) and total.add(alg.model_coords(val), len(vees)):
+            if not val.is_zero() and total.add(alg.model_coords(val), len(vees)):
                 vees.append(val)
     dims, layer = [total.dim], vees
     for _ in range(2, r_max + 1):
@@ -240,7 +240,7 @@ def _full_layer_coeff_dims(alg, window, r_max):
         for a in layer:
             for b in vees:
                 p = alg.model_mul(a, b)
-                if alg.model_is_zero(p):
+                if p.is_zero():
                     continue
                 coords = alg.model_coords(p)
                 if layer_space.add(coords, len(nxt)):

@@ -46,7 +46,7 @@ CUR2 = cur_matrix(2)
 
 def test_find_identity_weyl():
     e = find_identity(WEYL)
-    assert WEYL.eq(e, WEYL.generator("e"))
+    assert e == WEYL.generator("e")
 
 
 def test_find_identity_not_unital():
@@ -64,24 +64,22 @@ def test_find_identity_not_unital():
 def test_peel_components_frozen():
     # G = L + d e peels to the layers [(1, -e), (0, L)]
     e, L = WEYL.generator("e"), WEYL.generator("L")
-    G = WEYL.add(L, WEYL.derive_elem(e))
+    G = L + e.derive()
     comps = peel_components(WEYL, G, e)
     assert [n for n, _ in comps] == [1, 0]
-    assert WEYL.eq(comps[0][1], WEYL.scale(e, -1))
-    assert WEYL.eq(comps[1][1], L)
+    assert comps[0][1] == -e
+    assert comps[1][1] == L
 
 
 def test_peel_reconstructs():
     e, L = WEYL.generator("e"), WEYL.generator("L")
-    f = WEYL.add(
-        WEYL.apply_dop_power(L, 2), WEYL.scale(WEYL.derive_elem(e), Fraction(1, 3))
-    )
+    f = WEYL.apply_dop_power(L, 2) + e.derive() * Fraction(1, 3)
     comps = peel_components(WEYL, f, e)
     rebuilt = WEYL.zero_elem()
     for n, c in comps:
         piece = WEYL.apply_dop_power(c, n)
-        rebuilt = WEYL.add(rebuilt, WEYL.scale(piece, (-1) ** n))
-    assert WEYL.eq(rebuilt, f)
+        rebuilt = rebuilt + piece * (-1) ** n
+    assert rebuilt == f
     # layer indices strictly decrease (the peeling loop variant)
     orders = [n for n, _ in comps]
     assert orders == sorted(orders, reverse=True) and len(set(orders)) == len(orders)
@@ -91,13 +89,13 @@ def test_peeled_pieces_are_normalized():
     # every peeled layer g satisfies g (0) e = g, and products of layers
     # stay normalized: (g (0) h) (0) e = g (0) h
     e, L = WEYL.generator("e"), WEYL.generator("L")
-    G = WEYL.add(L, WEYL.derive_elem(e))
+    G = L + e.derive()
     layers = [c for _, c in peel_components(WEYL, G, e)]
     for g in layers:
-        assert WEYL.eq(WEYL.nth(g, e, 0), g)
+        assert WEYL.nth(g, e, 0) == g
         for h in layers:
             gh = WEYL.nth(g, h, 0)
-            assert WEYL.eq(WEYL.nth(gh, e, 0), gh)
+            assert WEYL.nth(gh, e, 0) == gh
 
 
 def test_peel_requires_identity():
@@ -112,23 +110,22 @@ def test_peel_requires_identity():
 def test_coefficient_fit_degree():
     e, L = WEYL.generator("e"), WEYL.generator("L")
     assert coefficient_fit_degree(WEYL, e) == 0
-    assert coefficient_fit_degree(WEYL, WEYL.derive_elem(e)) == 1
-    two_layers = WEYL.add(L, WEYL.apply_dop_power(e, 2))
+    assert coefficient_fit_degree(WEYL, e.derive()) == 1
+    two_layers = L + WEYL.apply_dop_power(e, 2)
     assert coefficient_fit_degree(WEYL, two_layers) == 2
     assert two_layers.max_dop_degree() == 2
 
 
 def test_iterated_derivation_identity():
     assert iterated_derivation_check(WEYL, WEYL.generator("e")) == []
-    assert iterated_derivation_check(CUR2, CUR2.add(
-        CUR2.generator("u11"), CUR2.generator("u22"))) == []
+    assert iterated_derivation_check(CUR2, CUR2.generator("u11") + CUR2.generator("u22")) == []
 
 
 def test_canonical_rep_and_class():
     e, L = WEYL.generator("e"), WEYL.generator("L")
-    u = WEYL.add(L, WEYL.derive_elem(e))  # d-part must drop out of the class
+    u = L + e.derive()  # d-part must drop out of the class
     c = canonical_rep(WEYL, u)
-    assert WEYL.eq(c, L)
+    assert c == L
     assert class_coords(WEYL, u) == class_coords(WEYL, L)
 
 
@@ -189,12 +186,12 @@ def test_recognize_with_explicit_identity():
 def test_dtilde_matches_higher_products():
     # delta-tilde iterates: (-e (1) .)^n f = (-1)^n e (n) f for n <= 3
     e, L = WEYL.generator("e"), WEYL.generator("L")
-    for f in (L, WEYL.nth(L, L, 0), WEYL.derive_elem(L)):
+    for f in (L, WEYL.nth(L, L, 0), L.derive()):
         cur = f
         for n in range(1, 4):
-            cur = WEYL.scale(WEYL.nth(e, cur, 1), -1)
-            direct = WEYL.scale(WEYL.nth(e, f, n), (-1) ** n)
-            assert WEYL.eq(cur, direct), n
+            cur = -WEYL.nth(e, cur, 1)
+            direct = WEYL.nth(e, f, n) * (-1) ** n
+            assert cur == direct, n
 
 
 def test_mismatch_witness_message():
@@ -211,11 +208,8 @@ def test_transport_mat2_frozen():
     res = transport_identity(m2, r)
     assert res.nil_index == 2 and res.report.ok
     alg = res.algebra
-    want = alg.add(
-        alg.add(alg.generator("E(1,1)"), alg.generator("E(2,2)")),
-        alg.derive_elem(alg.generator("E(1,2)")),
-    )
-    assert alg.eq(res.identity, want)
+    want = alg.generator("E(1,1)") + alg.generator("E(2,2)") + alg.generator("E(1,2)").derive()
+    assert res.identity == want
 
 
 def test_transport_keeps_plain_identity():
@@ -226,7 +220,7 @@ def test_transport_keeps_plain_identity():
     r = m2.basis_element(m2.names.index("E(1,2)"))
     res = transport_identity(m2, r)
     alg = res.algebra
-    plain = alg.add(alg.generator("E(1,1)"), alg.generator("E(2,2)"))
+    plain = alg.generator("E(1,1)") + alg.generator("E(2,2)")
     assert identity_report(alg, plain).ok
     assert identity_report(alg, res.identity).ok
 
@@ -240,15 +234,10 @@ def test_transport_mat3_three_terms():
     res = transport_identity(m3, r)
     assert res.nil_index == 3
     alg = res.algebra
-    one = alg.add(
-        alg.add(alg.generator("E(1,1)"), alg.generator("E(2,2)")),
-        alg.generator("E(3,3)"),
-    )
-    mid = alg.derive_elem(alg.add(alg.generator("E(1,2)"), alg.generator("E(2,3)")))
-    top = alg.scale(
-        alg.apply_dop_power(alg.generator("E(1,3)"), 2), Fraction(1, 2)
-    )
-    assert alg.eq(res.identity, alg.add(alg.add(one, mid), top))
+    one = alg.generator("E(1,1)") + alg.generator("E(2,2)") + alg.generator("E(3,3)")
+    mid = (alg.generator("E(1,2)") + alg.generator("E(2,3)")).derive()
+    top = alg.apply_dop_power(alg.generator("E(1,3)"), 2) * Fraction(1, 2)
+    assert res.identity == one + mid + top
 
 
 def test_transport_rejects_non_nilpotent():
