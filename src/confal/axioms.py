@@ -43,23 +43,23 @@ def conformal_axioms_report(alg, pairs) -> CheckReport:
 
     (d u)(n) v = -n * u(n-1) v with (d u)(0) v = 0, and the Leibniz law
     d(u (n) v) = (d u)(n) v + u (n) (d v), both checked exactly as elements
-    for n up to the pair's scan bound.
+    for n up to the pair's scan bound.  Each order forms (d u)(n) v, u (n) v
+    and u (n) (d v) once; u (n) v is kept as the next order's u (n-1) v.
     """
     rep = CheckReport("conformal-axioms")
     for label, (u, v) in pairs:
         top = alg.locality_scan_bound(u, v) + 1
+        du, dv = u.derive(), v.derive()
+        prev = alg.zero_elem()  # u (n-1) v; the law reads 0 at n = 0
         for n in range(top + 1):
-            du = u.derive()
-            lhs = alg.nth(du, v, n)
-            rhs = alg.nth(u, v, n - 1) * -n if n > 0 else alg.zero_elem()
+            du_v = alg.nth(du, v, n)
             rep.checked += 1
-            if lhs != rhs:
+            if du_v != prev * -n:
                 rep.fail(f"(d u)({n}) v != -n u({n - 1}) v at pair {label}")
                 return rep
-            left = alg.nth(u, v, n).derive()
-            right = alg.nth(du, v, n) + alg.nth(u, v.derive(), n)
+            prev = alg.nth(u, v, n)
             rep.checked += 1
-            if left != right:
+            if prev.derive() != du_v + alg.nth(u, dv, n):
                 rep.fail(f"d(u ({n}) v) != (d u)({n}) v + u ({n}) (d v) at pair {label}")
                 return rep
     return rep

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exact_arith import DOp
-from .ore_skew import BaseAlgebra, Derivation, OreRing, SkewLaurent, nilpotency_index
+from .ore_skew import BaseAlgebra, Derivation, OreRing, SkewLaurent
 from .products import ALL_ZERO, ConformalAlgebra, Elem, terms_normal_form
 
 ConfElem = Elem  # the public name of the shared element class
@@ -46,7 +46,7 @@ class DifferentialAlgebra(ConformalAlgebra):
         self.base = base
         self.delta = delta
         self.ore = OreRing(base, delta)
-        self._delta_pow_cache: dict = {}
+        self._orbits: dict = {}  # basis key -> delta.orbit of that basis element
         gens = {}
         for gname, val in (generators or {}).items():
             if isinstance(val, Elem):
@@ -67,21 +67,18 @@ class DifferentialAlgebra(ConformalAlgebra):
 
     # -- products --------------------------------------------------------------
 
-    def _delta_pow(self, bkey, m: int):
-        """delta^m applied to the basis element with key bkey (cached)."""
-        if m == 0:
-            return self.base.basis_element(bkey)
-        cached = self._delta_pow_cache.get((bkey, m))
-        if cached is None:
-            cached = self.delta(self._delta_pow(bkey, m - 1))
-            self._delta_pow_cache[(bkey, m)] = cached
-        return cached
+    def _orbit(self, bkey) -> list:
+        """The nonzero iterates of delta on the basis element with key bkey (cached)."""
+        orbit = self._orbits.get(bkey)
+        if orbit is None:
+            orbit = self._orbits[bkey] = self.delta.orbit(self.base.basis_element(bkey))
+        return orbit
 
     def _base_case(self, akey, m: int, bkey) -> dict:
-        db = self._delta_pow(bkey, m)
-        if self.base.is_zero(db):
+        orbit = self._orbit(bkey)
+        if m >= len(orbit):
             return {}
-        prod = self.base.mul(self.base.basis_element(akey), db)
+        prod = self.base.mul(self.base.basis_element(akey), orbit[m])
         sign = -1 if m % 2 else 1
         return {key: DOp.const(sign * c) for key, c in self.base.decompose(prod).items()}
 
@@ -103,11 +100,7 @@ class DifferentialAlgebra(ConformalAlgebra):
 
     def support_nilpotency(self, u: Elem) -> int:
         """Max nilpotency index of delta over u's basis support (0 for u = 0)."""
-        out = 0
-        for key in u.terms:
-            a = self.base.basis_element(key)
-            out = max(out, nilpotency_index(self.delta, a))
-        return out
+        return max((len(self._orbit(key)) for key in u.terms), default=0)
 
     def locality_scan_bound(self, u: Elem, v: Elem) -> int:
         """Provable bound: products of u and v vanish above this order."""

@@ -408,10 +408,13 @@ class GrowthReport:
 def growth_table(alg, r_max: int, cap: int | None = None) -> GrowthReport:
     """gamma(1..r_max), extending only the words that raised the rank.
 
-    If q(d) w = sum p_i(d) b_i over kept words b_i, q != 0, then
-    q(-l) w_l g = sum p_i(-l) (b_i)_l g; division by q(-l) is Q-linear and
-    N(a (m) b, c) <= N(b, c) (assuming associativity, as the order bound
-    does), so every w (n) g lies in the Q-span of the formed (b_i) (m) g.
+    Read l as the formal lambda of the lambda-bracket, not as an order.  If
+    q(d) w = sum p_i(d) b_i over kept words b_i, q != 0, then, since
+    (q(d) w)_l g = q(-l) w_l g, q(-l) w_l g = sum p_i(-l) (b_i)_l g; division
+    by q(-l) is Q-linear on polynomials in l and N(a (m) b, c) <= N(b, c)
+    (assuming associativity, as the order bound does), so every w (n) g lies
+    in the Q-span of the formed (b_i) (m) g.  At a fixed order l,
+    (q(d) w) (l) g is not q(-l) (w (l) g).
     """
     if r_max < 1:
         raise ValueError("the word-length bound r_max must be at least 1")

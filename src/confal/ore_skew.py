@@ -11,6 +11,10 @@ sum is finite because delta is locally nilpotent.  At n = 1 the rule reads
 b*t - t*b = delta(b).  This orientation is fixed here once and inherited by
 every other module.
 
+`Derivation.orbit` (b, delta(b), delta^2(b), ...) is the one iteration of delta,
+behind the rule above, the nilpotency index and the conformal products.  Its
+cap, NILPOTENCY_BOUND, is read at call time.
+
 Three coefficient-algebra variants are provided: Q[x], Mat_n(Q[x]), and a
 finite-dimensional algebra given by structure constants over a distinguished
 basis.  Derivations verify the Leibniz rule and local nilpotency on the ring
@@ -25,7 +29,7 @@ from .errors import BoundExceeded, NotNilpotent
 from .exact_arith import MatPoly, Poly, gen_binom, rat, signed_sum
 from .linalg import dense_solve
 
-NILPOTENCY_BOUND = 64  # default cap on derivation iteration
+NILPOTENCY_BOUND = 64  # cap on nonzero iterates in Derivation.orbit, read at call time
 
 
 class BaseAlgebra:
@@ -292,14 +296,12 @@ class Derivation:
 
     Construction verifies, exactly, the Leibniz rule on all pairs drawn from
     the ring generators and their pairwise products, and local nilpotency of
-    delta on that same set within the iteration bound.
+    delta on that same set.  `orbit` is the only iteration of delta; it is
+    capped by NILPOTENCY_BOUND, read at call time.
     """
 
-    label = "delta"
-
-    def __init__(self, base: BaseAlgebra, bound: int = NILPOTENCY_BOUND):
+    def __init__(self, base: BaseAlgebra):
         self.base = base
-        self.bound = bound
         self._verify()
 
     def _apply(self, a):
@@ -309,6 +311,25 @@ class Derivation:
         return self._apply(a)
 
     __call__ = apply
+
+    def orbit(self, a, length: int | None = None) -> list:
+        """The nonzero iterates a, delta(a), delta^2(a), ..., at most `length` of them.
+
+        Raises BoundExceeded once more than NILPOTENCY_BOUND iterates are nonzero.
+        """
+        base = self.base
+        out = []
+        while not base.is_zero(a) and (length is None or len(out) < length):
+            if len(out) == NILPOTENCY_BOUND:
+                raise BoundExceeded(
+                    f"derivation did not vanish on {base.format(out[0])} "
+                    f"within {NILPOTENCY_BOUND} iterations",
+                    element=out[0],
+                    bound=NILPOTENCY_BOUND,
+                )
+            out.append(a)
+            a = self(a)
+        return out
 
     def _probe_set(self):
         base = self.base
@@ -333,19 +354,17 @@ class Derivation:
                         f"Leibniz rule fails on ({base.format(a)}, {base.format(b)})"
                     )
         for a in probe:
-            if not base.is_zero(a):
-                nilpotency_index(self, a)
+            self.orbit(a)  # raises BoundExceeded past the cap
 
 
 class ScaledDdx(Derivation):
     """c * d/dx, entrywise on matrix algebras."""
 
-    def __init__(self, base, coeff=1, bound: int = NILPOTENCY_BOUND):
+    def __init__(self, base, coeff=1):
         if not isinstance(base, (PolyRing, MatPolyRing)):
             raise TypeError("d/dx needs a polynomial or matrix-polynomial base")
         self.coeff = rat(coeff)
-        self.label = f"{self.coeff}*d/d{base.var}" if self.coeff != 1 else f"d/d{base.var}"
-        super().__init__(base, bound)
+        super().__init__(base)
 
     def _apply(self, a):
         return a.derive() * self.coeff
@@ -354,22 +373,19 @@ class ScaledDdx(Derivation):
 class DdxPlusAd(Derivation):
     """d/dx + ad(r) on Mat_n(Q[x]) for a nilpotent r."""
 
-    def __init__(self, base, r: MatPoly, bound: int = NILPOTENCY_BOUND):
+    def __init__(self, base, r: MatPoly):
         if not isinstance(base, MatPolyRing):
             raise TypeError("d/dx + ad(r) needs a matrix-polynomial base")
         if not (r ** base.n).is_zero():
             raise NotNilpotent(f"r is not nilpotent: r^{base.n} != 0")
         self.r = r
-        self.label = f"d/d{base.var} + ad({r})"
-        super().__init__(base, bound)
+        super().__init__(base)
 
     def _apply(self, a):
         return a.derive() + self.r * a - a * self.r
 
 
 class ZeroDerivation(Derivation):
-    label = "0"
-
     def _apply(self, a):
         return self.base.zero()
 
@@ -383,15 +399,14 @@ class LinearAction(Derivation):
     matrix[i][j] is the coefficient of b_i in delta(b_j) (columns are images).
     """
 
-    def __init__(self, base: FinDim, matrix, bound: int = NILPOTENCY_BOUND):
+    def __init__(self, base: FinDim, matrix):
         if not isinstance(base, FinDim):
             raise TypeError("an explicit action matrix needs a FinDim base")
         d = base.dim
         self.matrix = tuple(tuple(rat(c) for c in row) for row in matrix)
         if len(self.matrix) != d or any(len(r) != d for r in self.matrix):
             raise ValueError("action matrix must be d x d")
-        self.label = "matrix action"
-        super().__init__(base, bound)
+        super().__init__(base)
 
     def _apply(self, a):
         d = self.base.dim
@@ -406,7 +421,7 @@ class LinearAction(Derivation):
         return tuple(out)
 
 
-def ad_derivation(base: FinDim, r, bound: int = NILPOTENCY_BOUND) -> LinearAction:
+def ad_derivation(base: FinDim, r) -> LinearAction:
     """ad(r) = [r, -] on a FinDim algebra, built as an explicit action matrix."""
     d = base.dim
     cols = []
@@ -414,30 +429,14 @@ def ad_derivation(base: FinDim, r, bound: int = NILPOTENCY_BOUND) -> LinearActio
         img = base.sub(base.mul(r, base.basis_element(j)), base.mul(base.basis_element(j), r))
         cols.append(img)
     matrix = [[cols[j][i] for j in range(d)] for i in range(d)]
-    return LinearAction(base, matrix, bound)
+    return LinearAction(base, matrix)
 
 
 def nilpotency_index(delta: Derivation, a) -> int:
-    """Minimal m >= 1 with delta^m(a) = 0, for nonzero a.
-
-    Raises BoundExceeded if no such m within the derivation's bound.
-    """
-    base = delta.base
-    if base.is_zero(a):
+    """Minimal m >= 1 with delta^m(a) = 0, for nonzero a: the length of its orbit."""
+    if delta.base.is_zero(a):
         raise ValueError("nilpotency index is defined for nonzero elements")
-    limit = delta.bound
-    cur = delta(a)
-    m = 1
-    while not base.is_zero(cur):
-        m += 1
-        if m > limit:
-            raise BoundExceeded(
-                f"derivation did not vanish on {base.format(a)} within {limit} iterations",
-                element=a,
-                bound=limit,
-            )
-        cur = delta(cur)
-    return m
+    return len(delta.orbit(a))
 
 
 class OreRing:
@@ -469,23 +468,11 @@ class OreRing:
         """t^n * b as a list of (exponent, coefficient) pairs in normal form."""
         base = self.base
         out = []
-        cur = b
-        i = 0
-        while not base.is_zero(cur):
-            if n >= 0 and i > n:
-                break  # C(n, i) = 0 from here on for nonnegative n
+        # C(n, i) = 0 for i > n >= 0, so a nonnegative n reads only n + 1 iterates
+        for i, cur in enumerate(self.delta.orbit(b, n + 1 if n >= 0 else None)):
             c = gen_binom(n, i)
-            if c != 0:
-                sign = -c if i % 2 else c
-                out.append((n - i, cur if sign == 1 else base.scale(cur, sign)))
-            i += 1
-            if i > self.delta.bound:
-                raise BoundExceeded(
-                    "derivation iteration exceeded the bound while normalizing t^n * b",
-                    element=b,
-                    bound=self.delta.bound,
-                )
-            cur = self.delta(cur)
+            sign = -c if i % 2 else c
+            out.append((n - i, cur if sign == 1 else base.scale(cur, sign)))
         return out
 
 

@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 
 from confal import (
     ALL_ZERO,
+    BoundExceeded,
     DOp,
     DifferentialAlgebra,
+    OreRing,
     Poly,
     PolyRing,
     ScaledDdx,
+    conformal_axioms_report,
     cur_matrix,
     cur_matrix_presented,
     dong_check,
+    nilpotency_index,
+    ore_skew,
     weyl_algebra,
 )
 
@@ -207,3 +212,68 @@ def test_one_element_class_for_both_models():
 
     assert confal.ConfElem is confal.PresElem
     assert type(WEYL.zero_elem()) is type(cur_matrix_presented(2).zero_elem())
+
+
+# -- the delta-orbit: one iteration, one cap, one walk per basis key ---------------------------
+
+
+def test_high_order_product_is_zero_without_recursion():
+    alg = weyl_algebra()
+    L = alg.generator("L")
+    assert alg.nth(L, L, 1100).is_zero()
+
+
+def test_one_nilpotency_cap(monkeypatch):
+    base = PolyRing("x")
+    delta = ScaledDdx(base)  # built under the default cap; the cap is read at call time
+    x3 = Poly.monomial(3)
+    ring = OreRing(base, delta)
+    alg = DifferentialAlgebra(base, delta, {"g": x3})
+    g = alg.generator("g")
+    monkeypatch.setattr(ore_skew, "NILPOTENCY_BOUND", 3)
+    messages = []
+    for attempt in (
+        lambda: nilpotency_index(delta, x3),
+        lambda: ring.t(-1) * ring.embed(x3),
+        lambda: alg.nth(g, g, 0),
+    ):
+        with pytest.raises(BoundExceeded) as err:
+            attempt()
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1, messages
+
+
+class CountingDdx(ScaledDdx):
+    applied = 0
+
+    def _apply(self, a):
+        self.applied += 1
+        return super()._apply(a)
+
+
+def test_locality_walks_each_orbit_once():
+    base = PolyRing("x")
+    delta = CountingDdx(base)
+    alg = DifferentialAlgebra(base, delta, {"e": Poly.one(), "L": Poly.monomial(3)})
+    e, L = alg.generator("e"), alg.generator("L")
+    u, v = L + e.derive(), L.derive() + e
+    delta.applied = 0
+    first = alg.locality(u, v)
+    once = delta.applied
+    assert once > 0
+    assert alg.locality(u, v) == first
+    assert delta.applied == once
+
+
+def test_axioms_report_forms_each_product_once(monkeypatch):
+    alg = weyl_algebra()
+    L = alg.generator("L")
+    u = alg.apply_dop_power(L, 3)
+    calls = []
+    nth = alg.nth
+    monkeypatch.setattr(alg, "nth", lambda a, b, n: calls.append(n) or nth(a, b, n))
+    rep = conformal_axioms_report(alg, [("(d^3 L, L)", (u, L))])
+    assert rep.ok
+    scan = alg.locality_scan_bound(u, L)
+    assert rep.checked == 2 * (scan + 2)
+    assert len(calls) == 3 * (scan + 2)

@@ -356,6 +356,16 @@ def test_cli_resource_bound(monkeypatch):
     assert main(["growth", WEYL_FILE, "--rmax", "8"]) == 3
 
 
+def test_cli_delta_orbit_past_the_cap_exits_3(tmp_path, capsys):
+    # d/dx does not kill x^70 within 64 iterations; the first n-th product says so
+    path = tmp_path / "long_orbit.confal"
+    path.write_text(
+        "algebra long { kind differential; base poly x; deriv d/dx; generators { g = x^70; } }"
+    )
+    assert main(["oracle", str(path)]) == 3
+    assert "did not vanish on x^70 within 64 iterations" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cap", ["-5", "0"])
 def test_cli_nonpositive_monomial_cap_is_bad_input(monkeypatch, capsys, cap):
     monkeypatch.setenv("CONFAL_MAX_MONOMIALS", cap)

@@ -24,6 +24,7 @@ from confal import (
     nilpotency_index,
     weyl_instance,
 )
+from confal import ore_skew
 from confal.ore_skew import BaseAlgebra
 
 
@@ -168,7 +169,7 @@ def test_nilpotency_index_frozen_anchor():
     assert nilpotency_index(delta, e21) == 3
 
 
-def test_nilpotency_bound_exceeded():
+def test_nilpotency_bound_exceeded(monkeypatch):
     base = PolyRing("x")
     delta = ZeroDerivation(base)
     ring = OreRing(base, delta)
@@ -177,10 +178,11 @@ def test_nilpotency_bound_exceeded():
     assert ring.t(-1) * ring.embed(Poly.variable("x")) == ring.monomial(
         Poly.variable("x"), -1
     )
-    # Simulate a genuine bound hit with a tight iteration limit: the limit 3
+    # Simulate a genuine bound hit with a tight iteration cap: the cap 3
     # passes construction (generator products need <= 3 iterations) but
     # normalizing t^-1 * x^3 needs a fourth.
-    tight = ScaledDdx(PolyRing("x"), bound=3)
+    monkeypatch.setattr(ore_skew, "NILPOTENCY_BOUND", 3)
+    tight = ScaledDdx(PolyRing("x"))
     ring2 = OreRing(tight.base, tight)
     with pytest.raises(BoundExceeded):
         ring2.t(-1) * ring2.embed(Poly.monomial(3))
