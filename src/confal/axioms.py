@@ -73,6 +73,14 @@ def associativity_report(alg, max_m: int, max_n: int, triples=None) -> CheckRepo
 
     Both sums run over 0 <= j <= m.  The report verifies each form and that
     the two computed values of the full product agree.
+
+    Each triple keeps four memos, dropped when the triple is done: v (k) w,
+    u (j) v, u (i) (v (k) w) and (u (j) v) (k) w, each formed on first use.
+    The left form's right-hand side reuses the right form's left-hand side
+    and the other way round.  With M = max_m and N = max_n a triple forms
+    (M + N + 1) + (M + 1) + 2 (M + 1) (N + 1) + M (M + 1) n-th products
+    (fewer if it fails early): 32 at (2, 2), against 108 for the sums as
+    written.
     """
     if max_m < 0 or max_n < 0:
         raise ValueError("associativity orders must be nonnegative")
@@ -85,29 +93,46 @@ def associativity_report(alg, max_m: int, max_n: int, triples=None) -> CheckRepo
             for b, ub in gens
             for c, uc in gens
         ]
+    nth = alg.nth
     for label, (u, v, w) in triples:
+        vw: dict = {}  # k -> v (k) w
+        uv: dict = {}  # j -> u (j) v
+        u_vw: dict = {}  # (i, k) -> u (i) (v (k) w)
+        uv_w: dict = {}  # (j, k) -> (u (j) v) (k) w
+
+        def u_of_vw(i, k):
+            got = u_vw.get((i, k))
+            if got is None:
+                x = vw.get(k)
+                if x is None:
+                    x = vw[k] = nth(v, w, k)
+                got = u_vw[(i, k)] = nth(u, x, i)
+            return got
+
+        def uv_of_w(j, k):
+            got = uv_w.get((j, k))
+            if got is None:
+                x = uv.get(j)
+                if x is None:
+                    x = uv[j] = nth(u, v, j)
+                got = uv_w[(j, k)] = nth(x, w, k)
+            return got
+
         for m in range(max_m + 1):
             for n in range(max_n + 1):
-                left_lhs = alg.nth(u, alg.nth(v, w, n), m)
+                left_lhs = u_of_vw(m, n)
                 left_rhs = alg.zero_elem()
                 for j in range(m + 1):
-                    c = gen_binom(m, j)
-                    if c == 0:
-                        continue
-                    left_rhs = left_rhs + alg.nth(alg.nth(u, v, j), w, m + n - j) * c
+                    left_rhs = left_rhs + uv_of_w(j, m + n - j) * gen_binom(m, j)
                 rep.checked += 1
                 if left_lhs != left_rhs:
                     rep.fail(f"left-expansion failure at {label}, m={m}, n={n}")
                     return rep
-                right_lhs = alg.nth(alg.nth(u, v, m), w, n)
+                right_lhs = uv_of_w(m, n)
                 right_rhs = alg.zero_elem()
                 for j in range(m + 1):
                     c = gen_binom(m, j)
-                    if j % 2:
-                        c = -c
-                    if c == 0:
-                        continue
-                    right_rhs = right_rhs + alg.nth(u, alg.nth(v, w, n + j), m - j) * c
+                    right_rhs = right_rhs + u_of_vw(m - j, n + j) * (-c if j % 2 else c)
                 rep.checked += 1
                 if right_lhs != right_rhs:
                     rep.fail(f"right-expansion failure at {label}, m={m}, n={n}")
@@ -130,6 +155,8 @@ def coefficient_locality_report(alg, window: int, extra_orders: int = 3) -> Chec
     """
     if window < 0:
         raise ValueError("the coefficient window must be nonnegative")
+    if extra_orders < 0:
+        raise ValueError("the extra locality orders must be nonnegative")
     rep = CheckReport("coefficient-locality")
     gens = alg.generator_items()
     for aname, u in gens:

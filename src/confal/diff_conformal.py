@@ -162,6 +162,8 @@ def dong_check(u, v, w, max_order: int) -> DongReport:
     Works for any algebra exposing nth/locality/locality_scan_bound; the
     locality degrees of the pairs and of each product with w are recorded.
     """
+    if max_order < 0:
+        raise ValueError("the mutual-locality order bound must be nonnegative")
     alg = u.alg
     rep = DongReport(ok=True, max_order=max_order)
     for label, (a, b) in (("u,v", (u, v)), ("v,w", (v, w)), ("u,w", (u, w))):

@@ -149,6 +149,10 @@ class CoeffElem:
             return NotImplemented
         return self.alg is other.alg and self.coords == other.coords
 
+    def __hash__(self):
+        # equal coordinate maps hash alike: 3 == Fraction(3) and both hash as 3
+        return hash(frozenset(self.coords.items()))
+
     def __repr__(self):
         gens = self.alg.table.gens
         return signed_sum((c, f"({gens[i]},{k})") for (i, k), c in sorted(self.coords.items()))
@@ -201,7 +205,18 @@ def coeff_mul(x: CoeffElem, y: CoeffElem) -> CoeffElem:
 
 
 def coeff_assoc_check(alg_or_table, window: int = 3) -> CheckReport:
-    """Associativity of the coefficient product on all symbol triples |k| <= window."""
+    """Associativity of the coefficient product on all symbol triples |k| <= window.
+
+    With n symbols, each triple (a, b, c) compares (a b) c with a (b c), but
+    both sides range over few values: a b is the pair-table entry, and every
+    distinct pair value x gets an id.  x c and a x are formed once for each
+    distinct x and each symbol, so the call makes n^2 + 2 D n `coeff_mul`
+    calls, D the number of distinct pair values, where the triple loop alone
+    would make 2 n^3.  The ids key on the canonical coordinates, so two ids
+    agree exactly when the values are equal.
+    """
+    if window < 0:
+        raise ValueError("the coefficient window must be nonnegative")
     alg = _as_algebra(alg_or_table)
     rep = CheckReport("coefficient-associativity")
     symbols = [
@@ -214,16 +229,21 @@ def coeff_assoc_check(alg_or_table, window: int = 3) -> CheckReport:
         for i in range(len(alg.table.gens))
         for k in range(-window, window + 1)
     ]
-    # every b c is needed once per a: form the table once, for this call only
-    pairs = [[coeff_mul(b, c) for c in symbols] for b in symbols]
-    for ia, a in enumerate(symbols):
-        for ib, b in enumerate(symbols):
-            ab = coeff_mul(a, b)
-            for ic, c in enumerate(symbols):
-                lhs = coeff_mul(ab, c)
-                rhs = coeff_mul(a, pairs[ib][ic])
+    ids: dict = {}  # value -> id, in order of first appearance; for this call only
+
+    def value_id(x: CoeffElem) -> int:
+        return ids.setdefault(x, len(ids))
+
+    pairs = [[value_id(coeff_mul(b, c)) for c in symbols] for b in symbols]
+    distinct = list(ids)
+    times_c = [[value_id(coeff_mul(x, c)) for c in symbols] for x in distinct]  # x c
+    a_times = [[value_id(coeff_mul(a, x)) for x in distinct] for a in symbols]  # a x
+    for ia, a_row in enumerate(a_times):
+        for ib, b_row in enumerate(pairs):
+            ab_row = times_c[pairs[ia][ib]]
+            for ic, bc in enumerate(b_row):
                 rep.checked += 1
-                if lhs != rhs:
+                if ab_row[ic] != a_row[bc]:
                     rep.fail(
                         f"coefficient associativity fails at "
                         f"{names[ia]}, {names[ib]}, {names[ic]}"

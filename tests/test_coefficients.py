@@ -123,3 +123,8 @@ def test_model_products_bounded_per_pair(alg, monkeypatch):
     assert rep.ok
     assert rep.checked == len(alg.generator_items()) ** 2 * extra * (2 * window + 1) ** 2
     assert 0 < len(calls) <= _product_bound(alg, window, extra), (alg.name, len(calls))
+
+
+def test_coefficient_locality_rejects_negative_extra_orders():
+    with pytest.raises(ValueError, match="nonnegative"):
+        coefficient_locality_report(CUR2, 1, extra_orders=-1)

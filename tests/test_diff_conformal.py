@@ -164,6 +164,12 @@ def test_dong_sweep():
     assert dong_check(u12, u21, u12, max_order=2).ok
 
 
+def test_dong_check_rejects_negative_order():
+    e, L = WEYL.generator("e"), WEYL.generator("L")
+    with pytest.raises(ValueError, match="nonnegative"):
+        dong_check(e, L, L, max_order=-1)
+
+
 def test_cur2_products_are_order_zero_only():
     u11, u12, u21 = (CUR2.generator(g) for g in ("u11", "u12", "u21"))
     assert CUR2.nth(u12, u21, 0) == u11

@@ -6,6 +6,7 @@ import pytest
 
 from confal import (
     DOp,
+    associativity_report,
     check_associativity,
     coeff_assoc_check,
     cur_matrix,
@@ -15,10 +16,13 @@ from confal import (
     PresElem,
     ProductTable,
     PresentedAlgebra,
+    weyl_algebra,
 )
+from confal.exact_arith import gen_binom
 from confal.presented_conformal import CoeffElem, coeff_mul
 
 CUR2P = cur_matrix_presented(2)
+WEYL = weyl_algebra()  # order-1 products, so the j > 0 terms of both expansions are nonzero
 
 
 def test_table_normalizes_and_bounds():
@@ -112,11 +116,26 @@ def test_coeff_assoc_window():
     assert rep.ok and rep.checked > 0
 
 
-@pytest.mark.parametrize("window", [0, 1])
-def test_coeff_assoc_forms_each_pair_product_once(monkeypatch, window):
-    # per triple (a, b, c): (a b) c and a (b c); per pair: a b and the b c table
+def _symbols(alg, window):
+    return [
+        CoeffElem(alg, {(i, k): 1})
+        for i in range(len(alg.table.gens))
+        for k in range(-window, window + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "alg, window, expected",
+    [(CUR2P, 0, 56), (CUR2P, 1, 648), (cur_matrix_presented(3), 1, 3213)],
+    ids=["0", "1", "cur3p-1"],
+)
+def test_coeff_assoc_forms_each_pair_product_once(monkeypatch, alg, window, expected):
+    # n^2 pair products b c, then x c and a x once per distinct pair value x
     import confal.presented_conformal as pc
 
+    symbols = _symbols(alg, window)
+    n = len(symbols)
+    distinct = {frozenset(coeff_mul(b, c).coords.items()) for b in symbols for c in symbols}
     calls = 0
 
     def counted(x, y):
@@ -125,10 +144,126 @@ def test_coeff_assoc_forms_each_pair_product_once(monkeypatch, window):
         return coeff_mul(x, y)
 
     monkeypatch.setattr(pc, "coeff_mul", counted)
-    rep = coeff_assoc_check(CUR2P, window=window)
-    n = len(CUR2P.table.gens) * (2 * window + 1)
+    rep = coeff_assoc_check(alg, window=window)
     assert rep.ok and rep.checked == n**3
-    assert calls == 2 * n**3 + 2 * n**2
+    assert calls == n**2 + 2 * len(distinct) * n == expected
+
+
+def test_coeff_assoc_rejects_negative_window():
+    with pytest.raises(ValueError, match="nonnegative"):
+        coeff_assoc_check(CUR2P, window=-1)
+
+
+def test_coeff_elem_hash_agrees_with_eq():
+    x = CoeffElem(CUR2P, {(0, 1): 3, (2, -1): Fraction(1, 2)})
+    y = CoeffElem._make(CUR2P, {(2, -1): Fraction(1, 2), (0, 1): Fraction(3)})
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y, x + CUR2P.model_zero()}) == 1
+    assert CUR2P.model_zero() == CoeffElem(CUR2P, {(0, 0): 0})
+    assert hash(CUR2P.model_zero()) == hash(CoeffElem(CUR2P, {(0, 0): 0}))
+    assert x != x.scale(2) and x != CoeffElem(cur_matrix_presented(2), x.coords)
+
+
+# -- reference: the law checks' triple loops as written, every product formed in place -------
+
+
+def reference_coeff_assoc(alg, window):
+    """(ok, checked, failures) of coefficient associativity, each side formed per triple."""
+    symbols = _symbols(alg, window)
+    names = [
+        f"({alg.table.gens[i]},{k})"
+        for i in range(len(alg.table.gens))
+        for k in range(-window, window + 1)
+    ]
+    checked = 0
+    for ia, a in enumerate(symbols):
+        for ib, b in enumerate(symbols):
+            for ic, c in enumerate(symbols):
+                checked += 1
+                if coeff_mul(coeff_mul(a, b), c) != coeff_mul(a, coeff_mul(b, c)):
+                    return False, checked, [
+                        f"coefficient associativity fails at {names[ia]}, {names[ib]}, {names[ic]}"
+                    ]
+    return True, checked, []
+
+
+def reference_associativity(alg, max_m, max_n):
+    """(ok, checked, failures) of both expansions, every n-th product formed in place."""
+    gens = alg.generator_items()
+    checked = 0
+    for a, u in gens:
+        for b, v in gens:
+            for c, w in gens:
+                label = f"({a},{b},{c})"
+                for m in range(max_m + 1):
+                    for n in range(max_n + 1):
+                        lhs = alg.nth(u, alg.nth(v, w, n), m)
+                        rhs = alg.zero_elem()
+                        for j in range(m + 1):
+                            rhs = rhs + alg.nth(alg.nth(u, v, j), w, m + n - j) * gen_binom(m, j)
+                        checked += 1
+                        if lhs != rhs:
+                            return False, checked, [f"left-expansion failure at {label}, m={m}, n={n}"]
+                        lhs = alg.nth(alg.nth(u, v, m), w, n)
+                        rhs = alg.zero_elem()
+                        for j in range(m + 1):
+                            c = gen_binom(m, j) * (-1) ** j
+                            rhs = rhs + alg.nth(u, alg.nth(v, w, n + j), m - j) * c
+                        checked += 1
+                        if lhs != rhs:
+                            return False, checked, [f"right-expansion failure at {label}, m={m}, n={n}"]
+    return True, checked, []
+
+
+# v (0) v = v is associative on its own; u (0) u = u, u (1) u = u is not (see
+# test_known_fail_table_breaks_associativity).  v comes first, so the first
+# failing triple is not the first triple.
+NONASSOC = PresentedAlgebra(
+    ProductTable(
+        ("v", "u"),
+        {(0, 0): [{0: DOp.one()}], (1, 1): [{1: DOp.one()}, {1: DOp.one()}]},
+    )
+)
+
+
+def _summary(rep):
+    return rep.ok, rep.checked, rep.failures
+
+
+@pytest.mark.parametrize("alg", [CUR2P, NONASSOC], ids=["cur2p", "nonassoc"])
+@pytest.mark.parametrize("window", [0, 1, 2])
+def test_coeff_assoc_matches_reference(alg, window):
+    want = reference_coeff_assoc(alg, window)
+    assert _summary(coeff_assoc_check(alg, window)) == want
+    if alg is NONASSOC and window > 0:  # at window 0, (u,0) (u,0) = (u,0) is associative
+        assert not want[0] and want[1] > 1
+
+
+@pytest.mark.parametrize("alg", [CUR2P, WEYL, NONASSOC], ids=["cur2p", "weyl", "nonassoc"])
+@pytest.mark.parametrize("orders", [(0, 0), (1, 2), (2, 2), (3, 1)])
+def test_associativity_report_matches_reference(alg, orders):
+    want = reference_associativity(alg, *orders)
+    assert _summary(associativity_report(alg, *orders)) == want
+    if alg is NONASSOC and orders[0] > 0:
+        assert not want[0] and want[1] > 2 * (orders[0] + 1) * (orders[1] + 1)
+
+
+def test_associativity_report_forms_32_products_per_triple(monkeypatch):
+    # at (2, 2): 5 v (k) w, 3 u (j) v, 12 u (i) (v (k) w) and 12 (u (j) v) (k) w
+    alg = cur_matrix_presented(2)
+    calls = 0
+    nth = alg.nth
+
+    def counted(u, v, n):
+        nonlocal calls
+        calls += 1
+        return nth(u, v, n)
+
+    monkeypatch.setattr(alg, "nth", counted)
+    u, v, w = (g for _, g in alg.generator_items()[:3])
+    rep = associativity_report(alg, 2, 2, triples=[("(u11,u12,u21)", (u, v, w))])
+    assert rep.ok and rep.checked == 18
+    assert calls == 32
 
 
 def test_identity_in_presented_current_algebra():
