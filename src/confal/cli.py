@@ -30,13 +30,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .axioms import (
-    associativity_report,
-    coefficient_locality_report,
-    conformal_axioms_report,
-    identity_report,
-)
-from .diff_conformal import DifferentialAlgebra, dong_check
 from .errors import (
     BoundExceeded,
     ClosureBoundExceeded,
@@ -47,15 +40,10 @@ from .errors import (
     ResourceBound,
 )
 from .dsl import eval_base_expr, load_path, parse_base_expr, parse_element
-from .growth import coeff_growth_check, growth_table
-from .ore_skew import FinDim
 from .products import ALL_ZERO
-from .structure import (
-    recognition_roundtrip,
-    recognize_unital,
-    simplicity_probe,
-    transport_identity,
-)
+
+# Each command imports the layers it runs (axioms, growth, structure) itself,
+# so a process loads only what its command uses.
 
 SCHEMA = "confal/1"
 
@@ -114,6 +102,13 @@ def _pick_algebra(args):
 
 
 def _cmd_check(args) -> int:
+    from .axioms import (
+        associativity_report,
+        coefficient_locality_report,
+        conformal_axioms_report,
+    )
+    from .diff_conformal import dong_check
+
     alg = _pick_algebra(args)
     gens = alg.generator_items()
     pairs = [(f"({a},{b})", (u, v)) for a, u in gens for b, v in gens]
@@ -212,6 +207,8 @@ def _cmd_locality(args) -> int:
 
 
 def _cmd_identity(args) -> int:
+    from .axioms import identity_report
+
     alg = _pick_algebra(args)
     elem = parse_element(alg, args.element)
     rep = identity_report(alg, elem)
@@ -226,6 +223,8 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_growth(args) -> int:
+    from .growth import growth_table
+
     alg = _pick_algebra(args)
     rep = growth_table(alg, args.rmax)
     ok = rep.degree != "inconclusive" if args.strict else None
@@ -234,6 +233,8 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_coeff_growth(args) -> int:
+    from .growth import coeff_growth_check
+
     alg = _pick_algebra(args)
     rep = coeff_growth_check(alg, (args.window_low, args.window_high), args.rmax)
     ok = all(rep.bound_ok)
@@ -242,6 +243,8 @@ def _cmd_coeff_growth(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
+    from .structure import recognition_roundtrip, recognize_unital
+
     alg = _pick_algebra(args)
     e = parse_element(alg, args.element) if args.element else None
     res = recognize_unital(alg, e, word_bound=args.word_bound)
@@ -263,6 +266,9 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_transport(args) -> int:
+    from .ore_skew import FinDim
+    from .structure import transport_identity
+
     alg = _pick_algebra(args)
     base = alg.base if hasattr(alg, "base") else None
     if not isinstance(base, FinDim):
@@ -280,6 +286,9 @@ def _cmd_transport(args) -> int:
 
 
 def _cmd_simplicity(args) -> int:
+    from .diff_conformal import DifferentialAlgebra
+    from .structure import simplicity_probe
+
     alg = _pick_algebra(args)
     if not isinstance(alg, DifferentialAlgebra):
         raise ValueError("simplicity needs a differential instance")

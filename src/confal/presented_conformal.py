@@ -16,8 +16,6 @@ makes it an ordinary associative algebra when the table is associative.
 
 from __future__ import annotations
 
-from .axioms import CheckReport, associativity_report, identity_report
-from .axioms import left_annihilator_probe as _generic_annihilator
 from .exact_arith import DOp, _sp_add, gen_binom, rat, signed_sum
 from .products import ConformalAlgebra, Elem, terms_clean, terms_normal_form
 
@@ -159,20 +157,28 @@ class CoeffElem:
 
 
 # -- module-level operations -----------------------------------------------------
+# The law checks come from `axioms`, imported on call: building a presentation
+# (every DSL load does) does not load them.
 
 
 def check_associativity(alg_or_table, max_m: int = 4, max_n: int = 4) -> CheckReport:
+    from .axioms import associativity_report
+
     alg = _as_algebra(alg_or_table)
     return associativity_report(alg, max_m, max_n)
 
 
 def is_conformal_identity(e: PresElem, alg_or_table=None):
+    from .axioms import identity_report
+
     alg = e.alg if alg_or_table is None else _as_algebra(alg_or_table)
     return identity_report(alg, e)
 
 
 def left_annihilator_probe(alg_or_table, dop_degree_bound: int = 3):
-    return _generic_annihilator(_as_algebra(alg_or_table), dop_degree_bound)
+    from .axioms import left_annihilator_probe as generic
+
+    return generic(_as_algebra(alg_or_table), dop_degree_bound)
 
 
 def coeff_mul(x: CoeffElem, y: CoeffElem) -> CoeffElem:
@@ -217,6 +223,8 @@ def coeff_assoc_check(alg_or_table, window: int = 3) -> CheckReport:
     """
     if window < 0:
         raise ValueError("the coefficient window must be nonnegative")
+    from .axioms import CheckReport
+
     alg = _as_algebra(alg_or_table)
     rep = CheckReport("coefficient-associativity")
     symbols = [

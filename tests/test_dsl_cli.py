@@ -313,7 +313,7 @@ def test_cli_csv_rejected_before_any_computation(monkeypatch, capsys):
     def fail(*args):
         raise AssertionError("the check ran")
 
-    monkeypatch.setattr("confal.cli.conformal_axioms_report", fail)
+    monkeypatch.setattr("confal.axioms.conformal_axioms_report", fail)
     assert main(["check", WEYL_FILE, "--format", "csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "tabular" in captured.err

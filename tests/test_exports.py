@@ -12,11 +12,13 @@ def test_every_exported_name_resolves_once():
 
 
 def test_every_public_attribute_is_exported():
+    # names load on first use, so dir() rather than vars() lists them all
     public = {
-        name for name, value in vars(confal).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(confal)
+        if not name.startswith("_") and not isinstance(getattr(confal, name), types.ModuleType)
     }
     assert public == set(confal.__all__)
+    assert set(vars(confal)) <= set(dir(confal))
 
 
 def test_star_import():

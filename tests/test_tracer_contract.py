@@ -12,8 +12,6 @@ import importlib.util
 import pathlib
 import sys
 
-import confal.cli  # noqa: F401  (loads every layer the tracer wraps)
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -30,6 +28,10 @@ def _load_tracing():
 
 
 tracing = _load_tracing()
+
+# confal loads its layers on demand; load every one the tracer wraps
+for _layer in tracing.LAYERS:
+    importlib.import_module(f"confal.{_layer}")
 
 
 def _traced_names():
