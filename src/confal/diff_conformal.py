@@ -78,7 +78,7 @@ class DifferentialAlgebra(ConformalAlgebra):
         orbit = self._orbit(bkey)
         if m >= len(orbit):
             return {}
-        prod = self.base.mul(self.base.basis_element(akey), orbit[m])
+        prod = self.base.basis_element(akey) * orbit[m]
         sign = -1 if m % 2 else 1
         return {key: DOp.const(sign * c) for key, c in self.base.decompose(prod).items()}
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .diff_conformal import DifferentialAlgebra
 from .errors import BoundExceeded, NotNilpotent, ParseError
@@ -621,54 +622,51 @@ def pretty(spec: AlgebraSpec) -> str:
 # -- evaluation and building -----------------------------------------------------------
 
 
+_SCALAR = (int, Fraction)
+
+
 def _eval(expr, base, atoms):
-    """Evaluate an expression tree to ("scalar", int or Fraction) or ("elem", value)."""
+    """Evaluate an expression tree to a scalar (int or Fraction) or a base-algebra value."""
     kind = expr[0]
     if kind == "num":
-        return ("scalar", expr[1])
+        return expr[1]
     if kind == "name":
         if expr[1] not in atoms:
             raise ValueError(f"unknown name {expr[1]!r} in a base expression")
-        return ("elem", atoms[expr[1]])
+        return atoms[expr[1]]
     if kind == "E":
         i, j = expr[1], expr[2]
         if isinstance(base, MatPolyRing):
             if not (1 <= i <= base.n and 1 <= j <= base.n):
                 raise ValueError(f"matrix unit E({i},{j}) out of range for n={base.n}")
-            return ("elem", MatPoly.unit(base.n, i - 1, j - 1, base.var))
+            return MatPoly.unit(base.n, i - 1, j - 1, base.var)
         if isinstance(base, FinDim) and f"E({i},{j})" in base.names:
-            return ("elem", base.from_coords(
-                {base.names.index(f"E({i},{j})"): 1}))
+            return base.basis_element(base.names.index(f"E({i},{j})"))
         raise ValueError("matrix units need a matpoly or matrix-findim base")
     if kind == "neg":
-        tag, val = _eval(expr[1], base, atoms)
-        return (tag, -val if tag == "scalar" else base.neg(val))
+        return -_eval(expr[1], base, atoms)
     if kind in ("add", "sub"):
-        lt, lv = _eval(expr[1], base, atoms)
-        rt, rv = _eval(expr[2], base, atoms)
-        if lt == "scalar" and rt == "scalar":
-            return ("scalar", lv + rv if kind == "add" else lv - rv)
-        lv = base.scale(base.one(), lv) if lt == "scalar" else lv
-        rv = base.scale(base.one(), rv) if rt == "scalar" else rv
-        return ("elem", base.add(lv, rv) if kind == "add" else base.sub(lv, rv))
+        lv = _eval(expr[1], base, atoms)
+        rv = _eval(expr[2], base, atoms)
+        if isinstance(lv, _SCALAR) != isinstance(rv, _SCALAR):
+            # a scalar meets a value: lift the scalar to c * 1
+            lv = base.one() * lv if isinstance(lv, _SCALAR) else lv
+            rv = base.one() * rv if isinstance(rv, _SCALAR) else rv
+        return lv + rv if kind == "add" else lv - rv
     if kind == "mul":
-        lt, lv = _eval(expr[1], base, atoms)
-        rt, rv = _eval(expr[2], base, atoms)
-        if lt == "scalar" and rt == "scalar":
-            return ("scalar", lv * rv)
-        if lt == "scalar":
-            return ("elem", base.scale(rv, lv))
-        if rt == "scalar":
-            return ("elem", base.scale(lv, rv))
-        return ("elem", base.mul(lv, rv))
+        lv = _eval(expr[1], base, atoms)
+        rv = _eval(expr[2], base, atoms)
+        if isinstance(lv, _SCALAR) and not isinstance(rv, _SCALAR):
+            return rv * lv  # scalars are central
+        return lv * rv
     if kind == "pow":
-        tag, val = _eval(expr[1], base, atoms)
+        val = _eval(expr[1], base, atoms)
         k = expr[2]
         if k < 0:
             raise ValueError("negative exponents are not supported")
-        if tag == "scalar":
-            return ("scalar", val ** k)
-        return ("elem", _power(base, val, k))
+        if isinstance(val, _SCALAR):
+            return val ** k
+        return _power(base, val, k)
     raise ValueError(f"unknown expression node {kind!r}")
 
 
@@ -679,12 +677,12 @@ def _power(base, val, k: int):
     out = None
     while True:
         if k & 1:
-            out = val if out is None else base.mul(out, val)
+            out = val if out is None else out * val
         k >>= 1
         if not k:
             return out
-        val = base.mul(val, val)
-        if base.is_zero(val):
+        val = val * val
+        if val.is_zero():
             return val
 
 
@@ -694,14 +692,12 @@ def eval_base_expr(expr, base):
     if isinstance(base, PolyRing):
         atoms[base.var] = Poly.variable(base.var)
     elif isinstance(base, MatPolyRing):
-        atoms[base.var] = base.scale(base.one(), 1) * Poly.variable(base.var)
+        atoms[base.var] = base.one() * Poly.variable(base.var)
     elif isinstance(base, FinDim):
         for i, nm in enumerate(base.names):
             atoms[nm] = base.basis_element(i)
-    tag, val = _eval(expr, base, atoms)
-    if tag == "scalar":
-        return base.scale(base.one(), val)
-    return val
+    val = _eval(expr, base, atoms)
+    return base.one() * val if isinstance(val, _SCALAR) else val
 
 
 def _reshape(flat, *dims):

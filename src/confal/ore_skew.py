@@ -17,7 +17,10 @@ cap, NILPOTENCY_BOUND, is read at call time.
 
 Three coefficient-algebra variants are provided: Q[x], Mat_n(Q[x]), and a
 finite-dimensional algebra given by structure constants over a distinguished
-basis.  Derivations verify the Leibniz rule and local nilpotency on the ring
+basis.  Their values -- Poly, MatPoly and FinDimElem -- compute with their own
+operators (`+`, `-`, `*` by a scalar or a value, `==`, `is_zero()`,
+`degree()`, `key()`); the algebra objects carry no arithmetic of their own.
+Derivations verify the Leibniz rule and local nilpotency on the ring
 generators (and their pairwise products) at construction time.
 """
 
@@ -35,40 +38,13 @@ NILPOTENCY_BOUND = 64  # cap on nonzero iterates in Derivation.orbit, read at ca
 class BaseAlgebra:
     """Common surface of the coefficient-algebra variants.
 
-    Elements are plain values (Poly, MatPoly, or coordinate tuples); the
-    algebra object combines them, decomposes them over its canonical countable
-    basis (`decompose`) and builds them back from such coordinates
-    (`from_coords`).  Basis keys are hashable and mutually comparable.  The
-    ring operations default to the values' own operators, which Poly and
-    MatPoly supply; FinDim overrides them for its coordinate tuples.
+    The algebra object holds no arithmetic: values (Poly, MatPoly, FinDimElem)
+    compute with their own operators.  It names the constants (`zero`, `one`,
+    `basis_element`, `ring_generators`), decomposes a value over its canonical
+    countable basis (`decompose`), builds one back from such coordinates
+    (`from_coords`) and formats it.  Basis keys are hashable and mutually
+    comparable.
     """
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def scale(self, a, c):
-        return a * rat(c)
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def degree(self, a) -> int:
-        return a.degree()
-
-    def element_key(self, a):
-        return a.key()
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def eq(self, a, b) -> bool:
-        return self.is_zero(self.sub(a, b))
 
     def format(self, a) -> str:
         terms = []
@@ -155,12 +131,73 @@ class MatPolyRing(BaseAlgebra):
         return gens
 
 
+class FinDimElem:
+    """A value of a FinDim algebra: its coordinate tuple over the distinguished basis.
+
+    The operators go through the algebra's `add`, `scale` and `mul`, which
+    raise ValueError on a value of another FinDim; `==` is False across
+    algebras and agrees with `hash`.
+    """
+
+    __slots__ = ("alg", "coords")
+
+    def __init__(self, alg: "FinDim", coords: tuple):
+        self.alg = alg
+        self.coords = coords
+
+    def is_zero(self) -> bool:
+        return not any(self.coords)
+
+    def degree(self) -> int:
+        return 0
+
+    def key(self):
+        return self.coords
+
+    def __add__(self, other):
+        if not isinstance(other, FinDimElem):
+            return NotImplemented
+        return self.alg.add(self, other)
+
+    def __neg__(self):
+        return FinDimElem(self.alg, tuple(-x for x in self.coords))
+
+    def __sub__(self, other):
+        if not isinstance(other, FinDimElem):
+            return NotImplemented
+        return self.alg.add(self, -other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.alg.scale(self, other)
+        if not isinstance(other, FinDimElem):
+            return NotImplemented
+        return self.alg.mul(self, other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.alg.scale(self, other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, FinDimElem):
+            return NotImplemented
+        return self.alg is other.alg and self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)  # 3 == Fraction(3) and both hash as 3
+
+    def __repr__(self):
+        return self.alg.format(self)
+
+
 class FinDim(BaseAlgebra):
     """Finite-dimensional algebra over Q with a distinguished basis.
 
     Structure constants: table[i][j] is the coordinate tuple of b_i * b_j.
     Associativity is checked exactly on all basis triples at construction.
-    Elements are coordinate tuples of ints and Fractions.
+    Values are FinDimElem, whose coordinates are ints and Fractions; `add`,
+    `scale` and `mul` are the arithmetic their operators call.
     """
 
     def __init__(self, table, names=None):
@@ -186,12 +223,11 @@ class FinDim(BaseAlgebra):
 
     def _check_associativity(self):
         d = self.dim
+        b = [self.basis_element(i) for i in range(d)]
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    left = self.mul(self.mul(self.basis_element(i), self.basis_element(j)), self.basis_element(k))
-                    right = self.mul(self.basis_element(i), self.mul(self.basis_element(j), self.basis_element(k)))
-                    if left != right:
+                    if (b[i] * b[j]) * b[k] != b[i] * (b[j] * b[k]):
                         raise ValueError(
                             f"structure constants are not associative at basis triple ({i}, {j}, {k})"
                         )
@@ -207,10 +243,15 @@ class FinDim(BaseAlgebra):
                 rows.append([self.table[j][i][k] for i in range(d)])
                 rhs.append(1 if k == j else 0)
         sol = dense_solve(rows, rhs)
-        return tuple(sol) if sol is not None else None
+        return FinDimElem(self, tuple(sol)) if sol is not None else None
+
+    def _own(self, *values):
+        for v in values:
+            if v.alg is not self:
+                raise ValueError("values of different finite-dimensional algebras")
 
     def zero(self):
-        return (0,) * self.dim
+        return FinDimElem(self, (0,) * self.dim)
 
     def one(self):
         if self.unit is None:
@@ -218,55 +259,46 @@ class FinDim(BaseAlgebra):
         return self.unit
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
+        self._own(a, b)
+        return FinDimElem(self, tuple(x + y for x, y in zip(a.coords, b.coords)))
 
     def scale(self, a, c):
+        self._own(a)
         c = rat(c)
-        return tuple(x * c for x in a)
+        return FinDimElem(self, tuple(x * c for x in a.coords))
 
     def mul(self, a, b):
+        self._own(a, b)
         out = [0] * self.dim
-        for i, x in enumerate(a):
+        for i, x in enumerate(a.coords):
             if x == 0:
                 continue
-            for j, y in enumerate(b):
+            for j, y in enumerate(b.coords):
                 if y == 0:
                     continue
                 f = x * y
                 for k, c in enumerate(self.table[i][j]):
                     if c != 0:
                         out[k] += f * c
-        return tuple(out)
-
-    def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
+        return FinDimElem(self, tuple(out))
 
     def decompose(self, a) -> dict:
-        return {i: c for i, c in enumerate(a) if c != 0}
+        return {i: c for i, c in enumerate(a.coords) if c != 0}
 
     def from_coords(self, coords: dict):
         out = [0] * self.dim
         for i, c in coords.items():
             out[i] = rat(c)
-        return tuple(out)
+        return FinDimElem(self, tuple(out))
 
     def basis_element(self, key: int):
-        return tuple(1 if i == key else 0 for i in range(self.dim))
+        return FinDimElem(self, tuple(1 if i == key else 0 for i in range(self.dim)))
 
     def describe_key(self, key: int) -> str:
         return self.names[key]
 
     def ring_generators(self):
         return [(self.names[i], self.basis_element(i)) for i in range(self.dim)]
-
-    def degree(self, a) -> int:
-        return 0
-
-    def element_key(self, a):
-        return tuple(a)
 
 
 def matrix_findim(n: int) -> FinDim:
@@ -317,12 +349,11 @@ class Derivation:
 
         Raises BoundExceeded once more than NILPOTENCY_BOUND iterates are nonzero.
         """
-        base = self.base
         out = []
-        while not base.is_zero(a) and (length is None or len(out) < length):
+        while not a.is_zero() and (length is None or len(out) < length):
             if len(out) == NILPOTENCY_BOUND:
                 raise BoundExceeded(
-                    f"derivation did not vanish on {base.format(out[0])} "
+                    f"derivation did not vanish on {self.base.format(out[0])} "
                     f"within {NILPOTENCY_BOUND} iterations",
                     element=out[0],
                     bound=NILPOTENCY_BOUND,
@@ -331,25 +362,22 @@ class Derivation:
             a = self(a)
         return out
 
-    def _probe_set(self):
-        base = self.base
-        gens = [g for _, g in base.ring_generators()]
+    def _probe_set(self) -> list:
+        gens = [g for _, g in self.base.ring_generators()]
         probe = list(gens)
         for a in gens:
             for b in gens:
-                p = base.mul(a, b)
-                if not base.is_zero(p):
+                p = a * b
+                if not p.is_zero():
                     probe.append(p)
-        return gens, probe
+        return probe
 
     def _verify(self):
         base = self.base
-        gens, probe = self._probe_set()
+        probe = self._probe_set()
         for a in probe:
             for b in probe:
-                lhs = self._apply(base.mul(a, b))
-                rhs = base.add(base.mul(self._apply(a), b), base.mul(a, self._apply(b)))
-                if not base.eq(lhs, rhs):
+                if self._apply(a * b) != self._apply(a) * b + a * self._apply(b):
                     raise ValueError(
                         f"Leibniz rule fails on ({base.format(a)}, {base.format(b)})"
                     )
@@ -358,16 +386,15 @@ class Derivation:
 
 
 class ScaledDdx(Derivation):
-    """c * d/dx, entrywise on matrix algebras."""
+    """d/dx, entrywise on matrix algebras."""
 
-    def __init__(self, base, coeff=1):
+    def __init__(self, base):
         if not isinstance(base, (PolyRing, MatPolyRing)):
             raise TypeError("d/dx needs a polynomial or matrix-polynomial base")
-        self.coeff = rat(coeff)
         super().__init__(base)
 
     def _apply(self, a):
-        return a.derive() * self.coeff
+        return a.derive()
 
 
 class DdxPlusAd(Derivation):
@@ -411,14 +438,14 @@ class LinearAction(Derivation):
     def _apply(self, a):
         d = self.base.dim
         out = [0] * d
-        for j, c in enumerate(a):
+        for j, c in enumerate(a.coords):
             if c == 0:
                 continue
             for i in range(d):
                 m = self.matrix[i][j]
                 if m != 0:
                     out[i] += m * c
-        return tuple(out)
+        return FinDimElem(self.base, tuple(out))
 
 
 def ad_derivation(base: FinDim, r) -> LinearAction:
@@ -426,15 +453,15 @@ def ad_derivation(base: FinDim, r) -> LinearAction:
     d = base.dim
     cols = []
     for j in range(d):
-        img = base.sub(base.mul(r, base.basis_element(j)), base.mul(base.basis_element(j), r))
-        cols.append(img)
+        b = base.basis_element(j)
+        cols.append((r * b - b * r).coords)
     matrix = [[cols[j][i] for j in range(d)] for i in range(d)]
     return LinearAction(base, matrix)
 
 
 def nilpotency_index(delta: Derivation, a) -> int:
     """Minimal m >= 1 with delta^m(a) = 0, for nonzero a: the length of its orbit."""
-    if delta.base.is_zero(a):
+    if a.is_zero():
         raise ValueError("nilpotency index is defined for nonzero elements")
     return len(delta.orbit(a))
 
@@ -466,13 +493,12 @@ class OreRing:
 
     def move_t_across(self, n: int, b):
         """t^n * b as a list of (exponent, coefficient) pairs in normal form."""
-        base = self.base
         out = []
         # C(n, i) = 0 for i > n >= 0, so a nonnegative n reads only n + 1 iterates
         for i, cur in enumerate(self.delta.orbit(b, n + 1 if n >= 0 else None)):
             c = gen_binom(n, i)
             sign = -c if i % 2 else c
-            out.append((n - i, cur if sign == 1 else base.scale(cur, sign)))
+            out.append((n - i, cur if sign == 1 else cur * sign))
         return out
 
 
@@ -483,8 +509,7 @@ class SkewLaurent:
 
     def __init__(self, ring: OreRing, coeffs: dict):
         self.ring = ring
-        base = ring.base
-        self.coeffs = {int(n): a for n, a in coeffs.items() if not base.is_zero(a)}
+        self.coeffs = {int(n): a for n, a in coeffs.items() if not a.is_zero()}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -497,15 +522,13 @@ class SkewLaurent:
         if not isinstance(other, SkewLaurent):
             return NotImplemented
         self._same(other)
-        base = self.ring.base
         out = dict(self.coeffs)
         for n, a in other.coeffs.items():
-            out[n] = base.add(out[n], a) if n in out else a
+            out[n] = out[n] + a if n in out else a
         return SkewLaurent(self.ring, out)
 
     def __neg__(self):
-        base = self.ring.base
-        return SkewLaurent(self.ring, {n: base.neg(a) for n, a in self.coeffs.items()})
+        return SkewLaurent(self.ring, {n: -a for n, a in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SkewLaurent):
@@ -513,9 +536,8 @@ class SkewLaurent:
         return self + (-other)
 
     def scale(self, c) -> "SkewLaurent":
-        base = self.ring.base
         c = rat(c)
-        return SkewLaurent(self.ring, {n: base.scale(a, c) for n, a in self.coeffs.items()})
+        return SkewLaurent(self.ring, {n: a * c for n, a in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -523,17 +545,16 @@ class SkewLaurent:
         if not isinstance(other, SkewLaurent):
             return NotImplemented
         self._same(other)
-        base = self.ring.base
         out: dict = {}
         for l, a in self.coeffs.items():
             for m, b in other.coeffs.items():
                 # a t^l * b t^m = a (t^l b) t^m
                 for exp, moved in self.ring.move_t_across(l, b):
-                    prod = base.mul(a, moved)
-                    if base.is_zero(prod):
+                    prod = a * moved
+                    if prod.is_zero():
                         continue
                     n = exp + m
-                    out[n] = base.add(out[n], prod) if n in out else prod
+                    out[n] = out[n] + prod if n in out else prod
         return SkewLaurent(self.ring, out)
 
     def __rmul__(self, other):
@@ -548,12 +569,10 @@ class SkewLaurent:
             return False
         if set(self.coeffs) != set(other.coeffs):
             return False
-        base = self.ring.base
-        return all(base.eq(a, other.coeffs[n]) for n, a in self.coeffs.items())
+        return all(a == other.coeffs[n] for n, a in self.coeffs.items())
 
     def key(self):
-        base = self.ring.base
-        return tuple((n, base.element_key(self.coeffs[n])) for n in sorted(self.coeffs))
+        return tuple((n, self.coeffs[n].key()) for n in sorted(self.coeffs))
 
     def coords(self) -> dict:
         """Flatten to {(basis_key, t_exponent): int or Fraction} for linear algebra."""

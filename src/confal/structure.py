@@ -526,11 +526,11 @@ def transport_identity(base: FinDim, r, name: str | None = None) -> TransportRes
     cur = r
     m = None
     for k in range(1, base.dim + 1):
-        if base.is_zero(cur):
+        if cur.is_zero():
             m = k
             break
         powers.append(cur)
-        cur = base.mul(cur, r)
+        cur = cur * r
     if m is None:
         raise NotNilpotent(
             f"the element is not nilpotent within m <= dim = {base.dim}"
@@ -635,9 +635,9 @@ def _saturate(base, seeds, moves, degree_bound: int, what: str, log=None):
 
     def push(elem, note):
         nonlocal dropped
-        if base.is_zero(elem):
+        if elem.is_zero():
             return
-        if base.degree(elem) > degree_bound:
+        if elem.degree() > degree_bound:
             dropped += 1
             return
         vec = base.decompose(elem)
@@ -681,8 +681,8 @@ def delta_stable_closure(
     def moves(u, basis):
         yield delta(u), "derivative"
         for gname, g in gens:
-            yield base.mul(g, u), f"left by {gname}"
-            yield base.mul(u, g), f"right by {gname}"
+            yield g * u, f"left by {gname}"
+            yield u * g, f"right by {gname}"
 
     log: list = []
     space, basis, dropped = _saturate(
@@ -713,8 +713,8 @@ def coefficient_subalgebra(alg: DifferentialAlgebra, degree_bound: int = 5):
     def moves(u, basis):
         yield delta(u), None
         for b in list(basis):  # the basis as it stands after delta(u)
-            yield base.mul(u, b), None
-            yield base.mul(b, u), None
+            yield u * b, None
+            yield b * u, None
 
     seeds = [alg.phi0_base(g) for _, g in alg.generator_items()]
     _, basis, dropped = _saturate(
@@ -791,8 +791,8 @@ def simplicity_probe(
         elem = base.zero()
         for c, b in zip(coeffs, sub_basis):
             if c:
-                elem = base.add(elem, base.scale(b, c))
-        if base.is_zero(elem):
+                elem = elem + b * c
+        if elem.is_zero():
             continue
         candidates.append((f"random combination #{k + 1}", elem))
 

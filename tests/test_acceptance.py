@@ -181,10 +181,8 @@ def test_criterion_09_transport():
         assert res2.identity == want2 and res2.report.ok
 
         m3 = matrix_findim(3)
-        r3 = m3.add(
-            m3.basis_element(m3.names.index("E(1,2)")),
-            m3.basis_element(m3.names.index("E(2,3)")),
-        )
+        r3 = (m3.basis_element(m3.names.index("E(1,2)"))
+              + m3.basis_element(m3.names.index("E(2,3)")))
         res3 = transport_identity(m3, r3)
         alg3 = res3.algebra
         want3 = alg3.zero_elem()

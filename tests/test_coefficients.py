@@ -31,7 +31,7 @@ def _elements(alg):
 
 
 def reference_coefficient(alg, u, k):
-    """(d^p f_a)(k) = (-1)^p k(k-1)...(k-p+1) a t^(k-p), summed with base.add."""
+    """(d^p f_a)(k) = (-1)^p k(k-1)...(k-p+1) a t^(k-p), summed value by value."""
     base = alg.base
     acc: dict = {}
     for key, q in u.terms.items():
@@ -39,8 +39,8 @@ def reference_coefficient(alg, u, k):
             f = c * falling_factorial(k, p) * (-1) ** p
             if f == 0:
                 continue
-            contrib = base.scale(base.basis_element(key), f)
-            acc[k - p] = base.add(acc[k - p], contrib) if k - p in acc else contrib
+            contrib = base.basis_element(key) * f
+            acc[k - p] = acc[k - p] + contrib if k - p in acc else contrib
     return SkewLaurent(alg.ore, acc)
 
 

@@ -1,5 +1,7 @@
 """Skew Laurent arithmetic over (base, derivation) pairs."""
 
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,11 +97,96 @@ def test_matrix_weyl_relation():
     assert ex * ring.t() - ring.t() * ex == ring.one()
 
 
+RING_METHODS = ("add", "neg", "scale", "mul", "is_zero", "degree", "element_key", "sub", "eq")
+
+
 @pytest.mark.parametrize("ring", [PolyRing, MatPolyRing])
-def test_base_rings_use_the_operator_defaults(ring):
-    # only FinDim, whose values are tuples, overrides the ring operations
-    for name in ("add", "neg", "scale", "mul", "is_zero", "degree", "element_key"):
-        assert getattr(ring, name) is getattr(BaseAlgebra, name), name
+def test_base_algebras_define_no_arithmetic(ring):
+    # values compute with their own operators; an algebra object only formats them
+    for name in RING_METHODS:
+        assert not hasattr(BaseAlgebra, name) and not hasattr(ring, name), name
+
+
+def test_findim_keeps_only_what_its_values_call():
+    for name in ("neg", "is_zero", "degree", "element_key", "sub", "eq"):
+        assert not hasattr(FinDim, name), name
+    for name in ("add", "scale", "mul", "decompose"):
+        assert name in vars(FinDim), name
+
+
+# -- finite-dimensional values -------------------------------------------------------------
+
+
+def dual_numbers() -> FinDim:
+    """Q[eps]/(eps^2) on the basis 1, eps."""
+    return FinDim([[(1, 0), (0, 1)], [(0, 1), (0, 0)]], ["1", "eps"])
+
+
+def matrix_product(a, b):
+    """Row-major coordinates of 2x2 matrices, multiplied entry by entry."""
+    return tuple(sum(a[2 * i + l] * b[2 * l + j] for l in range(2))
+                 for i in range(2) for j in range(2))
+
+
+def dual_product(a, b):
+    return (a[0] * b[0], a[0] * b[1] + a[1] * b[0])
+
+
+@pytest.mark.parametrize("make, product", [(lambda: matrix_findim(2), matrix_product),
+                                           (dual_numbers, dual_product)],
+                         ids=["mat2", "dual"])
+def test_findim_operators_follow_the_structure_constants(make, product):
+    alg = make()
+    d = alg.dim
+    basis = [alg.basis_element(i) for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            assert (basis[i] * basis[j]).coords == alg.table[i][j]
+    rng = random.Random(0)
+
+    def value():
+        return alg.from_coords({i: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                for i in range(d)})
+
+    for _ in range(30):
+        a, b = value(), value()
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        assert (a * b).coords == product(a.coords, b.coords)
+        assert (a + b).coords == tuple(x + y for x, y in zip(a.coords, b.coords))
+        assert (a - b).coords == tuple(x - y for x, y in zip(a.coords, b.coords))
+        assert (-a).coords == tuple(-x for x in a.coords)
+        assert (a * c).coords == (c * a).coords == tuple(x * c for x in a.coords)
+        assert (a - a).is_zero() and a - a == alg.zero()
+        assert a.is_zero() == (a == alg.zero())
+        assert a.degree() == 0 and a.key() == a.coords
+        assert alg.one() * a == a == a * alg.one()
+
+
+def test_findim_equality_agrees_with_hash():
+    alg = matrix_findim(2)
+    a = alg.from_coords({0: 3, 1: Fraction(1, 2)})
+    b = alg.basis_element(0) * Fraction(6, 2) + alg.basis_element(1) * Fraction(2, 4)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != alg.from_coords({0: 3})
+    assert repr(a) == "3*E(1,1) + 1/2*E(1,2)" and repr(alg.zero()) == "0"
+    twin = matrix_findim(2)  # the same table, another algebra
+    assert a != twin.from_coords({0: 3, 1: Fraction(1, 2)})
+
+
+def test_findim_rejects_values_of_another_algebra():
+    dual = dual_numbers()
+    eps = dual.basis_element(1)
+    for other in (matrix_findim(2).basis_element(0), dual_numbers().basis_element(1)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError):
+                op(eps, other)
+            with pytest.raises(ValueError):
+                op(other, eps)
+    # the algebra's own add checks too, not only the operators
+    with pytest.raises(ValueError):
+        dual.add(eps, matrix_findim(2).basis_element(0))
+    with pytest.raises(ValueError):
+        ad_derivation(dual, matrix_findim(2).basis_element(1))
 
 
 # -- derivations ---------------------------------------------------------------------------
@@ -124,9 +211,7 @@ def test_ddx_plus_ad_leibniz_and_action():
     # delta(E21) = d/dx(E21) + [E12, E21] = E11 - E22
     assert delta(a) == MatPoly.unit(2, 0, 0) - MatPoly.unit(2, 1, 1)
     b = MatPoly.unit(2, 0, 0) * Poly.variable("x")
-    assert delta(base.mul(a, b)) == base.add(
-        base.mul(delta(a), b), base.mul(a, delta(b))
-    )
+    assert delta(a * b) == delta(a) * b + a * delta(b)
 
 
 def test_linear_action_must_be_a_derivation():
@@ -138,7 +223,7 @@ def test_linear_action_must_be_a_derivation():
     with pytest.raises(BoundExceeded):
         LinearAction(base, [[0, 0], [0, 1]])
     ok = LinearAction(base, [[0, 0], [0, 0]])
-    assert base.is_zero(ok(base.basis_element(1)))
+    assert ok(base.basis_element(1)).is_zero()
 
 
 def test_ad_derivation_nilpotency_bound():
@@ -154,8 +239,8 @@ def test_ad_derivation_nilpotency_bound():
 def nilpotency_index_of_element(base, r) -> int:
     power = r
     m = 1
-    while not base.is_zero(power):
-        power = base.mul(power, r)
+    while not power.is_zero():
+        power = power * r
         m += 1
         assert m <= base.dim + 1
     return m

@@ -227,10 +227,7 @@ def test_transport_keeps_plain_identity():
 
 def test_transport_mat3_three_terms():
     m3 = matrix_findim(3)
-    r = m3.add(
-        m3.basis_element(m3.names.index("E(1,2)")),
-        m3.basis_element(m3.names.index("E(2,3)")),
-    )
+    r = m3.basis_element(m3.names.index("E(1,2)")) + m3.basis_element(m3.names.index("E(2,3)"))
     res = transport_identity(m3, r)
     assert res.nil_index == 3
     alg = res.algebra
