@@ -604,12 +604,14 @@ class IdealClosure(Record):
         }
 
 
+def _unit_of(base):
+    """The unit of base, or None for a FinDim without one."""
+    return base.unit if isinstance(base, FinDim) else base.one()
+
+
 def _detect_unit(base, space: RowSpace, basis):
-    if isinstance(base, FinDim):
-        if base.unit is not None and space.contains(base.decompose(base.unit)):
-            return True, "the unit lies in the span"
-        return False, None
-    if space.contains(base.decompose(base.one())):
+    unit = _unit_of(base)
+    if unit is not None and space.contains(base.decompose(unit)):
         return True, "the unit lies in the span"
     for b in basis:
         if isinstance(base, PolyRing):
@@ -624,10 +626,34 @@ def _detect_unit(base, space: RowSpace, basis):
     return False, None
 
 
+def _unit_reached(base):
+    """Stop predicate for _saturate that holds once the span has the unit.
+
+    It keeps the unit's residual modulo the growing span, so each call
+    reduces only by the rows added since the last one (an added row is zero
+    at every earlier pivot).  None when base has no unit.
+    """
+    unit = _unit_of(base)
+    if unit is None:
+        return None
+    left = base.decompose(unit)
+
+    def reached(space: RowSpace) -> bool:
+        nonlocal left
+        left = space.residual(left)
+        return not left
+
+    return reached
+
+
+class _SaturationStopped(Exception):
+    """Raised by _saturate when its stop predicate holds."""
+
+
 SATURATION_CAP = 4096  # basis cap of the saturation loops
 
 
-def _saturate(base, seeds, moves, degree_bound: int, what: str, log=None):
+def _saturate(base, seeds, moves, degree_bound: int, what: str, log=None, stop=None):
     """Span closure of seeds under moves, inside the degree filtration.
 
     Elements are taken up in the order they joined the basis, and each one u
@@ -636,8 +662,11 @@ def _saturate(base, seeds, moves, degree_bound: int, what: str, log=None):
     yields the next.  An element is dropped (and counted) above the degree
     bound, skipped when it lies in the span, and added otherwise; a new
     element past SATURATION_CAP (read at call time) raises
-    ClosureBoundExceeded.  The first 8 additions are named in log when one
-    is given.  Returns (space, basis, dropped).
+    ClosureBoundExceeded.  When a stop predicate is given it is called with
+    the space after each addition, and _SaturationStopped is raised the
+    first time it holds, so a closure that stops before reaching the cap
+    never raises ClosureBoundExceeded.  The first 8 additions are named in
+    log when one is given.  Returns (space, basis, dropped).
     """
     basis_cap = SATURATION_CAP
     space = RowSpace()
@@ -661,6 +690,8 @@ def _saturate(base, seeds, moves, degree_bound: int, what: str, log=None):
         basis.append(elem)
         if log is not None and len(basis) <= 8:
             log.append(f"added {base.format(elem)} ({note})")
+        if stop is not None and stop(space):
+            raise _SaturationStopped
 
     for s in seeds:
         push(s, "seed")
@@ -687,6 +718,11 @@ def delta_stable_closure(
     relative to the given (name, element) generator pairs (the ring
     generators by default).
     """
+    return _stable_closure(base, delta, seeds, degree_bound, generators)
+
+
+def _stable_closure(base, delta, seeds, degree_bound, generators, stop=None):
+    """delta_stable_closure, with _saturate's stop predicate passed through."""
     gens = list(base.ring_generators()) if generators is None else generators
 
     def moves(u, basis):
@@ -697,7 +733,7 @@ def delta_stable_closure(
 
     log: list = []
     space, basis, dropped = _saturate(
-        base, seeds, moves, degree_bound, "ideal closure", log)
+        base, seeds, moves, degree_bound, "ideal closure", log, stop)
     unit_found, unit_reason = _detect_unit(base, space, basis)
     return IdealClosure(
         degree_bound=degree_bound,
@@ -786,6 +822,14 @@ def simplicity_probe(
     seed.  Then `trials` pseudo-random small-coefficient combinations drawn
     from random.Random(seed).  A witness is an ideal closure that misses part
     of the subalgebra and contains no unit.
+
+    A candidate's closure stops as soon as its span holds the unit of the
+    base (when the base has one): such a closure is no witness, and the
+    span only grows, so the report is the one full saturation gives.  One
+    consequence for SATURATION_CAP: a closure that reaches the unit before
+    the cap is rejected, where saturating it to the end could raise
+    ClosureBoundExceeded; a closure that never holds the unit raises past
+    the cap as before.
     """
     if not isinstance(alg, DifferentialAlgebra):
         raise TypeError("the simplicity probe runs on differential instances")
@@ -813,9 +857,11 @@ def simplicity_probe(
     checked = 0
     for desc, s in candidates:
         checked += 1
-        closure = delta_stable_closure(
-            base, delta, [s], degree_bound=degree_bound, generators=named
-        )
+        try:
+            closure = _stable_closure(
+                base, delta, [s], degree_bound, named, _unit_reached(base))
+        except _SaturationStopped:
+            continue
         missing = [n for n, b in named if not closure.contains(b)]
         if missing and not closure.unit_found:
             return SimplicityReport(

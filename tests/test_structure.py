@@ -1,6 +1,7 @@
 """Structure recovery: identities, peeling, recognition, transport, ideals."""
 
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,14 @@ from confal import (
 )
 from confal import structure
 from confal.cli import main
-from confal.structure import class_coords, coefficient_subalgebra, iterated_derivation_check
+from confal.dsl import build_all, load_path
+from confal.linalg import RowSpace
+from confal.structure import (
+    SimplicityReport,
+    class_coords,
+    coefficient_subalgebra,
+    iterated_derivation_check,
+)
 
 WEYL = weyl_algebra()
 CUR2 = cur_matrix(2)
@@ -312,3 +320,139 @@ def test_coefficient_subalgebra_has_a_basis_cap(monkeypatch):
         coefficient_subalgebra(cur_dual_numbers())
     path = pathlib.Path(__file__).resolve().parent.parent / "instances" / "cureps.confal"
     assert main(["simplicity", str(path)]) == 3
+
+
+# -- the probe against full saturation ------------------------------------------------------
+
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+
+CEND2_SOURCE = """algebra cend2 {
+  kind differential;
+  base matpoly 2 x;
+  deriv d/dx;
+  generators {
+    u11 = E(1,1);
+    u12 = E(1,2);
+    u21 = E(2,1);
+    u22 = E(2,2);
+    L = x*E(1,1) + x*E(2,2);
+  }
+}
+"""
+
+# b1 * b1 = b2 and every other product zero: no unit
+NILPOTENT_SOURCE = """algebra nil2 {
+  kind differential;
+  base findim 2 table [0, 1,  0, 0,
+                       0, 0,  0, 0];
+  deriv zero;
+  generators {
+    u = b1;
+  }
+}
+"""
+
+
+def _reference_probe(alg, trials=50, degree_bound=5, seed=0):
+    """simplicity_probe by a second route: the same candidate list, each one
+    saturated to the end by the public delta_stable_closure."""
+    base, delta = alg.base, alg.delta
+    sub_basis, saturated = coefficient_subalgebra(alg, degree_bound)
+    named = [(base.format(b), b) for b in sub_basis]
+    log = [] if saturated else ["subalgebra basis is truncated by the degree bound"]
+    rng = random.Random(seed)
+    candidates = [(f"basis element {n}", b) for n, b in named]
+    for k in range(trials):
+        elem = base.zero()
+        for b in sub_basis:
+            c = rng.randint(-2, 2)
+            if c:
+                elem = elem + b * c
+        if not elem.is_zero():
+            candidates.append((f"random combination #{k + 1}", elem))
+    common = dict(algebra=alg.name, degree_bound=degree_bound, trials=trials,
+                  subalgebra_dim=len(sub_basis), log=log)
+    for checked, (desc, s) in enumerate(candidates, 1):
+        closure = delta_stable_closure(base, delta, [s], degree_bound, named)
+        missing = [n for n, b in named if not closure.contains(b)]
+        if missing and not closure.unit_found:
+            return SimplicityReport(
+                candidates_checked=checked, witness_found=True,
+                witness=f"{desc}: {base.format(s)}", witness_missing=missing,
+                witness_closure=closure, **common)
+    log.append("no proper delta-stable ideal found at this degree bound")
+    return SimplicityReport(candidates_checked=len(candidates), witness_found=False, **common)
+
+
+def _bundled_differential():
+    for path in sorted(INSTANCES.glob("*.confal")):
+        for alg in load_path(str(path)).values():
+            if isinstance(alg, DifferentialAlgebra):
+                yield alg
+
+
+@pytest.mark.parametrize("alg", list(_bundled_differential()), ids=lambda a: a.name)
+def test_probe_matches_full_saturation_on_bundled_instances(alg):
+    assert simplicity_probe(alg).to_json_dict() == _reference_probe(alg).to_json_dict()
+
+
+@pytest.mark.parametrize("source, trials", [(CEND2_SOURCE, 5), (NILPOTENT_SOURCE, 10)],
+                         ids=["cend2", "unit-free"])
+def test_probe_matches_full_saturation(source, trials):
+    (alg,) = build_all(source).values()
+    for seed in (0, 1):
+        got = simplicity_probe(alg, trials=trials, seed=seed).to_json_dict()
+        assert got == _reference_probe(alg, trials=trials, seed=seed).to_json_dict()
+
+
+def _cap_after_subalgebra(monkeypatch, cap):
+    """Let the coefficient subalgebra saturate, then lower SATURATION_CAP
+    for the candidates' closures."""
+    full = structure.coefficient_subalgebra
+
+    def subalgebra(alg, degree_bound):
+        out = full(alg, degree_bound)
+        monkeypatch.setattr(structure, "SATURATION_CAP", cap)
+        return out
+
+    monkeypatch.setattr(structure, "coefficient_subalgebra", subalgebra)
+
+
+def test_probe_rejects_a_candidate_that_reaches_the_unit_before_the_cap(monkeypatch):
+    # dual numbers: the candidate `one` is the unit, and its full closure
+    # {one, eps} is past a cap of 1; the probe rejects it and goes on to eps
+    alg = cur_dual_numbers()
+    _cap_after_subalgebra(monkeypatch, 1)
+    rep = simplicity_probe(alg, trials=0)
+    assert rep.witness == "basis element eps: eps" and rep.candidates_checked == 2
+    with pytest.raises(ClosureBoundExceeded):
+        delta_stable_closure(alg.base, alg.delta, [alg.base.basis_element(0)])
+
+
+def test_probe_raises_past_the_cap_without_a_unit(monkeypatch):
+    (alg,) = build_all(NILPOTENT_SOURCE).values()
+    assert alg.base.unit is None
+    _cap_after_subalgebra(monkeypatch, 1)
+    with pytest.raises(ClosureBoundExceeded):
+        simplicity_probe(alg, trials=0)
+
+
+def test_probe_work_on_cend2(monkeypatch):
+    # a count, not a clock: closures that stop at the unit make less than
+    # half the RowSpace inserts of saturating every closure to the end
+    (alg,) = build_all(CEND2_SOURCE).values()
+    calls = [0]
+    add = RowSpace.add
+
+    def counted(self, vec, tag):
+        calls[0] += 1
+        return add(self, vec, tag)
+
+    monkeypatch.setattr(RowSpace, "add", counted)
+    rep = simplicity_probe(alg, trials=5, seed=0)
+    probe_adds = calls[0]
+    calls[0] = 0
+    ref = _reference_probe(alg, trials=5, seed=0)
+    assert rep.to_json_dict() == ref.to_json_dict()
+    assert (probe_adds, calls[0]) == (4526, 11185)
+    assert 2 * probe_adds < calls[0]
