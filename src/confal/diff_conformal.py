@@ -22,7 +22,7 @@ all correctness testing of the symbolic route.
 
 from __future__ import annotations
 
-from .exact_arith import DOp
+from .exact_arith import DOp, rat
 from .ore_skew import BaseAlgebra, Derivation, OreRing, SkewLaurent
 from .products import ALL_ZERO, ConformalAlgebra, Elem, terms_normal_form
 from .record import Record
@@ -46,6 +46,7 @@ class DifferentialAlgebra(ConformalAlgebra):
         self.delta = delta
         self.ore = OreRing(base, delta)
         self._orbits: dict = {}  # basis key -> delta.orbit of that basis element
+        self._basis: dict = {}  # basis key -> that basis element
         gens = {}
         for gname, val in (generators or {}).items():
             if isinstance(val, Elem):
@@ -77,9 +78,12 @@ class DifferentialAlgebra(ConformalAlgebra):
         orbit = self._orbit(bkey)
         if m >= len(orbit):
             return {}
-        prod = self.base.basis_element(akey) * orbit[m]
-        sign = -1 if m % 2 else 1
-        return {key: DOp.const(sign * c) for key, c in self.base.decompose(prod).items()}
+        a = self._basis.get(akey)
+        if a is None:
+            a = self._basis[akey] = self.base.basis_element(akey)
+        sign, make = -1 if m % 2 else 1, DOp._make
+        prod = self.base.decompose(a * orbit[m])
+        return {key: make({0: rat(sign * c)}) for key, c in prod.items()}
 
     # -- coefficients and the oracle --------------------------------------------
 
@@ -135,6 +139,19 @@ class DifferentialAlgebra(ConformalAlgebra):
 
     def model_mul(self, a: SkewLaurent, b: SkewLaurent) -> SkewLaurent:
         return a * b
+
+    def phi_products(self, a: SkewLaurent, v: Elem, phis: dict) -> list:
+        """[a * phi(v, k) for k in phis], given phis mapping each k to phi(v, k).
+
+        For a d-free v, phi(v, k) = phi(v, k0) t^(k - k0), and right
+        multiplication by a power of t only shifts exponents: one skew
+        product serves every k.
+        """
+        if v.max_dop_degree() or not phis:
+            return ConformalAlgebra.phi_products(self, a, v, phis)
+        k0 = next(iter(phis))
+        p = a * phis[k0]
+        return [p.shift(k - k0) for k in phis]
 
 
 class DongReport(Record):

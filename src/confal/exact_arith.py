@@ -528,37 +528,39 @@ class MatPoly:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other):
+    def _times_central(self, other):
+        """self times a scalar or a Poly (both central), or NotImplemented."""
         if isinstance(other, (int, Fraction)):
             c = rat(other)
             data = {key: v * c for key, v in self.data.items()} if c else {}
             return MatPoly._make(self.n, self.var, data)
-        if isinstance(other, Poly):
-            var = _join_var(self, other)
-            out: dict = {}
-            for (i, j, k), v in self.data.items():
-                for e, w in other.coeffs.items():
-                    key = (i, j, k + e)
-                    out[key] = out[key] + v * w if key in out else v * w
-        elif isinstance(other, MatPoly):
-            self._check(other)
-            var = _join_var(self, other)
-            by_row: dict = {}
-            for (l, j, e), w in other.data.items():
-                by_row.setdefault(l, []).append((j, e, w))
-            out = {}
-            for (i, l, k), v in self.data.items():
-                for j, e, w in by_row.get(l, ()):
-                    key = (i, j, k + e)
-                    out[key] = out[key] + v * w if key in out else v * w
-        else:
+        if not isinstance(other, Poly):
             return NotImplemented
-        return MatPoly._make(self.n, var, {key: c for key, c in out.items() if c})
+        out: dict = {}
+        for (i, j, k), v in self.data.items():
+            for e, w in other.coeffs.items():
+                key = (i, j, k + e)
+                out[key] = out[key] + v * w if key in out else v * w
+        return MatPoly._make(self.n, _join_var(self, other),
+                             {key: c for key, c in out.items() if c})
+
+    def __mul__(self, other):
+        if not isinstance(other, MatPoly):
+            return self._times_central(other)
+        self._check(other)
+        by_row: dict = {}
+        for (l, j, e), w in other.data.items():
+            by_row.setdefault(l, []).append((j, e, w))
+        out: dict = {}
+        for (i, l, k), v in self.data.items():
+            for j, e, w in by_row.get(l, ()):
+                key = (i, j, k + e)
+                out[key] = out[key] + v * w if key in out else v * w
+        return MatPoly._make(self.n, _join_var(self, other),
+                             {key: c for key, c in out.items() if c})
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return self * other  # scalars and Q[x] are central
-        return NotImplemented
+        return self._times_central(other)  # scalars and Q[x] are central
 
     def __pow__(self, p: int):
         if p < 0:

@@ -450,7 +450,9 @@ def coeff_growth_check(alg, window: tuple, r_max: int, cap: int | None = None) -
     [window[0], window[1]].  Requires window[0] <= 0 <= window[1] so that V
     sees the zeroth coefficients.  V^(r+1) lies in (V^1 + ... + V^r) V, so
     by bilinearity only the products that raised the dimension are
-    multiplied further, by the coefficients that span V.
+    multiplied further, by the coefficients that span V, through the
+    model's `phi_products` (one skew product per kept word and generator in
+    the differential model).
     """
     m_minus, m_plus = window
     if not (m_minus <= 0 <= m_plus):
@@ -465,12 +467,15 @@ def coeff_growth_check(alg, window: tuple, r_max: int, cap: int | None = None) -
         return total.add(alg.model_coords(p), total.dim)
 
     def products(a):
-        return (alg.model_mul(a, b) for b in vees)
+        for g, phis in groups:
+            yield from alg.phi_products(a, g, phis)
 
-    seeds = [alg.phi(g, k) for _, g in alg.generator_items()
-             for k in range(m_minus, m_plus + 1)]
+    ks = range(m_minus, m_plus + 1)
+    window_phis = [(g, {k: alg.phi(g, k) for k in ks}) for _, g in alg.generator_items()]
+    seeds = [s for _, phis in window_phis for s in phis.values()]
     walk = _walk(seeds, products, add, r_max, cap)
-    vees = next(walk)  # the coefficients that span V
+    kept = {id(s) for s in next(walk)}  # the coefficients that span V, by generator below
+    groups = [(g, {k: s for k, s in phis.items() if id(s) in kept}) for g, phis in window_phis]
     dims = [total.dim] + [total.dim for _ in walk]
 
     width = m_plus - m_minus

@@ -540,6 +540,13 @@ class SkewLaurent:
         c = rat(c)
         return SkewLaurent(self.ring, {n: a * c for n, a in self.coeffs.items()})
 
+    def shift(self, k: int) -> "SkewLaurent":
+        """self * t^k: in the normal form every exponent moves up by k."""
+        out = object.__new__(SkewLaurent)
+        out.ring = self.ring
+        out.coeffs = {n + k: a for n, a in self.coeffs.items()}
+        return out
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)

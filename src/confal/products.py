@@ -15,7 +15,8 @@ only
   * `locality_scan_bound(u, v)`: an order above which u (n) v provably
     vanishes;
   * its coefficient model: `phi(u, k)` (the k-th coefficient of u),
-    `model_zero`, `model_mul` and `model_coords`.
+    `model_zero`, `model_mul` and `model_coords`; `phi_products` has a
+    default built from `model_mul`.
 
 The engine `nth_product_terms` supplies bilinearity and the removal of d from
 both slots of the n-th product:
@@ -264,6 +265,10 @@ class ConformalAlgebra:
         return ALL_ZERO
 
     # -- the coefficient model ------------------------------------------------------------
+
+    def phi_products(self, a, v: Elem, phis: dict) -> list:
+        """[a * phi(v, k) for k in phis], given phis mapping each k to phi(v, k)."""
+        return [self.model_mul(a, b) for b in phis.values()]
 
     def locality_coeff_sum(self, u: Elem, v: Elem, n: int, l: int, m: int):
         """sum_j (-1)^j C(n, j) u(l-j) v(m+j), the order-n locality combination.

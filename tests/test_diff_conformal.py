@@ -1,5 +1,6 @@
 """Differential conformal algebras: products, coefficients, the oracle."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -11,18 +12,25 @@ from confal import (
     BoundExceeded,
     DOp,
     DifferentialAlgebra,
+    FinDim,
+    LinearAction,
+    MatPoly,
+    MatPolyRing,
     OreRing,
     Poly,
     PolyRing,
     ScaledDdx,
     conformal_axioms_report,
+    cur_dual_numbers,
     cur_matrix,
     cur_matrix_presented,
     dong_check,
+    enumerate_span,
     nilpotency_index,
     ore_skew,
     weyl_algebra,
 )
+from confal.dsl import load_path
 
 WEYL = weyl_algebra()
 CUR2 = cur_matrix(2)
@@ -283,3 +291,74 @@ def test_axioms_report_forms_each_product_once(monkeypatch):
     scan = alg.locality_scan_bound(u, L)
     assert rep.checked == 2 * (scan + 2)
     assert len(calls) == 3 * (scan + 2)
+
+
+# -- the coefficient window: one skew product shifted across it ------------------------------
+
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+BUNDLED = [alg for path in sorted(INSTANCES.glob("*.confal"))
+           for alg in load_path(str(path)).values() if isinstance(alg, DifferentialAlgebra)]
+
+
+def phi_products_cases(alg):
+    """(a, v) pairs: coefficients a against a d-free generator and two elements with d-powers."""
+    gens = [g for _, g in alg.generator_items()]
+    first, last = gens[0], gens[-1]
+    lefts = [alg.phi(last, 1), alg.model_mul(alg.phi(first, -1), alg.phi(last, 2))]
+    rights = [first, last, first.derive() * 2 + last, alg.apply_dop_power(last, 2)]
+    assert rights[0].max_dop_degree() == 0 and rights[2].max_dop_degree() == 1
+    return [(a, v) for a in lefts for v in rights]
+
+
+@pytest.mark.parametrize("alg", BUNDLED, ids=lambda a: a.name)
+def test_phi_products_match_one_product_per_exponent(alg):
+    assert {a.name for a in BUNDLED} == {"weyl", "cur2", "cureps", "polyzero"}
+    ks = (2, -2, 0, 1, -1)
+    for a, v in phi_products_cases(alg):
+        phis = {k: alg.phi(v, k) for k in ks}
+        assert alg.phi_products(a, v, phis) == [alg.model_mul(a, alg.phi(v, k)) for k in ks]
+
+
+def cend2() -> DifferentialAlgebra:
+    """CEnd_2 = (Mat_2(Q[x]), d/dx) with the matrix units and x times the unit."""
+    base = MatPolyRing(2, "x")
+    gens = {f"u{i + 1}{j + 1}": MatPoly.unit(2, i, j) for i in range(2) for j in range(2)}
+    gens["L"] = MatPoly.identity(2) * Poly.variable("x")
+    return DifferentialAlgebra(base, ScaledDdx(base), gens, name="cend2")
+
+
+def divided_powers() -> DifferentialAlgebra:
+    """Q[x]/(x^4) on the basis x^i/i!, so b_i b_j = C(i+j, i) b_(i+j), with
+    delta(x) = x^2/6: delta(b1) = b2/3, and b1 * delta(b1) = b3 is integral
+    only after a Fraction product."""
+    from math import comb
+
+    table = [[[comb(i + j, i) if k == i + j else 0 for k in range(4)] for j in range(4)]
+             for i in range(4)]
+    base = FinDim(table, names=("1", "x", "x2", "x3"))
+    delta = LinearAction(base, [[0, 0, 0, 0], [0, 0, 0, 0], [0, Fraction(1, 3), 0, 0],
+                                [0, 0, 1, 0]])
+    return DifferentialAlgebra(base, delta, {"u": base.basis_element(0),
+                                             "g": base.basis_element(1)}, name="dp3")
+
+
+@pytest.mark.parametrize("make", [weyl_algebra, cur_matrix, cur_dual_numbers, cend2,
+                                  divided_powers],
+                         ids=["weyl", "cur2", "cureps", "cend2", "dp3"])
+def test_base_cases_stay_canonical(make):
+    # against the DOp.const formula, on every key a word of length <= 3 reaches
+    alg = make()
+    base = alg.base
+    keys = sorted({key for e in enumerate_span(alg, 3).entries for key in e.elem.terms})
+    for a in keys:
+        for b in keys:
+            orbit = alg.delta.orbit(base.basis_element(b))
+            for m, db in enumerate(orbit):
+                sign = -1 if m % 2 else 1
+                want = {key: DOp.const(sign * c)
+                        for key, c in base.decompose(base.basis_element(a) * db).items()}
+                got = alg._base_case(a, m, b)
+                assert got == want
+                for q in got.values():
+                    for c in q.coeffs.values():
+                        assert type(c) is int or c.denominator != 1

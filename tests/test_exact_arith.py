@@ -270,6 +270,27 @@ def test_matpoly_rejects_mixed_variables():
     assert MatPoly.identity(2, "x") * y == y
 
 
+def test_matpoly_left_scalar_and_poly_products_match_the_right_ones():
+    m = MatPoly([[Poly({0: 1, 2: -3}), Fraction(1, 3)], [0, Poly.variable("x")]])
+    p = Poly({0: Fraction(-1, 2), 1: 4})
+    for c in (2, Fraction(1, 2), 0, p):
+        assert c * m == m * c
+    assert MatPoly.__rmul__(m, m) is NotImplemented
+    assert MatPoly.__rmul__(m, "x") is NotImplemented
+
+
+def test_matpoly_left_product_is_one_operator_call(monkeypatch):
+    # c * M runs __rmul__ alone: it does not call back into __mul__
+    m = MatPoly.identity(2)
+    mul = MatPoly.__mul__
+    calls = []
+    monkeypatch.setattr(MatPoly, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    for c in (2, Fraction(1, 2), Poly.variable("x")):
+        c * m
+    assert calls == []
+    assert {"__mul__", "__rmul__"} <= set(vars(MatPoly))
+
+
 # -- flat matrices against a nested-rows reference ------------------------------------------
 
 

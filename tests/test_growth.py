@@ -27,6 +27,7 @@ from confal import (
 )
 from confal.growth import difference_table, generator_order_bound, monomial_cap
 from confal.linalg import RowSpace
+from confal.ore_skew import SkewLaurent
 
 WEYL = weyl_algebra()
 CUR2 = cur_matrix(2)
@@ -260,6 +261,24 @@ def _full_layer_coeff_dims(alg, window, r_max):
 def test_coeff_dims_match_the_full_layer_loop(alg, window, r_max):
     rep = coeff_growth_check(alg, window, r_max)
     assert rep.coeff_dims == _full_layer_coeff_dims(alg, window, r_max)
+
+
+def test_coeff_growth_forms_one_skew_product_per_kept_word_and_generator(monkeypatch):
+    # phi(g, k) = phi(g, 0) t^k for a d-free generator g, so a * phi(g, 0) is
+    # formed once and shifted across the window
+    alg = weyl_algebra()
+    calls = [0]
+    mul = SkewLaurent.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(SkewLaurent, "__mul__", counted)
+    rep = coeff_growth_check(alg, (-2, 2), 5)
+    kept = rep.coeff_dims[-2]  # words of length < 5 that raised the dimension
+    assert calls[0] <= kept * len(alg.generator_items())
+    assert (calls[0], kept) == (182, 91)  # one product per kept word per seed: 910
 
 
 def test_growth_extends_only_rank_raising_words(monkeypatch):

@@ -22,8 +22,11 @@ from confal import (
     ScaledDdx,
     ZeroDerivation,
     ad_derivation,
+    cur_dual_numbers,
+    cur_matrix,
     matrix_findim,
     nilpotency_index,
+    weyl_algebra,
     weyl_instance,
 )
 from confal import ore_skew
@@ -70,6 +73,21 @@ def test_t_inverse():
     assert ring.t(1) * ring.t(-1) == ring.one()
     assert ring.t(-1) * ring.t(1) == ring.one()
     assert ring.t(-2) * ring.t(5) == ring.t(3)
+
+
+@pytest.mark.parametrize("make", [weyl_algebra, cur_matrix, cur_dual_numbers],
+                         ids=["weyl", "cur2", "cureps"])
+def test_shift_is_right_multiplication_by_a_power_of_t(make):
+    alg = make()
+    ring = alg.ore
+    gens = [g for _, g in alg.generator_items()]
+    elems = [ring.zero(), ring.one()]
+    for i, g in enumerate(gens):
+        elems.append(alg.phi(g, i - 1))
+        elems.append(alg.phi(g, 2) * alg.phi(gens[-1], -1) + alg.phi(g, -3).scale(Fraction(1, 2)))
+    for x in elems:
+        for k in (-3, -1, 0, 1, 4):
+            assert x.shift(k) == x * ring.t(k)
 
 
 def test_frozen_commutation_values():

@@ -1,5 +1,6 @@
 """Presented conformal algebras: tables, coefficients, identity checks."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from confal import (
     PresentedAlgebra,
     weyl_algebra,
 )
+from confal.dsl import load_path
 from confal.exact_arith import gen_binom
 from confal.presented_conformal import CoeffElem, coeff_mul
 
@@ -300,3 +302,24 @@ def test_pres_elem_linear_structure():
         (2, 2): Fraction(1),
     }
     assert (u - u).is_zero()
+
+
+# -- phi_products: the shared default -----------------------------------------------------
+
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+BUNDLED = [alg for path in sorted(INSTANCES.glob("*.confal"))
+           for alg in load_path(str(path)).values() if isinstance(alg, PresentedAlgebra)]
+
+
+@pytest.mark.parametrize("alg", BUNDLED, ids=lambda a: a.name)
+def test_phi_products_match_one_product_per_exponent(alg):
+    assert [a.name for a in BUNDLED] == ["cur2p"]
+    gens = [g for _, g in alg.generator_items()]
+    first, last = gens[0], gens[-1]
+    lefts = [alg.phi(last, 1), alg.model_mul(alg.phi(first, -1), alg.phi(last, 2))]
+    rights = [first, last, first.derive() * 2 + last, alg.apply_dop_power(last, 2)]
+    ks = (2, -2, 0, 1, -1)
+    for a in lefts:
+        for v in rights:
+            phis = {k: alg.phi(v, k) for k in ks}
+            assert alg.phi_products(a, v, phis) == [alg.model_mul(a, alg.phi(v, k)) for k in ks]

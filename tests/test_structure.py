@@ -456,3 +456,89 @@ def test_probe_work_on_cend2(monkeypatch):
     assert rep.to_json_dict() == ref.to_json_dict()
     assert (probe_adds, calls[0]) == (4526, 11185)
     assert 2 * probe_adds < calls[0]
+
+
+# -- the round trip against an elimination per product ----------------------------------------
+
+
+def _reference_roundtrip(alg, result, n_max=2):
+    """recognition_roundtrip by a second route: every product's class is
+    expressed over the representatives and compared with the table value."""
+    space = result.space
+    checked = skipped = 0
+    log = []
+    for i in range(result.dim):
+        for j in range(result.dim):
+            for n in range(n_max + 1):
+                w = alg.nth(result.representatives[i], result.representatives[j], n)
+                lhs = space.express(class_coords(alg, w))
+                dj = {j: 1}
+                for _ in range(n):
+                    dj = structure._vec_image(result.delta, dj)
+                rhs = structure._vec_mul(result.product, {i: -1 if n % 2 else 1}, dj)
+                if lhs is None or rhs is None:
+                    skipped += 1
+                    log.append(
+                        f"skipped ({result.labels[i]}, {result.labels[j]}, n={n}): "
+                        + ("product escapes the span" if lhs is None else "unresolved table entry")
+                    )
+                    continue
+                if lhs != rhs:
+                    raise MismatchWitness(
+                        result.labels[i], result.labels[j], n,
+                        detail=f"direct class {lhs} vs table value {rhs}",
+                    )
+                checked += 1
+    return {"checked": checked, "skipped": skipped, "log": log}
+
+
+def _bundled():
+    for path in sorted(INSTANCES.glob("*.confal")):
+        yield from load_path(str(path)).values()
+
+
+@pytest.mark.parametrize("alg", list(_bundled()), ids=lambda a: a.name)
+def test_roundtrip_matches_the_reference_on_bundled_instances(alg):
+    res = recognize_unital(alg)
+    assert recognition_roundtrip(alg, res) == _reference_roundtrip(alg, res)
+
+
+@pytest.mark.parametrize("name, word_bound", [("weyl", 4), ("polyzero", 4), ("cend2", 2)])
+def test_roundtrip_matches_the_reference_on_open_tables(name, word_bound):
+    if name == "cend2":
+        (alg,) = build_all(CEND2_SOURCE).values()
+    else:
+        (alg,) = load_path(str(INSTANCES / f"{name}.confal")).values()
+    res = recognize_unital(alg, word_bound=word_bound)
+    assert not res.closed
+    for n_max in (2, 3):
+        got = recognition_roundtrip(alg, res, n_max=n_max)
+        assert got == _reference_roundtrip(alg, res, n_max=n_max)
+        assert got["checked"] and got["skipped"]
+    reasons = {line.rsplit(": ", 1)[1] for line in got["log"]}
+    # on weyl and polyzero an unresolved entry's product also escapes the span
+    want = {"product escapes the span"}
+    if name == "cend2":
+        want.add("unresolved table entry")
+    assert reasons == want
+
+
+def _mismatch(replay, alg, res):
+    with pytest.raises(MismatchWitness) as err:
+        replay(alg, res)
+    return err.value.witness, str(err.value)
+
+
+@pytest.mark.parametrize("table, witness", [
+    ("product", ("u11", "u11", 0)),
+    ("delta", ("u11", "L", 1)),
+])
+def test_roundtrip_reports_a_corrupted_table_as_the_reference_does(table, witness):
+    (alg,) = build_all(CEND2_SOURCE).values()
+    res = recognize_unital(alg, word_bound=2)
+    entries = getattr(res, table)
+    key = next(k for k, v in entries.items() if v)  # the first nonzero resolved entry
+    entries[key] = {i: c * 2 for i, c in entries[key].items()}
+    got = _mismatch(recognition_roundtrip, alg, res)
+    assert got == _mismatch(_reference_roundtrip, alg, res)
+    assert got[0] == witness
