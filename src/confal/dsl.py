@@ -59,7 +59,7 @@ import sys
 from fractions import Fraction
 
 from .errors import BoundExceeded, NotNilpotent, ParseError
-from .exact_arith import DOp, Poly, ratio, signed_sum
+from .exact_arith import DOp, Poly, power, ratio, signed_sum
 from .ore_skew import (
     DdxPlusAd,
     FinDim,
@@ -671,24 +671,8 @@ def _eval(expr, base, atoms):
             raise ValueError("negative exponents are not supported")
         if isinstance(val, _SCALAR):
             return val ** k
-        return _power(base, val, k)
+        return power(val, k, base.one)
     raise ValueError(f"unknown expression node {kind!r}")
-
-
-def _power(base, val, k: int):
-    """val^k in a base algebra by repeated squaring, stopping once a square vanishes."""
-    if k == 0:
-        return base.one()
-    out = None
-    while True:
-        if k & 1:
-            out = val if out is None else out * val
-        k >>= 1
-        if not k:
-            return out
-        val = val * val
-        if val.is_zero():
-            return val
 
 
 def eval_base_expr(expr, base):

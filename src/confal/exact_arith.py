@@ -159,6 +159,25 @@ def _join_var(a, b) -> str:
     raise ValueError(f"variable mismatch: {a.var} vs {b.var}")
 
 
+def power(val, k: int, one):
+    """val^k (k >= 0) by repeated squaring, stopping once a square vanishes.
+
+    `one` is called for the unit, and only when k == 0.
+    """
+    if k == 0:
+        return one()
+    out = None
+    while True:
+        if k & 1:
+            out = val if out is None else out * val
+        k >>= 1
+        if not k:
+            return out
+        val = val * val
+        if val.is_zero():
+            return val
+
+
 def term_text(c, head: str | None) -> str:
     """One term c*head of a sum; a head of None stands for the constant term c."""
     if head is None:
@@ -279,10 +298,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.one(self.var)
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, lambda: Poly.one(self.var))
 
     def derive(self) -> "Poly":
         """Formal derivative with respect to the variable."""
@@ -565,10 +581,7 @@ class MatPoly:
     def __pow__(self, p: int):
         if p < 0:
             raise ValueError("negative matrix power")
-        out = MatPoly.identity(self.n, self.var)
-        for _ in range(p):
-            out = out * self
-        return out
+        return power(self, p, lambda: MatPoly.identity(self.n, self.var))
 
     def derive(self) -> "MatPoly":
         return MatPoly._make(

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .exact_arith import DOp, add_scaled, ratio
 from .linalg import RowSpace, dense_solve
-from .ore_skew import FinDim, MatPolyRing, PolyRing, ad_derivation
+from .ore_skew import FinDim, MatPolyRing, ad_derivation
 from .products import ALL_ZERO
 from .record import Record
 
@@ -299,9 +299,12 @@ def recognize_unital(
 
     When e is omitted it is searched for in the generator span.  The recovered
     algebra is the subalgebra of the quotient by the image of d generated by
-    the generator classes, closed under the induced derivation; products whose
-    word length exceeds word_bound are attempted against the final span and
-    reported as unresolved (closed=False) when they escape it.
+    the generator classes, closed under the induced derivation.  Every class
+    goes through one resolve step: it is expressed over the span, or added to
+    the basis when outside it.  Products whose word length exceeds word_bound
+    never add to the basis; each is formed once, after the closure, expressed
+    over the final span, and reported as unresolved (closed=False) when it
+    escapes it.
     """
     from .axioms import identity_report
 
@@ -323,73 +326,55 @@ def recognize_unital(
     product: dict = {}
     delta: dict = {}
 
-    def add_basis(elem, label, length):
+    def resolve(elem, label, length):
+        """The class of elem over the span, added as a new basis vector if outside it."""
         vec = class_coords(alg, elem)
+        expr = space.express(vec)
+        if expr is not None:
+            return expr
         idx = len(reps)
         if idx >= RECOGNITION_CAP:
-            if space.contains(vec):
-                return None
             raise ClosureBoundExceeded(
                 f"recovered basis exceeded the cap of {RECOGNITION_CAP} elements"
             )
-        if not space.add(vec, idx):
-            return None
+        space.add(vec, idx)
         labels.append(label)
-        reps.append(elem)
+        reps.append(canonical_rep(alg, elem))
         lengths.append(length)
-        return idx
+        return {idx: 1}
 
     generator_classes: dict = {}
     components: dict = {}
     for name, g in alg.generator_items():
         components[name] = peel_components(alg, g, e)
-        c = canonical_rep(alg, g)
-        if c.is_zero():
+        generator_classes[name] = resolve(g, name, 1)
+        if not generator_classes[name]:
             log.append(f"generator {name} has a trivial class (pure d-image)")
-            generator_classes[name] = {}
-            continue
-        add_basis(c, name, 1)
-        generator_classes[name] = space.express(class_coords(alg, c))
 
-    changed = True
-    while changed:
-        changed = False
+    # products past the word bound, in first-visit order; each is formed once,
+    # after the closure, since it can never add to the basis
+    deferred: list = []
+    size = None
+    while size != len(reps):
+        size = len(reps)
         for i in range(len(reps)):
-            if i in delta:
-                continue
-            img = canonical_rep(alg, -alg.nth(e, reps[i], 1))
-            vec = class_coords(alg, img)
-            expr = space.express(vec)
-            if expr is None:
-                expr = {add_basis(img, f"D({labels[i]})", lengths[i]): 1}
-                changed = True
-            delta[i] = expr
+            if i not in delta:
+                delta[i] = resolve(-alg.nth(e, reps[i], 1), f"D({labels[i]})", lengths[i])
         for i in range(len(reps)):
             for j in range(len(reps)):
                 if (i, j) in product:
                     continue
-                w = canonical_rep(alg, alg.nth(reps[i], reps[j], 0))
-                vec = class_coords(alg, w)
-                expr = space.express(vec)
-                if expr is not None:
-                    product[(i, j)] = expr
-                    continue
-                if lengths[i] + lengths[j] <= word_bound:
-                    idx = add_basis(w, f"{labels[i]}*{labels[j]}", lengths[i] + lengths[j])
-                    product[(i, j)] = {idx: 1}
-                    changed = True
-                else:
+                length = lengths[i] + lengths[j]
+                if length > word_bound:
                     product[(i, j)] = None
+                    deferred.append((i, j))
+                else:
+                    product[(i, j)] = resolve(alg.nth(reps[i], reps[j], 0),
+                                              f"{labels[i]}*{labels[j]}", length)
 
-    # the span may have grown after an entry was marked unresolved
-    for (i, j), entry in list(product.items()):
-        if entry is not None:
-            continue
-        w = canonical_rep(alg, alg.nth(reps[i], reps[j], 0))
-        expr = space.express(class_coords(alg, w))
-        if expr is not None:
-            product[(i, j)] = expr
-        else:
+    for i, j in deferred:
+        product[(i, j)] = space.express(class_coords(alg, alg.nth(reps[i], reps[j], 0)))
+        if product[(i, j)] is None:
             log.append(f"product left unresolved at the word bound: {labels[i]} * {labels[j]}")
     closed = all(entry is not None for entry in product.values())
 
@@ -400,7 +385,7 @@ def recognize_unital(
             continue
         top = g.max_dop_degree()
         fitted = coefficient_fit_degree(alg, g)
-        peel_top = alg.locality(g, e)
+        peel_top = components[name][0][0]
         if fitted != top:
             fit_ok = False
             failures.append(
@@ -624,11 +609,8 @@ def _detect_unit(base, space: RowSpace, basis):
     unit = _unit_of(base)
     if unit is not None and space.contains(base.decompose(unit)):
         return True, "the unit lies in the span"
-    for b in basis:
-        if isinstance(base, PolyRing):
-            if not b.is_zero() and b.is_const():
-                return True, f"invertible element in the span: {base.format(b)}"
-        elif isinstance(base, MatPolyRing):
+    if isinstance(base, MatPolyRing):
+        for b in basis:
             det = b.det()
             if not det.is_zero() and det.is_const():
                 return True, (

@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from confal import MatPoly, MatPolyRing, ParseError, build_all, load_path, parse, parse_element, pretty
+from confal import (
+    FinDim, MatPoly, MatPolyRing, ParseError, build_all, load_path, parse, parse_element, pretty,
+)
 from confal.cli import main
 from confal.dsl import MAX_EXPONENT, AlgebraSpec, eval_base_expr, parse_base_expr
 
@@ -264,6 +266,15 @@ def test_base_powers_by_squaring(monkeypatch):
     products.clear()
     assert eval_base_expr(parse_base_expr("E(1,2)^255"), ring).is_zero()
     assert len(products) == 1  # E(1,2)^2 = 0 ends the squaring
+
+
+def test_base_powers_ask_for_the_unit_only_at_exponent_zero():
+    # b1 * b1 = b2 and every other product zero: no unit
+    base = FinDim([[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
+    assert eval_base_expr(parse_base_expr("b1^2"), base) == base.basis_element(1)
+    assert eval_base_expr(parse_base_expr("b1^9"), base).is_zero()
+    with pytest.raises(ValueError, match="no unit"):
+        eval_base_expr(parse_base_expr("b1^0"), base)
 
 
 # -- command line -------------------------------------------------------------------------

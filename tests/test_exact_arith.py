@@ -350,3 +350,19 @@ def test_flat_matpoly_equality_and_hash_across_variables():
     ys = MatPoly.unit(2, 1, 0, "y", 3, 2)
     assert xs != ys and len({xs, ys}) == 2
     assert repr(xs) == "[[0, 0]; [3*x^2, 0]]" and repr(ys) == "[[0, 0]; [3*y^2, 0]]"
+
+
+@pytest.mark.parametrize("val, one", [
+    (Poly({0: Fraction(-1, 2), 1: 3, 2: 1}, "y"), Poly.one("y")),
+    # strictly upper triangular: val^2 != 0 and val^3 == 0
+    (MatPoly([[0, Poly.variable("x"), 1], [0, 0, Poly({2: 1})], [0, 0, 0]]),
+     MatPoly.identity(3, "x")),
+])
+def test_powers_match_repeated_products(val, one):
+    expected = one
+    for k in range(10):
+        got = val ** k
+        assert got == expected and got.var == expected.var
+        expected = expected * val
+    with pytest.raises(ValueError):
+        val ** -1

@@ -37,6 +37,7 @@ from confal import (
 from confal import structure
 from confal.cli import main
 from confal.dsl import build_all, load_path
+from confal.exact_arith import add_scaled
 from confal.linalg import RowSpace
 from confal.structure import (
     SimplicityReport,
@@ -191,6 +192,17 @@ def test_recognize_with_explicit_identity():
     assert res.ok and res.delta_vector("L") == {"e": Fraction(1)}
 
 
+def test_recognition_reads_the_basis_cap_at_call_time(monkeypatch, capsys):
+    weyl_dim = recognize_unital(WEYL).dim
+    cur2_dim = recognize_unital(CUR2).dim
+    monkeypatch.setattr(structure, "RECOGNITION_CAP", weyl_dim - 1)
+    with pytest.raises(ClosureBoundExceeded):
+        recognize_unital(WEYL)
+    assert main(["recognize", str(INSTANCES / "weyl.confal")]) == 3
+    monkeypatch.setattr(structure, "RECOGNITION_CAP", cur2_dim)
+    assert recognize_unital(CUR2).dim == cur2_dim
+
+
 def test_dtilde_matches_higher_products():
     # delta-tilde iterates: (-e (1) .)^n f = (-1)^n e (n) f for n <= 3
     e, L = WEYL.generator("e"), WEYL.generator("L")
@@ -270,6 +282,7 @@ def test_closure_detects_unit_through_derivation():
     delta = ScaledDdx(base)
     closure = delta_stable_closure(base, delta, [Poly.variable("x")])
     assert closure.unit_found
+    assert closure.unit_reason == "the unit lies in the span"
 
 
 def test_closure_reads_the_basis_cap_at_call_time(monkeypatch):
@@ -542,3 +555,151 @@ def test_roundtrip_reports_a_corrupted_table_as_the_reference_does(table, witnes
     got = _mismatch(recognition_roundtrip, alg, res)
     assert got == _mismatch(_reference_roundtrip, alg, res)
     assert got[0] == witness
+
+
+# -- recognition against the two-pass closure loop ------------------------------------------
+
+
+def _reference_recognize(alg, word_bound=8):
+    """recognize_unital by a second route: products past the word bound are
+    tried inside the closure loop and tried again against the final span, and
+    the fit check scans the top product order against e afresh."""
+    from confal.axioms import identity_report
+
+    e = find_identity(alg)
+    id_rep = identity_report(alg, e)
+    log, labels, reps, lengths = [], [], [], []
+    space = RowSpace()
+    product, delta = {}, {}
+
+    def add_basis(elem, label, length):
+        if len(reps) >= structure.RECOGNITION_CAP:
+            raise ClosureBoundExceeded("cap")
+        if not space.add(class_coords(alg, elem), len(reps)):
+            return None
+        labels.append(label)
+        reps.append(elem)
+        lengths.append(length)
+        return len(reps) - 1
+
+    generator_classes, components = {}, {}
+    for name, g in alg.generator_items():
+        components[name] = peel_components(alg, g, e)
+        c = canonical_rep(alg, g)
+        if c.is_zero():
+            log.append(f"generator {name} has a trivial class (pure d-image)")
+            generator_classes[name] = {}
+            continue
+        add_basis(c, name, 1)
+        generator_classes[name] = space.express(class_coords(alg, c))
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(reps)):
+            if i in delta:
+                continue
+            img = canonical_rep(alg, -alg.nth(e, reps[i], 1))
+            expr = space.express(class_coords(alg, img))
+            if expr is None:
+                expr = {add_basis(img, f"D({labels[i]})", lengths[i]): 1}
+                changed = True
+            delta[i] = expr
+        for i in range(len(reps)):
+            for j in range(len(reps)):
+                if (i, j) in product:
+                    continue
+                w = canonical_rep(alg, alg.nth(reps[i], reps[j], 0))
+                expr = space.express(class_coords(alg, w))
+                if expr is None and lengths[i] + lengths[j] <= word_bound:
+                    idx = add_basis(w, f"{labels[i]}*{labels[j]}", lengths[i] + lengths[j])
+                    expr = {idx: 1}
+                    changed = True
+                product[(i, j)] = expr
+
+    for (i, j), entry in list(product.items()):
+        if entry is not None:
+            continue
+        w = canonical_rep(alg, alg.nth(reps[i], reps[j], 0))
+        product[(i, j)] = space.express(class_coords(alg, w))
+        if product[(i, j)] is None:
+            log.append(f"product left unresolved at the word bound: {labels[i]} * {labels[j]}")
+
+    failures = []
+    fit_ok = True
+    for name, g in alg.generator_items():
+        if g.is_zero():
+            continue
+        top = g.max_dop_degree()
+        fitted = coefficient_fit_degree(alg, g)
+        peel_top = alg.locality(g, e)
+        if fitted != top:
+            fit_ok = False
+            failures.append(f"coefficient fit degree {fitted} != d-degree {top} on {name}")
+        if peel_top != top:
+            fit_ok = False
+            failures.append(
+                f"top product order against e is {peel_top!r}, expected {top}, on {name}"
+            )
+    dt_failures = iterated_derivation_check(alg, e)
+    failures.extend(dt_failures)
+    leibniz_ok = True
+    for i in range(len(reps)):
+        for j in range(len(reps)):
+            if product[(i, j)] is None:
+                continue
+            lhs = structure._vec_image(delta, product[(i, j)])
+            rhs_a = structure._vec_mul(product, delta[i], {j: 1})
+            rhs_b = structure._vec_mul(product, {i: 1}, delta[j])
+            if rhs_a is None or rhs_b is None:
+                log.append(
+                    f"Leibniz check skipped on ({labels[i]}, {labels[j]}): "
+                    "an intermediate product is unresolved"
+                )
+            elif add_scaled(rhs_a, rhs_b, 1) != lhs:
+                leibniz_ok = False
+                failures.append(f"induced derivation breaks Leibniz on ({labels[i]}, {labels[j]})")
+    return structure.RecognitionResult(
+        algebra=alg.name, ok=id_rep.ok and not failures, identity=id_rep, identity_elem=e,
+        labels=labels, representatives=reps, dim=len(reps),
+        closed=all(v is not None for v in product.values()), product=product, delta=delta,
+        delta_is_zero=all(not v for v in delta.values()),
+        unit_coords=space.express(class_coords(alg, e)), generator_classes=generator_classes,
+        components=components, fit_ok=fit_ok, dtilde_ok=not dt_failures, leibniz_ok=leibniz_ok,
+        failures=failures, log=log, space=space,
+    )
+
+
+def _with_cend2():
+    yield from _bundled()
+    yield from build_all(CEND2_SOURCE).values()
+
+
+@pytest.mark.parametrize("word_bound", range(1, 9))
+@pytest.mark.parametrize("alg", list(_with_cend2()), ids=lambda a: a.name)
+def test_recognition_matches_the_two_pass_loop(alg, word_bound):
+    res = recognize_unital(alg, word_bound=word_bound)
+    ref = _reference_recognize(alg, word_bound)
+    assert res.to_json_dict() == ref.to_json_dict()
+    assert recognition_roundtrip(alg, res) == recognition_roundtrip(alg, ref)
+
+
+def test_each_product_past_the_word_bound_is_formed_once(monkeypatch):
+    # weyl at word bound 20, as the spans benchmark recognizes it: the two-pass
+    # loop forms each of the 210 products it leaves unresolved a second time,
+    # and its fit check rescans the top product order against e (4 products)
+    (alg,) = load_path(str(INSTANCES / "weyl.confal")).values()
+    calls = [0]
+    nth = DifferentialAlgebra.nth
+
+    def counted(self, u, v, n):
+        calls[0] += 1
+        return nth(self, u, v, n)
+
+    monkeypatch.setattr(DifferentialAlgebra, "nth", counted)
+    res = recognize_unital(alg, word_bound=20)
+    got = calls[0]
+    calls[0] = 0
+    ref = _reference_recognize(alg, 20)
+    assert res.to_json_dict() == ref.to_json_dict()
+    assert (got, calls[0]) == (488, 702)
