@@ -148,10 +148,17 @@ def coefficient_locality_report(alg, window: int, extra_orders: int = 3) -> Chec
     for every n with N < n <= N + extra_orders and all l, m in [-window,
     window].
 
-    The windows overlap, so `locality_combinations` forms each pair's
-    products u(a) v(b) once: at most (2 window + 1 + n_top)^2 model products
-    per pair, n_top the pair's top order.  `alg.locality_coeff_sum` forms the
-    same sums without that memo and stays the independent route.
+    When v right-shifts (`alg.right_shifts`: every d-free generator of a
+    differential algebra), v(m+j) = v(j - window) t^(m + window), so the
+    combination at m is the one at m = -window times t^(m + window).  t is
+    a unit of the skew Laurent ring, so one combination per (n, l) decides
+    every m: it forms at most 2 window + 1 + n_top model products per pair,
+    n_top the pair's top order.  Otherwise every m is formed; the windows
+    overlap, so `locality_combinations` forms each product u(a) v(b) once,
+    at most (2 window + 1 + n_top)^2 per pair.  `checked` counts every
+    (n, l, m) either way, and a failure names the first.
+    `alg.locality_coeff_sum` forms the same sums without memo or shift and
+    stays the independent route.
     """
     if window < 0:
         raise ValueError("the coefficient window must be nonnegative")
@@ -165,9 +172,11 @@ def coefficient_locality_report(alg, window: int, extra_orders: int = 3) -> Chec
             start = 0 if deg is ALL_ZERO else deg + 1
             rep.details[f"N({aname},{bname})"] = repr(deg)
             combination = locality_combinations(alg, u, v)
+            shifts = alg.right_shifts(v)
+            ms = (-window,) if shifts else range(-window, window + 1)
             for n in range(start, start + extra_orders):
                 for l in range(-window, window + 1):
-                    for m in range(-window, window + 1):
+                    for m in ms:
                         rep.checked += 1
                         if combination(n, l, m):
                             rep.fail(
@@ -175,6 +184,8 @@ def coefficient_locality_report(alg, window: int, extra_orders: int = 3) -> Chec
                                 f"n={n}, l={l}, m={m}"
                             )
                             return rep
+                    if shifts:
+                        rep.checked += 2 * window  # the other m, each a shift of m = -window
     return rep
 
 
@@ -183,23 +194,34 @@ def locality_combinations(alg, u, v):
 
     Each coefficient u(a), v(b) and each product u(a) v(b) is formed once,
     on first use, and kept in a memo owned by the returned function; the
-    memo is dropped with it.
+    memo is dropped with it.  When v right-shifts, v(b) = v(0) t^b, so the
+    model forms one product row u(a) v(0) per left index a, and u(a) v(b)
+    is that row shifted by b.
     """
     phi_u: dict = {}
     phi_v: dict = {}
+    rows: dict = {}  # a -> u(a) v(0), when v right-shifts
     products: dict = {}
+    shifts = alg.right_shifts(v)
+
+    def phi(memo: dict, w, k: int):
+        got = memo.get(k)
+        if got is None:
+            got = memo[k] = alg.phi(w, k)
+        return got
 
     def product(a: int, b: int) -> dict:
         got = products.get((a, b))
         if got is None:
-            x = phi_u.get(a)
-            if x is None:
-                x = phi_u[a] = alg.phi(u, a)
-            y = phi_v.get(b)
-            if y is None:
-                y = phi_v[b] = alg.phi(v, b)
+            x = phi(phi_u, u, a)
+            y = phi(phi_v, v, 0 if shifts else b)
             if x.is_zero() or y.is_zero():
                 got = {}
+            elif shifts:
+                row = rows.get(a)
+                if row is None:
+                    row = rows[a] = alg.model_mul(x, y)
+                got = alg.model_coords(row.shift(b))
             else:
                 got = alg.model_coords(alg.model_mul(x, y))
             products[(a, b)] = got

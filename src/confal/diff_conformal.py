@@ -140,18 +140,9 @@ class DifferentialAlgebra(ConformalAlgebra):
     def model_mul(self, a: SkewLaurent, b: SkewLaurent) -> SkewLaurent:
         return a * b
 
-    def phi_products(self, a: SkewLaurent, v: Elem, phis: dict) -> list:
-        """[a * phi(v, k) for k in phis], given phis mapping each k to phi(v, k).
-
-        For a d-free v, phi(v, k) = phi(v, k0) t^(k - k0), and right
-        multiplication by a power of t only shifts exponents: one skew
-        product serves every k.
-        """
-        if v.max_dop_degree() or not phis:
-            return ConformalAlgebra.phi_products(self, a, v, phis)
-        k0 = next(iter(phis))
-        p = a * phis[k0]
-        return [p.shift(k - k0) for k in phis]
+    def right_shifts(self, v: Elem) -> bool:
+        """For a d-free v, phi(v, k) = phi(v, 0) t^k: the k-th coefficient of f_a is a t^k."""
+        return not v.max_dop_degree()
 
 
 class DongReport(Record):

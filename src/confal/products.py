@@ -16,7 +16,9 @@ only
     vanishes;
   * its coefficient model: `phi(u, k)` (the k-th coefficient of u),
     `model_zero`, `model_mul` and `model_coords`; `phi_products` has a
-    default built from `model_mul`.
+    default built from `model_mul`, and `right_shifts(v)` (False by
+    default) says when a product against v's coefficients is one product
+    shifted in t.
 
 The engine `nth_product_terms` supplies bilinearity and the removal of d from
 both slots of the n-th product:
@@ -266,9 +268,25 @@ class ConformalAlgebra:
 
     # -- the coefficient model ------------------------------------------------------------
 
+    def right_shifts(self, v: Elem) -> bool:
+        """Does phi(v, k) = phi(v, k0) t^(k - k0) hold in the coefficient model?
+
+        When it does, the model's values carry `shift(k)` (right
+        multiplication by t^k), so a product a * phi(v, k) is one product
+        a * phi(v, k0) shifted.  False unless the model says otherwise.
+        """
+        return False
+
     def phi_products(self, a, v: Elem, phis: dict) -> list:
-        """[a * phi(v, k) for k in phis], given phis mapping each k to phi(v, k)."""
-        return [self.model_mul(a, b) for b in phis.values()]
+        """[a * phi(v, k) for k in phis], given phis mapping each k to phi(v, k).
+
+        When v right-shifts, one model product serves every k.
+        """
+        if not phis or not self.right_shifts(v):
+            return [self.model_mul(a, b) for b in phis.values()]
+        k0 = next(iter(phis))
+        p = self.model_mul(a, phis[k0])
+        return [p.shift(k - k0) for k in phis]
 
     def locality_coeff_sum(self, u: Elem, v: Elem, n: int, l: int, m: int):
         """sum_j (-1)^j C(n, j) u(l-j) v(m+j), the order-n locality combination.

@@ -1,6 +1,9 @@
 """The coefficient layer: normal-form coefficients, memoised locality sums, their cost."""
 
+import pathlib
+
 import pytest
+from test_diff_conformal import cend2
 
 from confal import (
     ALL_ZERO,
@@ -11,8 +14,9 @@ from confal import (
     weyl_algebra,
 )
 from confal import presented_conformal
-from confal.axioms import locality_combinations
-from confal.exact_arith import falling_factorial
+from confal.axioms import CheckReport, locality_combinations
+from confal.dsl import load_path
+from confal.exact_arith import add_scaled, falling_factorial, gen_binom
 
 WEYL = weyl_algebra()
 CUR2 = cur_matrix(2)
@@ -87,20 +91,18 @@ def test_locality_coeff_sum_rejects_negative_order():
 # -- cost: model products per generator pair, independent of machine speed --------------------
 
 
-def _product_bound(alg, window, extra):
+def _product_bound(alg, window, extra, power):
     total = 0
     for _, u in alg.generator_items():
         for _, v in alg.generator_items():
             deg = alg.locality(u, v)
             n_top = (0 if deg is ALL_ZERO else deg + 1) + extra - 1
-            total += (2 * window + 1 + n_top) ** 2
+            total += (2 * window + 1 + n_top) ** power
     return total
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
-def test_model_products_bounded_per_pair(alg, monkeypatch):
-    # at most (2w+1+n_top)^2 model multiplications per generator pair; forming
-    # each (n, l, m) sum afresh costs (n+1)(2w+1)^2 per order instead
+def _count_model_products(alg, monkeypatch) -> list:
+    """A list that gains one entry per model multiplication from now on."""
     calls = []
     if alg is CUR2P:
         orig = presented_conformal.coeff_mul
@@ -118,13 +120,137 @@ def test_model_products_bounded_per_pair(alg, monkeypatch):
             return orig(self, other)
 
         monkeypatch.setattr(SkewLaurent, "__mul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
+def test_model_products_bounded_per_pair(alg, monkeypatch):
+    # the presented model forms at most (2w+1+n_top)^2 model products per
+    # generator pair, where forming each (n, l, m) sum afresh costs
+    # (n+1)(2w+1)^2 per order; d-free differential generators right-shift, so
+    # one combination per (n, l) costs at most 2w+1+n_top per pair
+    calls = _count_model_products(alg, monkeypatch)
     window, extra = 2, 3
     rep = coefficient_locality_report(alg, window, extra_orders=extra)
     assert rep.ok
     assert rep.checked == len(alg.generator_items()) ** 2 * extra * (2 * window + 1) ** 2
-    assert 0 < len(calls) <= _product_bound(alg, window, extra), (alg.name, len(calls))
+    power = 2 if alg is CUR2P else 1
+    assert 0 < len(calls) <= _product_bound(alg, window, extra, power), (alg.name, len(calls))
+
+
+def test_weyl_wide_window_skew_products(monkeypatch):
+    # one skew product per pair and left index a in [-6 - n_top, 6]: n_top is
+    # 3, 4, 3, 4 on (e,e), (e,L), (L,e), (L,L), so 16 + 17 + 16 + 17; a memo
+    # of every u(a) v(b) over the full (n, l, m) loop forms 1 026
+    calls = _count_model_products(WEYL, monkeypatch)
+    rep = coefficient_locality_report(WEYL, 6, extra_orders=3)
+    assert rep.ok and rep.checked == 4 * 3 * 13 * 13
+    assert len(calls) == 66
 
 
 def test_coefficient_locality_rejects_negative_extra_orders():
     with pytest.raises(ValueError, match="nonnegative"):
         coefficient_locality_report(CUR2, 1, extra_orders=-1)
+
+
+# -- the shifted report against the full (n, l, m) loop --------------------------------------
+
+
+def _pairwise_combinations(alg, u, v):
+    """(n, l, m) -> the combination's coordinates, each u(a) v(b) formed on its own."""
+    products: dict = {}
+
+    def product(a, b):
+        if (a, b) not in products:
+            x, y = alg.phi(u, a), alg.phi(v, b)
+            zero = x.is_zero() or y.is_zero()
+            products[(a, b)] = {} if zero else alg.model_coords(alg.model_mul(x, y))
+        return products[(a, b)]
+
+    def combination(n, l, m):
+        acc: dict = {}
+        for j in range(n + 1):
+            add_scaled(acc, product(l - j, m + j), (-1) ** j * gen_binom(n, j))
+        return acc
+
+    return combination
+
+
+def _reference_coefficient_locality(alg, window, extra_orders, combos):
+    """The report as a loop over every (n, l, m), with no shift.
+
+    `combos` keeps each pair's combinations across calls on the same algebra.
+    """
+    rep = CheckReport("coefficient-locality")
+    gens = alg.generator_items()
+    for aname, u in gens:
+        for bname, v in gens:
+            deg = alg.locality(u, v)
+            start = 0 if deg is ALL_ZERO else deg + 1
+            rep.details[f"N({aname},{bname})"] = repr(deg)
+            if (aname, bname) not in combos:
+                combos[(aname, bname)] = _pairwise_combinations(alg, u, v)
+            combination = combos[(aname, bname)]
+            for n in range(start, start + extra_orders):
+                for l in range(-window, window + 1):
+                    for m in range(-window, window + 1):
+                        rep.checked += 1
+                        if combination(n, l, m):
+                            rep.fail(
+                                f"coefficient combination nonzero at ({aname},{bname}), "
+                                f"n={n}, l={l}, m={m}"
+                            )
+                            return rep
+    return rep
+
+
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+REPORT_CASES = [alg for path in sorted(INSTANCES.glob("*.confal"))
+                for alg in load_path(str(path)).values()]
+REPORT_CASES += [cur_matrix(3), cur_matrix_presented(3), cend2()]
+
+
+@pytest.mark.parametrize("alg", REPORT_CASES, ids=lambda a: a.name)
+def test_report_matches_full_loop(alg):
+    assert len(REPORT_CASES) == 8
+    combos: dict = {}
+    for window in range(4):
+        for extra in range(4):
+            rep = coefficient_locality_report(alg, window, extra_orders=extra)
+            ref = _reference_coefficient_locality(alg, window, extra, combos)
+            assert rep.to_json_dict() == ref.to_json_dict(), (window, extra)
+
+
+@pytest.mark.parametrize("last_pair_only", [False, True], ids=["every-pair", "last-pair"])
+@pytest.mark.parametrize("alg", [weyl_algebra(), cur_matrix_presented(2)], ids=lambda a: a.name)
+def test_report_failure_matches_full_loop(alg, last_pair_only, monkeypatch):
+    # a degree one too low puts the true top order in the checked range; on
+    # the last pair alone, every other pair is checked in full before it fails
+    true_degree = alg.locality
+    last = alg.generator_items()[-1][1]
+
+    def one_less(u, v):
+        deg = true_degree(u, v)
+        if deg is ALL_ZERO or (last_pair_only and not u == v == last):
+            return deg
+        return deg - 1
+
+    monkeypatch.setattr(alg, "locality", one_less)
+    for window in range(1, 4):
+        rep = coefficient_locality_report(alg, window, extra_orders=2)
+        ref = _reference_coefficient_locality(alg, window, 2, {})
+        assert not ref.ok
+        assert rep.to_json_dict() == ref.to_json_dict(), window
+
+
+# -- which right factors shift -----------------------------------------------------------------
+
+
+def test_right_shifts_only_d_free_differential_elements():
+    for alg in (WEYL, CUR2, cend2()):
+        for u in _elements(alg):
+            assert alg.right_shifts(u) is (u.max_dop_degree() == 0), u
+        assert alg.right_shifts(alg.generator_items()[0][1])
+        assert not alg.right_shifts(alg.generator_items()[0][1].derive())
+    for u in _elements(CUR2P):
+        assert CUR2P.right_shifts(u) is False, u
