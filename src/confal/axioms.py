@@ -10,6 +10,8 @@ witnesses found.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .exact_arith import add_scaled, gen_binom
 from .products import ALL_ZERO
 from .record import Record
@@ -74,13 +76,13 @@ def associativity_report(alg, max_m: int, max_n: int, triples=None) -> CheckRepo
     Both sums run over 0 <= j <= m.  The report verifies each form and that
     the two computed values of the full product agree.
 
-    Each triple keeps four memos, dropped when the triple is done: v (k) w,
-    u (j) v, u (i) (v (k) w) and (u (j) v) (k) w, each formed on first use.
-    The left form's right-hand side reuses the right form's left-hand side
-    and the other way round.  With M = max_m and N = max_n a triple forms
-    (M + N + 1) + (M + 1) + 2 (M + 1) (N + 1) + M (M + 1) n-th products
-    (fewer if it fails early): 32 at (2, 2), against 108 for the sums as
-    written.
+    Each triple memoizes four families, by order alone, and forms each
+    member on first use: v (k) w, u (j) v, u (i) (v (k) w) and
+    (u (j) v) (k) w.  The left form's right-hand side reuses the right
+    form's left-hand side and the other way round.  With M = max_m and
+    N = max_n a triple forms (M + N + 1) + (M + 1) + 2 (M + 1) (N + 1)
+    + M (M + 1) n-th products (fewer if it fails early): 32 at (2, 2),
+    against 108 for the sums as written.
     """
     if max_m < 0 or max_n < 0:
         raise ValueError("associativity orders must be nonnegative")
@@ -93,31 +95,8 @@ def associativity_report(alg, max_m: int, max_n: int, triples=None) -> CheckRepo
             for b, ub in gens
             for c, uc in gens
         ]
-    nth = alg.nth
     for label, (u, v, w) in triples:
-        vw: dict = {}  # k -> v (k) w
-        uv: dict = {}  # j -> u (j) v
-        u_vw: dict = {}  # (i, k) -> u (i) (v (k) w)
-        uv_w: dict = {}  # (j, k) -> (u (j) v) (k) w
-
-        def u_of_vw(i, k):
-            got = u_vw.get((i, k))
-            if got is None:
-                x = vw.get(k)
-                if x is None:
-                    x = vw[k] = nth(v, w, k)
-                got = u_vw[(i, k)] = nth(u, x, i)
-            return got
-
-        def uv_of_w(j, k):
-            got = uv_w.get((j, k))
-            if got is None:
-                x = uv.get(j)
-                if x is None:
-                    x = uv[j] = nth(u, v, j)
-                got = uv_w[(j, k)] = nth(x, w, k)
-            return got
-
+        u_of_vw, uv_of_w = _triple_products(alg.nth, u, v, w)
         for m in range(max_m + 1):
             for n in range(max_n + 1):
                 left_lhs = u_of_vw(m, n)
@@ -138,6 +117,13 @@ def associativity_report(alg, max_m: int, max_n: int, triples=None) -> CheckRepo
                     rep.fail(f"right-expansion failure at {label}, m={m}, n={n}")
                     return rep
     return rep
+
+
+def _triple_products(nth, u, v, w):
+    """(i, k) -> u (i) (v (k) w) and (j, k) -> (u (j) v) (k) w, memoized by order."""
+    vw = cache(lambda k: nth(v, w, k))
+    uv = cache(lambda j: nth(u, v, j))
+    return cache(lambda i, k: nth(u, vw(k), i)), cache(lambda j, k: nth(uv(j), w, k))
 
 
 def coefficient_locality_report(alg, window: int, extra_orders: int = 3) -> CheckReport:
@@ -192,40 +178,25 @@ def coefficient_locality_report(alg, window: int, extra_orders: int = 3) -> Chec
 def locality_combinations(alg, u, v):
     """(n, l, m) -> model coordinates of sum_j (-1)^j C(n, j) u(l-j) v(m+j).
 
-    Each coefficient u(a), v(b) and each product u(a) v(b) is formed once,
-    on first use, and kept in a memo owned by the returned function; the
-    memo is dropped with it.  When v right-shifts, v(b) = v(0) t^b, so the
-    model forms one product row u(a) v(0) per left index a, and u(a) v(b)
-    is that row shifted by b.
+    Each coefficient u(a), v(b), each product u(a) v(b) and, when v
+    right-shifts, each row u(a) v(0) is formed once, on first use, by
+    memos owned by the returned function and dropped with it.  When v
+    right-shifts, v(b) = v(0) t^b, so u(a) v(b) is the row u(a) v(0)
+    shifted by b.
     """
-    phi_u: dict = {}
-    phi_v: dict = {}
-    rows: dict = {}  # a -> u(a) v(0), when v right-shifts
-    products: dict = {}
     shifts = alg.right_shifts(v)
+    phi_u = cache(lambda a: alg.phi(u, a))
+    phi_v = cache(lambda b: alg.phi(v, b))
+    row = cache(lambda a: alg.model_mul(phi_u(a), phi_v(0)))
 
-    def phi(memo: dict, w, k: int):
-        got = memo.get(k)
-        if got is None:
-            got = memo[k] = alg.phi(w, k)
-        return got
-
+    @cache
     def product(a: int, b: int) -> dict:
-        got = products.get((a, b))
-        if got is None:
-            x = phi(phi_u, u, a)
-            y = phi(phi_v, v, 0 if shifts else b)
-            if x.is_zero() or y.is_zero():
-                got = {}
-            elif shifts:
-                row = rows.get(a)
-                if row is None:
-                    row = rows[a] = alg.model_mul(x, y)
-                got = alg.model_coords(row.shift(b))
-            else:
-                got = alg.model_coords(alg.model_mul(x, y))
-            products[(a, b)] = got
-        return got
+        x, y = phi_u(a), phi_v(0 if shifts else b)
+        if x.is_zero() or y.is_zero():
+            return {}
+        if shifts:
+            return alg.model_coords(row(a).shift(b))
+        return alg.model_coords(alg.model_mul(x, y))
 
     def combination(n: int, l: int, m: int) -> dict:
         acc: dict = {}
@@ -292,29 +263,19 @@ def left_annihilator_probe(alg, dop_degree_bound: int = 3):
     for name, g in gens:
         for p in range(dop_degree_bound + 1):
             cands.append((f"d^{p} {name}", alg.apply_dop_power(g, p)))
-    rows = []
-    row_index: dict = {}
-
-    def row_for(eqkey):
-        r = row_index.get(eqkey)
-        if r is None:
-            r = [0] * len(cands)
-            row_index[eqkey] = r
-            rows.append(r)
-        return r
-
+    rows: dict = {}  # (generator, n, coordinate) -> its condition on the candidates
     for col, (_, cand) in enumerate(cands):
         for gname, g in gens:
             bound = alg.locality_scan_bound(cand, g)
             for n in range(bound + 1):
                 prod = alg.nth(cand, g, n)
                 for coord, c in alg.coordinates(prod).items():
-                    row_for((gname, n, coord))[col] += c
+                    rows.setdefault((gname, n, coord), [0] * len(cands))[col] += c
 
     from .linalg import dense_nullspace
 
     out = []
-    for combo in dense_nullspace(rows, len(cands)):
+    for combo in dense_nullspace(list(rows.values()), len(cands)):
         elem = alg.zero_elem()
         for c, (_, cand) in zip(combo, cands):
             if c != 0:

@@ -19,7 +19,7 @@ Commands
 Exit codes: 0 pass, 1 a check failed, 2 parse/input error, 3 resource bound.
 Reports render as text (default), deterministic JSON (schema "confal/1"), or
 CSV for the tabular commands.  The environment variable CONFAL_MAX_MONOMIALS
-overrides the enumeration cap.
+sets the enumeration cap.
 """
 
 from __future__ import annotations

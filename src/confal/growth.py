@@ -35,21 +35,20 @@ DIFF_DEPTH = 2  # finite-difference rows a growth report shows
 CSV_COLUMNS = ("r", "gamma", "delta1", "delta2", "coeff_dim", "bound_rhs", "bound_ok")
 
 
-def monomial_cap(explicit: int | None = None) -> int:
-    """The monomial cap: explicit, else from the environment, else the default.
+def monomial_cap() -> int:
+    """The monomial cap: CONFAL_MAX_MONOMIALS when set, else the default.
 
-    A cap below 1 admits no monomial at all, so it is rejected as bad input
-    (ValueError) rather than reported later as a resource bound.
+    Read at call time.  A cap below 1 admits no monomial at all, so it is
+    rejected as bad input (ValueError) rather than reported later as a
+    resource bound.
     """
-    cap = explicit
-    if cap is None:
-        env = os.environ.get(CAP_ENV_VAR)
-        if env is None:
-            return DEFAULT_MONOMIAL_CAP
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from exc
+    env = os.environ.get(CAP_ENV_VAR)
+    if env is None:
+        return DEFAULT_MONOMIAL_CAP
+    try:
+        cap = int(env)
+    except ValueError as exc:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from exc
     if cap < 1:
         raise ValueError(f"the monomial cap must be a positive integer, got {cap}")
     return cap
@@ -85,13 +84,14 @@ def generator_order_bound(alg) -> int:
     return best
 
 
-def _walk(seeds, products, add, r_max: int, cap: int):
+def _walk(seeds, products, add, r_max: int):
     """Yield, per length 1..max(r_max, 1), the words that add kept (returned True for).
 
     Length 1 is the seeds, length r + 1 is products(w) over the kept words w
-    of length r.  Each seed and product formed counts against cap; the one
-    past it raises ResourceBound (no silent truncation).
+    of length r.  Each seed and product formed counts against the monomial
+    cap; the one past it raises ResourceBound (no silent truncation).
     """
+    cap = monomial_cap()
     formed, kept = 0, None
     for _ in range(max(r_max, 1)):
         words = seeds if kept is None else (p for w in kept for p in products(w))
@@ -106,14 +106,13 @@ def _walk(seeds, products, add, r_max: int, cap: int):
         yield kept
 
 
-def enumerate_span(alg, r: int, cap: int | None = None) -> MonomialSpan:
+def enumerate_span(alg, r: int) -> MonomialSpan:
     """All nonzero left-normed monomials of length <= r, deduplicated up to scalar.
 
     Deduplication keeps the first word producing each element ray; it cannot
     change the span.  Raises ResourceBound when the number of enumerated
     monomials would exceed the cap (no silent truncation).
     """
-    cap = monomial_cap(cap)
     bound = generator_order_bound(alg)
     gens = alg.generator_items()
     span = MonomialSpan(r=r, order_bound=bound)
@@ -135,7 +134,7 @@ def enumerate_span(alg, r: int, cap: int | None = None) -> MonomialSpan:
                                 e.length + 1)
 
     seeds = [SpanEntry((name,), (), g, 1) for name, g in gens]
-    for layer in _walk(seeds, products, add, r, cap):
+    for layer in _walk(seeds, products, add, r):
         span.entries += layer
     return span
 
@@ -409,7 +408,7 @@ class GrowthReport(Record):
         return lines
 
 
-def growth_table(alg, r_max: int, cap: int | None = None) -> GrowthReport:
+def growth_table(alg, r_max: int) -> GrowthReport:
     """gamma(1..r_max), extending only the words that raised the rank.
 
     Read l as the formal lambda of the lambda-bracket, not as an order.  If
@@ -422,7 +421,6 @@ def growth_table(alg, r_max: int, cap: int | None = None) -> GrowthReport:
     """
     if r_max < 1:
         raise ValueError("the word-length bound r_max must be at least 1")
-    cap = monomial_cap(cap)
     bound = generator_order_bound(alg)
     gens = [g for _, g in alg.generator_items()]
 
@@ -432,7 +430,7 @@ def growth_table(alg, r_max: int, cap: int | None = None) -> GrowthReport:
                 yield alg.nth(w, g, n)
 
     ranker = ModuleRank()
-    gamma = [ranker.rank for _ in _walk(gens, products, ranker.add, r_max, cap)]
+    gamma = [ranker.rank for _ in _walk(gens, products, ranker.add, r_max)]
     return GrowthReport(
         algebra=getattr(alg, "name", "algebra"),
         r_max=r_max,
@@ -443,7 +441,7 @@ def growth_table(alg, r_max: int, cap: int | None = None) -> GrowthReport:
     )
 
 
-def coeff_growth_check(alg, window: tuple, r_max: int, cap: int | None = None) -> GrowthReport:
+def coeff_growth_check(alg, window: tuple, r_max: int) -> GrowthReport:
     """Exact dim(V^1 + ... + V^r) against the locality-window bound.
 
     V spans the generators' coefficients with t-exponents in
@@ -457,8 +455,7 @@ def coeff_growth_check(alg, window: tuple, r_max: int, cap: int | None = None) -
     m_minus, m_plus = window
     if not (m_minus <= 0 <= m_plus):
         raise ValueError("the window must contain 0")
-    cap = monomial_cap(cap)
-    base_report = growth_table(alg, r_max, cap)
+    base_report = growth_table(alg, r_max)
     n_bound = base_report.order_bound
 
     total = RowSpace()
@@ -473,7 +470,7 @@ def coeff_growth_check(alg, window: tuple, r_max: int, cap: int | None = None) -
     ks = range(m_minus, m_plus + 1)
     window_phis = [(g, {k: alg.phi(g, k) for k in ks}) for _, g in alg.generator_items()]
     seeds = [s for _, phis in window_phis for s in phis.values()]
-    walk = _walk(seeds, products, add, r_max, cap)
+    walk = _walk(seeds, products, add, r_max)
     kept = {id(s) for s in next(walk)}  # the coefficients that span V, by generator below
     groups = [(g, {k: s for k, s in phis.items() if id(s) in kept}) for g, phis in window_phis]
     dims = [total.dim] + [total.dim for _ in walk]

@@ -53,13 +53,11 @@ def cur_matrix(n: int = 2) -> DifferentialAlgebra:
 def cur_dual_numbers() -> DifferentialAlgebra:
     """Current algebra over the dual numbers Q[eps]/(eps^2).
 
+    The basis is b1 = 1, b2 = eps, named as in instances/cureps.confal.
     The span of eps is a proper two-sided ideal of the base, so the probe
     for delta-stable coefficient ideals finds a witness here.
     """
-    base = FinDim(
-        [[(1, 0), (0, 1)], [(0, 1), (0, 0)]],
-        names=("one", "eps"),
-    )
+    base = FinDim([[(1, 0), (0, 1)], [(0, 1), (0, 0)]])
     gens = {
         "u1": base.basis_element(0),
         "ueps": base.basis_element(1),

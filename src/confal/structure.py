@@ -847,7 +847,7 @@ def simplicity_probe(
             continue
         candidates.append((f"random combination #{k + 1}", elem))
 
-    checked = 0
+    checked, witness = 0, None
     for desc, s in candidates:
         checked += 1
         try:
@@ -857,25 +857,20 @@ def simplicity_probe(
             continue
         missing = [n for n, b in named if not closure.contains(b)]
         if missing and not closure.unit_found:
-            return SimplicityReport(
-                algebra=alg.name,
-                degree_bound=degree_bound,
-                trials=trials,
-                candidates_checked=checked,
-                subalgebra_dim=len(sub_basis),
-                witness_found=True,
-                witness=f"{desc}: {base.format(s)}",
-                witness_missing=missing,
-                witness_closure=closure,
-                log=log,
-            )
-    log.append("no proper delta-stable ideal found at this degree bound")
+            witness = (f"{desc}: {base.format(s)}", missing, closure)
+            break
+    else:
+        log.append("no proper delta-stable ideal found at this degree bound")
+    text, missing, closure = witness or (None, None, None)
     return SimplicityReport(
         algebra=alg.name,
         degree_bound=degree_bound,
         trials=trials,
         candidates_checked=checked,
         subalgebra_dim=len(sub_basis),
-        witness_found=False,
+        witness_found=witness is not None,
+        witness=text,
+        witness_missing=missing,
+        witness_closure=closure,
         log=log,
     )

@@ -15,6 +15,7 @@ from confal import (
 )
 from confal.cli import main
 from confal.dsl import MAX_EXPONENT, AlgebraSpec, eval_base_expr, parse_base_expr
+from confal.instances import INSTANCES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INSTANCE_DIR = ROOT / "instances"
@@ -41,6 +42,21 @@ def test_shipped_files_parse_and_build():
     for path in FILES:
         algebras = load_path(str(path))
         assert algebras, path
+
+
+def _printed(alg):
+    """Generator names, printed generators and printed n-th products, n <= 3."""
+    gens = alg.generator_items()
+    return ([name for name, _ in gens], [alg.format_elem(g) for _, g in gens],
+            [alg.format_elem(alg.nth(u, v, n)) for _, u in gens for _, v in gens
+             for n in range(4)])
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_builder_matches_the_bundled_file(name):
+    bundled = [load_path(str(path)) for path in FILES]
+    (shipped,) = [algs[name] for algs in bundled if name in algs]
+    assert _printed(INSTANCES[name]()) == _printed(shipped)
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.stem)
@@ -367,6 +383,14 @@ def test_cli_algebra_selector(capsys, tmp_path):
 def test_cli_resource_bound(monkeypatch):
     monkeypatch.setenv("CONFAL_MAX_MONOMIALS", "5")
     assert main(["growth", WEYL_FILE, "--rmax", "8"]) == 3
+
+
+def test_cli_coefficient_walk_past_the_cap_exits_3(monkeypatch, capsys):
+    # gamma fits under 50 monomials at --rmax 3; the coefficient walk does not
+    monkeypatch.setenv("CONFAL_MAX_MONOMIALS", "50")
+    assert main(["growth", WEYL_FILE, "--rmax", "3"]) == 0
+    assert main(["coeff-growth", WEYL_FILE, "--rmax", "3"]) == 3
+    assert "exceeded the cap of 50" in capsys.readouterr().err
 
 
 def test_cli_delta_orbit_past_the_cap_exits_3(tmp_path, capsys):

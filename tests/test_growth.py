@@ -176,15 +176,23 @@ def test_difference_table():
 
 
 def test_resource_bound_and_env_override(monkeypatch):
-    with pytest.raises(ResourceBound):
-        enumerate_span(WEYL, 6, cap=10)
     monkeypatch.setenv("CONFAL_MAX_MONOMIALS", "10")
+    with pytest.raises(ResourceBound):
+        enumerate_span(WEYL, 6)
     assert monomial_cap() == 10
     with pytest.raises(ResourceBound):
         growth_table(WEYL, 6)
     monkeypatch.setenv("CONFAL_MAX_MONOMIALS", "not-a-number")
     with pytest.raises(ValueError):
         monomial_cap()
+
+
+def test_coefficient_walk_has_its_own_cap(monkeypatch):
+    # growth_table(weyl, 3) passes from a cap of 14, coeff_growth_check from 102
+    monkeypatch.setenv("CONFAL_MAX_MONOMIALS", "50")
+    assert growth_table(WEYL, 3).gamma == [2, 3, 4]
+    with pytest.raises(ResourceBound, match="cap of 50"):
+        coeff_growth_check(WEYL, (-1, 1), 3)
 
 
 @pytest.mark.parametrize("cap", [-5, 0])
@@ -194,11 +202,10 @@ def test_nonpositive_monomial_cap_is_rejected(monkeypatch, cap):
         monomial_cap()
     with pytest.raises(ValueError, match="monomial cap"):
         growth_table(WEYL, 2)
-    monkeypatch.delenv("CONFAL_MAX_MONOMIALS")
     with pytest.raises(ValueError, match="monomial cap"):
-        enumerate_span(WEYL, 2, cap=cap)
+        enumerate_span(WEYL, 2)
     with pytest.raises(ValueError, match="monomial cap"):
-        coeff_growth_check(WEYL, (0, 0), 2, cap=cap)
+        coeff_growth_check(WEYL, (0, 0), 2)
 
 
 # -- coefficient growth -----------------------------------------------------------------------

@@ -432,12 +432,12 @@ def _cap_after_subalgebra(monkeypatch, cap):
 
 
 def test_probe_rejects_a_candidate_that_reaches_the_unit_before_the_cap(monkeypatch):
-    # dual numbers: the candidate `one` is the unit, and its full closure
-    # {one, eps} is past a cap of 1; the probe rejects it and goes on to eps
+    # dual numbers: the candidate b1 is the unit, and its full closure
+    # {b1, b2} is past a cap of 1; the probe rejects it and goes on to b2 = eps
     alg = cur_dual_numbers()
     _cap_after_subalgebra(monkeypatch, 1)
     rep = simplicity_probe(alg, trials=0)
-    assert rep.witness == "basis element eps: eps" and rep.candidates_checked == 2
+    assert rep.witness == "basis element b2: b2" and rep.candidates_checked == 2
     with pytest.raises(ClosureBoundExceeded):
         delta_stable_closure(alg.base, alg.delta, [alg.base.basis_element(0)])
 
