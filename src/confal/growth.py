@@ -6,22 +6,25 @@ declared generators, with every order n_i <= N, the maximum pairwise locality
 degree of the generators; monomials with a larger order evaluate to zero, so
 nothing is lost.  One layered walk, under one monomial cap, extends only the
 words that were new; for gamma, new means raising the rank in one incremental
-fraction-free elimination over Z[d], read off after each word length.  Growth
-degree is detected from stabilized finite differences of the exact gamma
-values.  A log-log slope is reported for reference only; every decision is
-made in exact arithmetic.
+fraction-free elimination over Z[d] (`ModuleRank`, which applies to a word
+only the stored rows whose pivots it reaches), read off after each word
+length.  Growth degree is detected from stabilized finite differences of the
+exact gamma values.  A log-log slope is reported for reference only; every
+decision is made in exact arithmetic.
 
 The coefficient-growth check compares dim(V^1 + ... + V^r), where V is the
 span of the generators' coefficients with t-exponents in a window
 [M-, M+], against the exact bound (M+ - M- + max(N, 1)) * r * gamma(r); the
 literal variant with max(N, 1) replaced by N is evaluated and reported
-alongside; there new means raising dim(V^1 + ... + V^r).
+alongside; there new means raising dim(V^1 + ... + V^r), in a `RowSpace`
+whose untagged rows store no combination, since only the dimension is read.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from itertools import islice
 
 from .errors import ResourceBound
 from .linalg import RowSpace, primitive_integral
@@ -215,16 +218,25 @@ class ModuleRank:
     """Incremental rank over Q[d] of vectors with DOp entries.
 
     Each vector is scaled to a primitive vector over Z[d] and eliminated
-    against the stored rows one row at a time, fraction-free (Bareiss 1968):
-    with P_i the pivot entry of stored row R_i at column p_i and P_0 = 1,
-    v <- (P_i v - v[p_i] R_i) / P_{i-1} for every i, also when v[p_i] = 0.
-    Every entry stays a minor of the input matrix, so each division is exact;
-    it is checked, and an inexact one raises ArithmeticError.  A vector
-    left nonzero becomes the next row, pivoting at its least key.
+    fraction-free (Bareiss 1968).  With P_i the pivot entry of stored row R_i
+    at column p_i and P_0 = 1, the full chain is
+    v <- (P_i v - v[p_i] R_i) / P_{i-1} for every i in turn.  Where
+    v[p_i] = 0 that step only multiplies v by P_i / P_{i-1}, so a run of such
+    steps telescopes, and only the rows whose pivot v holds are applied:
+    row i, the next such row in insertion order, gives
+    v <- (P_i v - v[p_i] R_i) / P_prev, with P_prev the pivot entry of the
+    last row applied (1 before the first).  Row i is zero at every earlier
+    pivot, so it can only bring in later ones.  A vector left nonzero is
+    rescaled once by P_last / P_prev, P_last the last stored pivot entry, and
+    becomes the next row, pivoting at its least key: the same row the full
+    chain stores.  Every entry stays a minor of the input matrix, so each
+    division is exact; it is checked, and an inexact one raises
+    ArithmeticError.
     """
 
     def __init__(self):
         self._rows: list[tuple[object, dict, list]] = []  # (p_i, R_i, P_i)
+        self._pivot_index: dict = {}  # p_i -> i
 
     @property
     def rank(self) -> int:
@@ -234,30 +246,38 @@ class ModuleRank:
         """Eliminate a vector (dict key -> DOp, or an element with `.terms`);
         returns True when it raised the rank."""
         v = _zpoly_vector(vector.terms if hasattr(vector, "terms") else vector)
+        rows, at = self._rows, self._pivot_index
+        pending = {at[k] for k in v if k in at}
         prev = [1]
-        for pivot, row, piv in self._rows:
-            if not v:
-                return False
+        while pending:
+            i = min(pending)
+            pending.remove(i)
+            pivot, row, piv = rows[i]
             a = v.pop(pivot, None)
-            nxt = {}
             if a is None:
-                if piv == prev:
+                continue
+            nxt = {}
+            for k in v.keys() | row.keys():
+                if k == pivot:
                     continue
-                for k, x in v.items():
-                    nxt[k] = _zpoly_divexact(_zpoly_mul(piv, x), prev)
-            else:
-                for k in v.keys() | row.keys():
-                    if k == pivot:
-                        continue
-                    num = _zpoly_sub(_zpoly_mul(piv, v.get(k, [])),
-                                     _zpoly_mul(a, row.get(k, [])))
-                    if num:
-                        nxt[k] = _zpoly_divexact(num, prev)
+                num = _zpoly_sub(_zpoly_mul(piv, v.get(k, [])), _zpoly_mul(a, row.get(k, [])))
+                if num:
+                    nxt[k] = _zpoly_divexact(num, prev)
+            if not nxt:
+                return False
             v, prev = nxt, piv
+            for k in row:
+                j = at.get(k)
+                if j is not None and j > i:
+                    pending.add(j)
         if not v:
             return False
+        last = rows[-1][2] if rows else [1]
+        if last != prev:
+            v = {k: _zpoly_divexact(_zpoly_mul(last, x), prev) for k, x in v.items()}
         pivot = min(v)
-        self._rows.append((pivot, v, v[pivot]))
+        at[pivot] = len(rows)
+        rows.append((pivot, v, v[pivot]))
         return True
 
 
@@ -272,15 +292,18 @@ def module_rank(vectors) -> int:
     return ranker.rank
 
 
+def _differences(values):
+    """values, then each finite-difference sequence in turn, built as it is read."""
+    seq = list(values)
+    yield seq
+    while len(seq) >= 2:
+        seq = [b - a for a, b in zip(seq, seq[1:])]
+        yield seq
+
+
 def difference_table(values, depth: int):
     """values and its first `depth` finite-difference sequences."""
-    table = [list(values)]
-    for _ in range(depth):
-        prev = table[-1]
-        if len(prev) < 2:
-            break
-        table.append([b - a for a, b in zip(prev, prev[1:])])
-    return table
+    return list(islice(_differences(values), depth + 1))
 
 
 def detect_degree(gamma):
@@ -294,7 +317,7 @@ def detect_degree(gamma):
     if n < 3:
         return "inconclusive"
     window = max(3, n // 4)
-    for d, seq in enumerate(difference_table(gamma, n - 2)):
+    for d, seq in enumerate(_differences(gamma)):
         if len(seq) < window:
             break
         tail_vals = seq[-window:]
@@ -461,7 +484,7 @@ def coeff_growth_check(alg, window: tuple, r_max: int) -> GrowthReport:
     total = RowSpace()
 
     def add(p):
-        return total.add(alg.model_coords(p), total.dim)
+        return total.add(alg.model_coords(p))
 
     def products(a):
         for g, phis in groups:

@@ -47,7 +47,9 @@ class RowSpace:
     """Incremental echelon span of sparse rational vectors.
 
     Each added vector is tagged; `express` writes a member of the span as a
-    combination of the previously added (independent) vectors' tags.
+    combination of the previously added (independent) vectors' tags.  A
+    vector added without a tag (None) only raises the dimension: its row
+    stores no combination, and `express` refuses a span that holds one.
 
     Internally everything is an integer.  An added vector v is stored through
     its primitive integer multiple u = s * v (the scale s is kept).  Each
@@ -55,12 +57,15 @@ class RowSpace:
     keyed by insertion index, such that R == sum C[i] * u[i]; reduction
     cross-multiplies, w <- R[p] * w - w[p] * R (both factors first divided
     by their gcd), then divides the vector and its combination by their joint
-    gcd.  Fractions appear again only in what `residual` and `express` return.
+    gcd; an untagged row skips the combination and divides the vector by its
+    gcd with the running multiplier alone.  Fractions appear again only in
+    what `residual` and `express` return.
     """
 
     def __init__(self):
         # (pivot_key, row, combo): integer row with row[pivot_key] != 0, zero
-        # at every earlier pivot, and row == sum combo[i] * u[i]
+        # at every earlier pivot, and row == sum combo[i] * u[i] (combo is
+        # None for a row added without a tag)
         self._rows: list[tuple[object, dict, dict]] = []
         self._pivot_index: dict = {}  # pivot_key -> index of its row
         self._tags: list = []
@@ -74,9 +79,10 @@ class RowSpace:
         """Eliminate every pivot from the integer vector w.
 
         Returns (w', combo) with w' == combo[_OWN] * w + sum combo[i] * u[i];
-        the indices i appear only when `track` is set.  Rows are applied in
-        insertion order, visiting only those whose pivot w holds: row i is
-        zero at every earlier pivot, so it can only bring in later ones.
+        the indices i appear only when `track` is set, and a row with no
+        combination then raises ValueError.  Rows are applied in insertion
+        order, visiting only those whose pivot w holds: row i is zero at
+        every earlier pivot, so it can only bring in later ones.
         """
         combo = {_OWN: 1}
         rows, at = self._rows, self._pivot_index
@@ -98,6 +104,8 @@ class RowSpace:
                 _scale(combo, p)
             add_scaled(w, row, -a)
             if track:
+                if rcombo is None:
+                    raise ValueError("the span holds a row added without a tag")
                 add_scaled(combo, rcombo, -a)
             g = gcd(*w.values())
             if g != 1:
@@ -122,7 +130,10 @@ class RowSpace:
         return not self.residual(vec)
 
     def express(self, vec: dict):
-        """Coefficients over added tags reproducing vec, or None if outside."""
+        """Coefficients over added tags reproducing vec, or None if outside.
+
+        Raises ValueError when the reduction meets a row added without a tag.
+        """
         w, s = primitive_integral(vec)
         w, combo = self._reduce(w, True)
         if w:
@@ -134,13 +145,20 @@ class RowSpace:
             for i, c in combo.items()
         }
 
-    def add(self, vec: dict, tag) -> bool:
-        """Insert vec under tag; returns False if it was already in the span."""
+    def add(self, vec: dict, tag=None) -> bool:
+        """Insert vec under tag; returns False if it was already in the span.
+
+        Without a tag the row stores no combination (see the class doc).
+        """
         w, s = primitive_integral(vec)
-        w, combo = self._reduce(w, True)
+        track = tag is not None
+        w, combo = self._reduce(w, track)
         if not w:
             return False
-        combo[len(self._tags)] = combo.pop(_OWN)
+        if track:
+            combo[len(self._tags)] = combo.pop(_OWN)
+        else:
+            combo = None
         self._tags.append(tag)
         self._scales.append(s)
         pivot = min(w)

@@ -538,6 +538,10 @@ class SkewLaurent:
 
     def scale(self, c) -> "SkewLaurent":
         c = rat(c)
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
         return SkewLaurent(self.ring, {n: a * c for n, a in self.coeffs.items()})
 
     def shift(self, k: int) -> "SkewLaurent":

@@ -78,7 +78,7 @@ def nth_product_terms(u_terms: dict, v_terms: dict, n: int, base_case) -> dict:
             if i > n:
                 continue  # the left-slot factor n(n-1)...(n-i+1) vanishes
             m = n - i
-            left = ci * falling_factorial(n, i)
+            left = ci * falling_factorial(n, i) if i else ci
             if i % 2:
                 left = -left
             for bk, q in v_terms.items():
@@ -252,7 +252,11 @@ class ConformalAlgebra:
 
     def nth(self, u: Elem, v: Elem, n: int) -> Elem:
         u._same(v)
-        return Elem(self, nth_product_terms(u.terms, v.terms, n, self._base_case))
+        # the engine's terms are already clean: wrap them without a second pass
+        out = object.__new__(Elem)
+        out.alg = self
+        out.terms = nth_product_terms(u.terms, v.terms, n, self._base_case)
+        return out
 
     def locality(self, u: Elem, v: Elem):
         """Largest n with u (n) v != 0, or ALL_ZERO.

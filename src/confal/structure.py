@@ -479,12 +479,14 @@ def recognition_roundtrip(alg, result: RecognitionResult, n_max: int = 2) -> dic
                 if rhs is not None and _vec_image(rep_coords, rhs) == w:
                     checked += 1
                     continue
-                lhs = space.express(w)
-                if lhs is None or rhs is None:
+                # with no table value, the span only picks the skip reason
+                lhs = space.express(w) if rhs is not None else None
+                if lhs is None:
+                    escapes = rhs is not None or not space.contains(w)
                     skipped += 1
                     log.append(
                         f"skipped ({result.labels[i]}, {result.labels[j]}, n={n}): "
-                        + ("product escapes the span" if lhs is None else "unresolved table entry")
+                        + ("product escapes the span" if escapes else "unresolved table entry")
                     )
                     continue
                 if lhs != rhs:

@@ -25,9 +25,12 @@ from confal import (
     poly_zero,
     weyl_algebra,
 )
+from confal import growth
 from confal.growth import difference_table, generator_order_bound, monomial_cap
+from confal.instances import INSTANCES
 from confal.linalg import RowSpace
 from confal.ore_skew import SkewLaurent
+from test_diff_conformal import cend2
 
 WEYL = weyl_algebra()
 CUR2 = cur_matrix(2)
@@ -222,6 +225,33 @@ def test_coeff_growth_bound_holds_on_weyl():
 def test_coeff_growth_window_must_contain_zero():
     with pytest.raises(ValueError):
         coeff_growth_check(WEYL, (1, 3), 3)
+
+
+class _TaggedRowSpace(RowSpace):
+    """Reference span: every row gets a tag, so every add tracks its combination."""
+
+    made: list = []
+
+    def __init__(self):
+        super().__init__()
+        self.made.append(self)
+
+    def add(self, vec, tag=None):
+        return super().add(vec, self.dim if tag is None else tag)
+
+
+UNTAGGED_CASES = [*INSTANCES.values(), lambda: cur_matrix(3), cend2]
+
+
+@pytest.mark.parametrize("window", [(-1, 1), (-2, 2)])
+@pytest.mark.parametrize("make", UNTAGGED_CASES, ids=[*INSTANCES, "cur3", "cend2"])
+def test_untagged_coeff_dims_match_a_tagged_span(monkeypatch, make, window):
+    dims = coeff_growth_check(make(), window, 4).coeff_dims
+    monkeypatch.setattr(growth, "RowSpace", _TaggedRowSpace)
+    monkeypatch.setattr(_TaggedRowSpace, "made", [])
+    assert coeff_growth_check(make(), window, 4).coeff_dims == dims
+    (space,) = _TaggedRowSpace.made
+    assert space.dim == dims[-1] and all(combo is not None for *_, combo in space._rows)
 
 
 def test_csv_shape():

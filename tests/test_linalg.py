@@ -29,8 +29,16 @@ from confal import (  # noqa: E402
     poly_zero,
     weyl_algebra,
 )
-from confal.growth import ModuleRank, _zpoly_divexact  # noqa: E402
+from confal import growth  # noqa: E402
+from confal.growth import (  # noqa: E402
+    ModuleRank,
+    _zpoly_divexact,
+    _zpoly_mul,
+    _zpoly_sub,
+    _zpoly_vector,
+)
 from confal.linalg import RowSpace, dense_nullspace, dense_rref, dense_solve  # noqa: E402
+from test_diff_conformal import cend2  # noqa: E402
 
 D = symbols("d")
 QD = QQ.frac_field(D)
@@ -113,6 +121,108 @@ def test_module_rank_scale_invariant():
     assert module_rank([{k: q * Fraction(-21, 4) for k, q in r.items()} for r in rows]) == 2
     assert module_rank(rows + [{k: q * DOp.d(2) for k, q in rows[0].items()}]) == 2
     assert module_rank([rows[0], {k: q * Fraction(7, 9) for k, q in rows[0].items()}]) == 1
+
+
+def _full_chain_add(rows: list, vector) -> bool:
+    """Reference: the fraction-free chain over every stored row, also where the
+    vector lacks the row's pivot (there it only rescales by P_i / P_{i-1})."""
+    v = _zpoly_vector(vector.terms if hasattr(vector, "terms") else vector)
+    prev = [1]
+    for pivot, row, piv in rows:
+        if not v:
+            return False
+        a = v.pop(pivot, None)
+        nxt = {}
+        if a is None:
+            if piv == prev:
+                continue
+            for k, x in v.items():
+                nxt[k] = _zpoly_divexact(_zpoly_mul(piv, x), prev)
+        else:
+            for k in v.keys() | row.keys():
+                if k == pivot:
+                    continue
+                num = _zpoly_sub(_zpoly_mul(piv, v.get(k, [])),
+                                 _zpoly_mul(a, row.get(k, [])))
+                if num:
+                    nxt[k] = _zpoly_divexact(num, prev)
+        v, prev = nxt, piv
+    if not v:
+        return False
+    pivot = min(v)
+    rows.append((pivot, v, v[pivot]))
+    return True
+
+
+class _CheckedRank(ModuleRank):
+    """A ModuleRank that runs the full chain beside every add and compares."""
+
+    def __init__(self):
+        super().__init__()
+        self.reference: list = []
+
+    def add(self, vector) -> bool:
+        raised = super().add(vector)
+        assert raised == _full_chain_add(self.reference, vector)
+        assert self._rows == self.reference
+        return raised
+
+
+def test_module_rank_stores_the_full_chain_rows():
+    # the matrices of test_module_rank_is_incremental
+    rng = random.Random(99)
+    for _ in range(25):
+        ranker = _CheckedRank()
+        for row in _random_dop_matrix(rng, max_deg=2):
+            ranker.add(row)
+
+
+@pytest.mark.parametrize("make, r_max", [
+    (weyl_algebra, 40), (lambda: cur_matrix(3), 4), (lambda: cur_matrix_presented(3), 4),
+    (poly_zero, 8), (cur_dual_numbers, 6), (cend2, 6),
+], ids=["weyl", "cur3", "cur3p", "polyzero", "cureps", "cend2"])
+def test_growth_walk_stores_the_full_chain_rows(monkeypatch, make, r_max):
+    monkeypatch.setattr(growth, "ModuleRank", _CheckedRank)
+    assert growth_table(make(), r_max).gamma
+
+
+class _CountingRows(list):
+    """Stored rows that count each row read, by index or by iteration."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for row in super().__iter__():
+            self.reads += 1
+            yield row
+
+
+def test_module_rank_reads_a_bounded_number_of_rows_per_add(monkeypatch):
+    # an add reads only the rows whose pivot its word holds, fewer than one
+    # per add on weyl; the full chain reads every stored row, about 150 per
+    # add at r = 400
+    rankers = []
+
+    class Counted(ModuleRank):
+        def __init__(self):
+            super().__init__()
+            self._rows = _CountingRows()
+            self.adds = 0
+            rankers.append(self)
+
+        def add(self, vector) -> bool:
+            self.adds += 1
+            return super().add(vector)
+
+    monkeypatch.setattr(growth, "ModuleRank", Counted)
+    assert growth_table(weyl_algebra(), 400).gamma[-1] == 401
+    (ranker,) = rankers
+    assert ranker.adds == 1602
+    assert ranker._rows.reads <= ranker.adds
 
 
 def test_zpoly_division_is_checked():
@@ -249,6 +359,20 @@ def test_rowspace_residual_is_exact():
     assert space.residual({0: Fraction(4, 3), 1: Fraction(1)}) == {1: Fraction(3, 5)}
     assert space.residual({0: Fraction(-2), 1: Fraction(-3, 5)}) == {}
     assert space.express({0: Fraction(-2), 1: Fraction(-3, 5)}) == {"a": Fraction(-3)}
+
+
+def test_rowspace_untagged_rows_store_no_combination():
+    space = RowSpace()
+    assert space.add({0: Fraction(2, 3), 1: 1})
+    assert space.add({1: 5, 2: 1}, "b")
+    assert not space.add({0: 2, 1: 3})
+    assert space.dim == 2
+    assert space.contains({0: 2, 1: 3, 2: 0}) and not space.contains({2: 1})
+    assert space.express({1: 10, 2: 2}) == {"b": 2}  # meets the tagged row only
+    with pytest.raises(ValueError, match="without a tag"):
+        space.express({0: 1})
+    with pytest.raises(ValueError, match="without a tag"):
+        space.add({0: 1, 2: 7}, "c")
 
 
 @pytest.mark.parametrize("seed", range(4))
