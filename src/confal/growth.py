@@ -6,10 +6,11 @@ declared generators, with every order n_i <= N, the maximum pairwise locality
 degree of the generators; monomials with a larger order evaluate to zero, so
 nothing is lost.  One layered walk, under one monomial cap, extends only the
 words that were new; for gamma, new means raising the rank in one incremental
-fraction-free elimination over Z[d] (`ModuleRank`, which applies to a word
-only the stored rows whose pivots it reaches), read off after each word
-length.  Growth degree is detected from stabilized finite differences of the
-exact gamma values.  A log-log slope is reported for reference only; every
+fraction-free elimination over Z[d] (`ModuleRank`, whose Z[d] entries are
+exact_arith's sparse maps exponent -> int, and which applies to a word only
+the stored rows whose pivots it reaches), read off after each word length.
+Growth degree is detected from stabilized finite differences of the exact
+gamma values.  A log-log slope is reported for reference only; every
 decision is made in exact arithmetic.
 
 The coefficient-growth check compares dim(V^1 + ... + V^r), where V is the
@@ -27,6 +28,7 @@ import os
 from itertools import islice
 
 from .errors import ResourceBound
+from .exact_arith import _sp_divexact, _sp_mul, add_scaled
 from .linalg import RowSpace, primitive_integral
 from .products import ALL_ZERO, terms_scalar_normalized_key
 from .record import Record
@@ -144,61 +146,21 @@ def enumerate_span(alg, r: int) -> MonomialSpan:
 
 # -- rank over Q[d] -----------------------------------------------------------------------
 #
-# Polynomials in d with integer coefficients are lists, constant term first,
-# with no trailing zero; [] is zero.
+# Polynomials in d with integer coefficients are exact_arith's sparse maps,
+# exponent -> nonzero int; {} is zero.
+
+_ONE = {0: 1}
 
 
-def _zpoly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    if len(a) == 1:
-        c = a[0]
-        return [c * y for y in b]
-    if len(b) == 1:
-        c = b[0]
-        return [c * x for x in a]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _zpoly_sub(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    out = [x - y for x, y in zip(a, b)] + a[len(b):]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zpoly_divexact(a: list, b: list) -> list:
-    """a / b in Z[d]; raises ArithmeticError unless b divides a exactly."""
-    if len(b) == 1:
-        c = b[0]
-        out = []
-        for x in a:
-            q, r = divmod(x, c)
-            if r:
-                raise ArithmeticError("inexact division in Z[d]")
-            out.append(q)
-        return out
-    rem = list(a)
-    lead, nb = b[-1], len(b)
-    out = [0] * max(len(a) - nb + 1, 0)
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(rem[i + nb - 1], lead)
-        if r:
-            raise ArithmeticError("inexact division in Z[d]")
-        out[i] = q
-        if q:
-            for j, y in enumerate(b):
-                rem[i + j] -= q * y
-    if any(rem):
+def _zdivexact(a: dict, b: dict) -> dict:
+    """a / b in Z[d] (a itself when b is 1); raises ArithmeticError unless b
+    divides a exactly over Z: on a remainder, or on a quotient exact only over Q."""
+    if b == _ONE:
+        return a
+    quo = _sp_divexact(a, b)
+    if any(type(c) is not int for c in quo.values()):
         raise ArithmeticError("inexact division in Z[d]")
-    return out
+    return quo
 
 
 def _zpoly_vector(vector) -> dict:
@@ -207,19 +169,17 @@ def _zpoly_vector(vector) -> dict:
         {(k, e): c for k, q in vector.items() for e, c in q.coeffs.items()})
     out: dict = {}
     for (k, e), c in flat.items():
-        poly = out.setdefault(k, [])
-        if len(poly) <= e:
-            poly.extend([0] * (e + 1 - len(poly)))
-        poly[e] = c
+        out.setdefault(k, {})[e] = c
     return out
 
 
 class ModuleRank:
     """Incremental rank over Q[d] of vectors with DOp entries.
 
-    Each vector is scaled to a primitive vector over Z[d] and eliminated
-    fraction-free (Bareiss 1968).  With P_i the pivot entry of stored row R_i
-    at column p_i and P_0 = 1, the full chain is
+    Each vector is scaled to a primitive vector over Z[d], its entries
+    sparse maps exponent -> int, and eliminated fraction-free (Bareiss
+    1968).  With P_i the pivot entry of stored row R_i at column p_i and
+    P_0 = 1, the full chain is
     v <- (P_i v - v[p_i] R_i) / P_{i-1} for every i in turn.  Where
     v[p_i] = 0 that step only multiplies v by P_i / P_{i-1}, so a run of such
     steps telescopes, and only the rows whose pivot v holds are applied:
@@ -235,7 +195,7 @@ class ModuleRank:
     """
 
     def __init__(self):
-        self._rows: list[tuple[object, dict, list]] = []  # (p_i, R_i, P_i)
+        self._rows: list[tuple[object, dict, dict]] = []  # (p_i, R_i, P_i)
         self._pivot_index: dict = {}  # p_i -> i
 
     @property
@@ -248,7 +208,7 @@ class ModuleRank:
         v = _zpoly_vector(vector.terms if hasattr(vector, "terms") else vector)
         rows, at = self._rows, self._pivot_index
         pending = {at[k] for k in v if k in at}
-        prev = [1]
+        prev = _ONE
         while pending:
             i = min(pending)
             pending.remove(i)
@@ -260,9 +220,9 @@ class ModuleRank:
             for k in v.keys() | row.keys():
                 if k == pivot:
                     continue
-                num = _zpoly_sub(_zpoly_mul(piv, v.get(k, [])), _zpoly_mul(a, row.get(k, [])))
+                num = add_scaled(_sp_mul(piv, v.get(k, {})), _sp_mul(a, row.get(k, {})), -1)
                 if num:
-                    nxt[k] = _zpoly_divexact(num, prev)
+                    nxt[k] = _zdivexact(num, prev)
             if not nxt:
                 return False
             v, prev = nxt, piv
@@ -272,9 +232,9 @@ class ModuleRank:
                     pending.add(j)
         if not v:
             return False
-        last = rows[-1][2] if rows else [1]
+        last = rows[-1][2] if rows else _ONE
         if last != prev:
-            v = {k: _zpoly_divexact(_zpoly_mul(last, x), prev) for k, x in v.items()}
+            v = {k: _zdivexact(_sp_mul(last, x), prev) for k, x in v.items()}
         pivot = min(v)
         at[pivot] = len(rows)
         rows.append((pivot, v, v[pivot]))

@@ -621,34 +621,10 @@ def _detect_unit(base, space: RowSpace, basis):
     return False, None
 
 
-def _unit_reached(base):
-    """Stop predicate for _saturate that holds once the span has the unit.
-
-    It keeps the unit's residual modulo the growing span, so each call
-    reduces only by the rows added since the last one (an added row is zero
-    at every earlier pivot).  None when base has no unit.
-    """
-    unit = _unit_of(base)
-    if unit is None:
-        return None
-    left = base.decompose(unit)
-
-    def reached(space: RowSpace) -> bool:
-        nonlocal left
-        left = space.residual(left)
-        return not left
-
-    return reached
-
-
-class _SaturationStopped(Exception):
-    """Raised by _saturate when its stop predicate holds."""
-
-
 SATURATION_CAP = 4096  # basis cap of the saturation loops
 
 
-def _saturate(base, seeds, moves, degree_bound: int, what: str, log=None, stop=None):
+def _saturate(base, seeds, moves, degree_bound: int, what: str, log=None, until=None):
     """Span closure of seeds under moves, inside the degree filtration.
 
     Elements are taken up in the order they joined the basis, and each one u
@@ -657,19 +633,23 @@ def _saturate(base, seeds, moves, degree_bound: int, what: str, log=None, stop=N
     yields the next.  An element is dropped (and counted) above the degree
     bound, skipped when it lies in the span, and added otherwise; a new
     element past SATURATION_CAP (read at call time) raises
-    ClosureBoundExceeded.  When a stop predicate is given it is called with
-    the space after each addition, and _SaturationStopped is raised the
-    first time it holds, so a closure that stops before reaching the cap
-    never raises ClosureBoundExceeded.  The first 8 additions are named in
-    log when one is given.  Returns (space, basis, dropped).
+    ClosureBoundExceeded.  When a vector `until` is given, its residual
+    modulo the span is kept, each addition reducing it only by the new row
+    (a row is zero at every earlier pivot), and None is returned at the
+    first addition that puts it in the span, so a closure that stops before
+    reaching the cap never raises ClosureBoundExceeded.  The first 8
+    additions are named in log when one is given.  Returns (space, basis,
+    dropped).
     """
     basis_cap = SATURATION_CAP
     space = RowSpace()
     basis: list = []
     dropped = 0
+    left = until
 
     def push(elem, note):
-        nonlocal dropped
+        """Take elem up; True once the span holds `until`."""
+        nonlocal dropped, left
         if elem.is_zero():
             return
         if elem.degree() > degree_bound:
@@ -685,17 +665,20 @@ def _saturate(base, seeds, moves, degree_bound: int, what: str, log=None, stop=N
         basis.append(elem)
         if log is not None and len(basis) <= 8:
             log.append(f"added {base.format(elem)} ({note})")
-        if stop is not None and stop(space):
-            raise _SaturationStopped
+        if left is not None:
+            left = space.residual(left)
+            return not left
 
     for s in seeds:
-        push(s, "seed")
+        if push(s, "seed"):
+            return None
     done = 0
     while done < len(basis):
         u = basis[done]
         done += 1
         for elem, note in moves(u, basis):
-            push(elem, note)
+            if push(elem, note):
+                return None
     return space, basis, dropped
 
 
@@ -716,8 +699,9 @@ def delta_stable_closure(
     return _stable_closure(base, delta, seeds, degree_bound, generators)
 
 
-def _stable_closure(base, delta, seeds, degree_bound, generators, stop=None):
-    """delta_stable_closure, with _saturate's stop predicate passed through."""
+def _stable_closure(base, delta, seeds, degree_bound, generators, until=None):
+    """delta_stable_closure, with _saturate's `until` passed through: None
+    once the span holds that vector."""
     gens = list(base.ring_generators()) if generators is None else generators
 
     def moves(u, basis):
@@ -727,8 +711,10 @@ def _stable_closure(base, delta, seeds, degree_bound, generators, stop=None):
             yield u * g, f"right by {gname}"
 
     log: list = []
-    space, basis, dropped = _saturate(
-        base, seeds, moves, degree_bound, "ideal closure", log, stop)
+    saturated = _saturate(base, seeds, moves, degree_bound, "ideal closure", log, until)
+    if saturated is None:
+        return None
+    space, basis, dropped = saturated
     unit_found, unit_reason = _detect_unit(base, space, basis)
     return IdealClosure(
         degree_bound=degree_bound,
@@ -849,13 +835,13 @@ def simplicity_probe(
             continue
         candidates.append((f"random combination #{k + 1}", elem))
 
+    unit = _unit_of(base)
+    until = None if unit is None else base.decompose(unit)
     checked, witness = 0, None
     for desc, s in candidates:
         checked += 1
-        try:
-            closure = _stable_closure(
-                base, delta, [s], degree_bound, named, _unit_reached(base))
-        except _SaturationStopped:
+        closure = _stable_closure(base, delta, [s], degree_bound, named, until)
+        if closure is None:
             continue
         missing = [n for n, b in named if not closure.contains(b)]
         if missing and not closure.unit_found:

@@ -313,6 +313,16 @@ def test_cli_check_exit_codes(tmp_path):
     assert main(["check", str(torsion)]) == 2
 
 
+def test_cli_check_text_names_the_mutual_locality_scope(capsys):
+    # the sweep runs to min(--max-order, 2), whatever --max-order asks
+    assert main(["check", WEYL_FILE, "--max-order", "4", "--window", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  associativity (m,n <= 4): ok (400 identities)" in lines
+    assert "  mutual locality sweep (n <= 2): ok" in lines
+    assert main(["check", WEYL_FILE, "--max-order", "1", "--window", "2"]) == 0
+    assert "  mutual locality sweep (n <= 1): ok" in capsys.readouterr().out.splitlines()
+
+
 def test_cli_identity(capsys):
     rc = main(["identity", CUR2_FILE, "--element", "u11+u22-d(u12)"])
     out = capsys.readouterr().out

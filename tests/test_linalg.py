@@ -30,13 +30,8 @@ from confal import (  # noqa: E402
     weyl_algebra,
 )
 from confal import growth  # noqa: E402
-from confal.growth import (  # noqa: E402
-    ModuleRank,
-    _zpoly_divexact,
-    _zpoly_mul,
-    _zpoly_sub,
-    _zpoly_vector,
-)
+from confal.exact_arith import _sp_mul, add_scaled  # noqa: E402
+from confal.growth import ModuleRank, _zdivexact, _zpoly_vector  # noqa: E402
 from confal.linalg import RowSpace, dense_nullspace, dense_rref, dense_solve  # noqa: E402
 from test_diff_conformal import cend2  # noqa: E402
 
@@ -127,7 +122,7 @@ def _full_chain_add(rows: list, vector) -> bool:
     """Reference: the fraction-free chain over every stored row, also where the
     vector lacks the row's pivot (there it only rescales by P_i / P_{i-1})."""
     v = _zpoly_vector(vector.terms if hasattr(vector, "terms") else vector)
-    prev = [1]
+    prev = {0: 1}
     for pivot, row, piv in rows:
         if not v:
             return False
@@ -137,15 +132,14 @@ def _full_chain_add(rows: list, vector) -> bool:
             if piv == prev:
                 continue
             for k, x in v.items():
-                nxt[k] = _zpoly_divexact(_zpoly_mul(piv, x), prev)
+                nxt[k] = _zdivexact(_sp_mul(piv, x), prev)
         else:
             for k in v.keys() | row.keys():
                 if k == pivot:
                     continue
-                num = _zpoly_sub(_zpoly_mul(piv, v.get(k, [])),
-                                 _zpoly_mul(a, row.get(k, [])))
+                num = add_scaled(_sp_mul(piv, v.get(k, {})), _sp_mul(a, row.get(k, {})), -1)
                 if num:
-                    nxt[k] = _zpoly_divexact(num, prev)
+                    nxt[k] = _zdivexact(num, prev)
         v, prev = nxt, piv
     if not v:
         return False
@@ -226,11 +220,15 @@ def test_module_rank_reads_a_bounded_number_of_rows_per_add(monkeypatch):
 
 
 def test_zpoly_division_is_checked():
-    assert _zpoly_divexact([-1, 0, 1], [-1, 1]) == [1, 1]
-    assert _zpoly_divexact([6, -4], [2]) == [3, -2]
-    for num, den in (([1, 1], [2]), ([1, 0, 1], [1, 1]), ([3, 0, 2], [0, 2])):
+    # sparse maps exponent -> int: {0: -1, 2: 1} is d^2 - 1
+    assert _zdivexact({0: -1, 2: 1}, {0: -1, 1: 1}) == {0: 1, 1: 1}
+    assert _zdivexact({0: 6, 1: -4}, {0: 2}) == {0: 3, 1: -2}
+    assert _zdivexact({1: 5}, {0: 1}) == {1: 5}
+    # a remainder, or a quotient exact over Q but not over Z
+    for num, den in (({0: 1, 1: 1}, {0: 2}), ({0: 1, 2: 1}, {0: 1, 1: 1}),
+                     ({0: 3, 2: 2}, {1: 2}), ({0: 1, 1: 1}, {0: 2, 1: 2})):
         with pytest.raises(ArithmeticError):
-            _zpoly_divexact(num, den)
+            _zdivexact(num, den)
 
 
 WEYLX_SOURCE = """algebra weylx {
