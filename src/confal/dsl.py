@@ -39,8 +39,9 @@ transport (`parse_base_expr`, `--r`).  Text given on its own, as an element
 or an `r`, must be consumed whole: anything after the rule is an error.
 
 MAX_EXPONENT caps every exponent: the d-power of each term of a
-combination, nested `d`s added up, and the product of the `^` exponents
-nested around each atom of an expression, scalars included.
+combination, nested `d`s added up, the product of the `^` exponents
+nested around each atom of an expression, scalars included, and the order n
+of each product a (n) b in a `products` block.
 
 The symbol `d` is reserved: it denotes the module operator in combinations
 (`d g`, `d^2 g`, `d(g)`) and cannot name a generator or a variable.
@@ -232,9 +233,9 @@ class _Parser:
             self.error("integer literal too long", tok)
         return int(tok.value)
 
-    def check_exponent(self, power: int, tok: Token):
+    def check_exponent(self, power: int, tok: Token, what: str = "power"):
         if power > MAX_EXPONENT:
-            self.error(f"power {power} exceeds the exponent cap {MAX_EXPONENT}", tok)
+            self.error(f"{what} {power} exceeds the exponent cap {MAX_EXPONENT}", tok)
 
     def parse_sign(self) -> int:
         sign = 1
@@ -520,7 +521,9 @@ class _Parser:
             head = self.peek()
             lname = self.expect_ident().value
             self.expect_punct("(")
+            order_tok = self.peek()
             order = self.expect_int()
+            self.check_exponent(order, order_tok, "product order")
             self.expect_punct(")")
             rname = self.expect_ident().value
             if (lname, order, rname) in seen:

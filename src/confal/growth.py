@@ -17,8 +17,8 @@ The coefficient-growth check compares dim(V^1 + ... + V^r), where V is the
 span of the generators' coefficients with t-exponents in a window
 [M-, M+], against the exact bound (M+ - M- + max(N, 1)) * r * gamma(r); the
 literal variant with max(N, 1) replaced by N is evaluated and reported
-alongside; there new means raising dim(V^1 + ... + V^r), in a `RowSpace`
-whose untagged rows store no combination, since only the dimension is read.
+alongside; there new means raising dim(V^1 + ... + V^r), in an untracked
+`RowSpace` (no combinations kept), since only the dimension is read.
 """
 
 from __future__ import annotations
@@ -441,7 +441,7 @@ def coeff_growth_check(alg, window: tuple, r_max: int) -> GrowthReport:
     base_report = growth_table(alg, r_max)
     n_bound = base_report.order_bound
 
-    total = RowSpace()
+    total = RowSpace(track=False)
 
     def add(p):
         return total.add(alg.model_coords(p))

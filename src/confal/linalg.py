@@ -46,30 +46,32 @@ def _divide(vec: dict, g: int) -> None:
 class RowSpace:
     """Incremental echelon span of sparse rational vectors.
 
-    Each added vector is tagged; `express` writes a member of the span as a
-    combination of the previously added (independent) vectors' tags.  A
-    vector added without a tag (None) only raises the dimension: its row
-    stores no combination, and `express` refuses a span that holds one.
+    Rows are numbered by insertion: the i-th vector `add` accepts is row i.
+    A tracked span (the default) keeps, for each stored row, its combination
+    over the rows added before it, and `express` writes a member of the span
+    as a combination of the added vectors keyed by row number.  An untracked
+    span (`RowSpace(track=False)`) keeps no combination or scale: it answers
+    `dim`, `contains` and `residual`, and its `express` raises ValueError.
 
     Internally everything is an integer.  An added vector v is stored through
-    its primitive integer multiple u = s * v (the scale s is kept).  Each
-    pivot row is a primitive integer vector R with an integer combination C,
-    keyed by insertion index, such that R == sum C[i] * u[i]; reduction
-    cross-multiplies, w <- R[p] * w - w[p] * R (both factors first divided
-    by their gcd), then divides the vector and its combination by their joint
-    gcd; an untagged row skips the combination and divides the vector by its
-    gcd with the running multiplier alone.  Fractions appear again only in
-    what `residual` and `express` return.
+    its primitive integer multiple u = s * v (a tracked span keeps the scale
+    s).  Each pivot row is a primitive integer vector R with an integer
+    combination C, keyed by row number, such that R == sum C[i] * u[i];
+    reduction cross-multiplies, w <- R[p] * w - w[p] * R (both factors first
+    divided by their gcd), then divides the vector and its combination by
+    their joint gcd; without a combination the vector is divided by its gcd
+    with the running multiplier alone.  Fractions appear again only in what
+    `residual` and `express` return.
     """
 
-    def __init__(self):
+    def __init__(self, track: bool = True):
         # (pivot_key, row, combo): integer row with row[pivot_key] != 0, zero
         # at every earlier pivot, and row == sum combo[i] * u[i] (combo is
-        # None for a row added without a tag)
-        self._rows: list[tuple[object, dict, dict]] = []
+        # None in an untracked span)
+        self._rows: list[tuple[object, dict, dict | None]] = []
         self._pivot_index: dict = {}  # pivot_key -> index of its row
-        self._tags: list = []
-        self._scales: list = []  # u[i] == scales[i] * (i-th added vector)
+        self._track = track
+        self._scales: list = []  # u[i] == scales[i] * (row i's vector), when tracked
 
     @property
     def dim(self) -> int:
@@ -79,10 +81,10 @@ class RowSpace:
         """Eliminate every pivot from the integer vector w.
 
         Returns (w', combo) with w' == combo[_OWN] * w + sum combo[i] * u[i];
-        the indices i appear only when `track` is set, and a row with no
-        combination then raises ValueError.  Rows are applied in insertion
-        order, visiting only those whose pivot w holds: row i is zero at
-        every earlier pivot, so it can only bring in later ones.
+        the row numbers i appear only when `track` is set, which needs a
+        tracked span.  Rows are applied in insertion order, visiting only
+        those whose pivot w holds: row i is zero at every earlier pivot, so
+        it can only bring in later ones.
         """
         combo = {_OWN: 1}
         rows, at = self._rows, self._pivot_index
@@ -104,8 +106,6 @@ class RowSpace:
                 _scale(combo, p)
             add_scaled(w, row, -a)
             if track:
-                if rcombo is None:
-                    raise ValueError("the span holds a row added without a tag")
                 add_scaled(combo, rcombo, -a)
             g = gcd(*w.values())
             if g != 1:
@@ -130,37 +130,35 @@ class RowSpace:
         return not self.residual(vec)
 
     def express(self, vec: dict):
-        """Coefficients over added tags reproducing vec, or None if outside.
+        """Coefficients over row numbers reproducing vec, or None if outside.
 
-        Raises ValueError when the reduction meets a row added without a tag.
+        Raises ValueError on an untracked span.
         """
+        if not self._track:
+            raise ValueError("express needs a tracked span")
         w, s = primitive_integral(vec)
         w, combo = self._reduce(w, True)
         if w:
             return None
         num, den = -s.denominator, combo.pop(_OWN) * s.numerator
-        tags, scales = self._tags, self._scales
+        scales = self._scales
         return {
-            tags[i]: ratio(c * num * scales[i].numerator, den * scales[i].denominator)
+            i: ratio(c * num * scales[i].numerator, den * scales[i].denominator)
             for i, c in combo.items()
         }
 
-    def add(self, vec: dict, tag=None) -> bool:
-        """Insert vec under tag; returns False if it was already in the span.
-
-        Without a tag the row stores no combination (see the class doc).
-        """
+    def add(self, vec: dict) -> bool:
+        """Insert vec as the next row; returns False if it was already in the span."""
         w, s = primitive_integral(vec)
-        track = tag is not None
+        track = self._track
         w, combo = self._reduce(w, track)
         if not w:
             return False
         if track:
-            combo[len(self._tags)] = combo.pop(_OWN)
+            combo[len(self._rows)] = combo.pop(_OWN)
+            self._scales.append(s)
         else:
             combo = None
-        self._tags.append(tag)
-        self._scales.append(s)
         pivot = min(w)
         self._pivot_index[pivot] = len(self._rows)
         self._rows.append((pivot, w, combo))
@@ -183,7 +181,7 @@ def dense_rref(matrix: list[list]):
     pivots = []
     for c in range(ncols):
         col = {i: row[c] for i, row in enumerate(matrix) if row[c]}
-        if space.add(col, len(pivots)):
+        if space.add(col):
             rref[len(pivots)][c] = 1
             pivots.append(c)
         else:

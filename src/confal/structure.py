@@ -337,7 +337,7 @@ def recognize_unital(
             raise ClosureBoundExceeded(
                 f"recovered basis exceeded the cap of {RECOGNITION_CAP} elements"
             )
-        space.add(vec, idx)
+        space.add(vec)
         labels.append(label)
         reps.append(canonical_rep(alg, elem))
         lengths.append(length)
@@ -642,7 +642,7 @@ def _saturate(base, seeds, moves, degree_bound: int, what: str, log=None, until=
     dropped).
     """
     basis_cap = SATURATION_CAP
-    space = RowSpace()
+    space = RowSpace(track=False)
     basis: list = []
     dropped = 0
     left = until
@@ -660,7 +660,7 @@ def _saturate(base, seeds, moves, degree_bound: int, what: str, log=None, until=
             if space.contains(vec):
                 return
             raise ClosureBoundExceeded(f"{what} exceeded the basis cap of {basis_cap}")
-        if not space.add(vec, len(basis)):
+        if not space.add(vec):
             return
         basis.append(elem)
         if log is not None and len(basis) <= 8:
@@ -688,20 +688,16 @@ def delta_stable_closure(
     seeds,
     degree_bound: int = 5,
     generators=None,
-) -> IdealClosure:
+    until=None,
+) -> IdealClosure | None:
     """Saturate seeds under delta and multiplication by the generator set.
 
     Multiplication is applied on both sides, so within the degree filtration
     the result spans the delta-stable two-sided ideal generated by the seeds
     relative to the given (name, element) generator pairs (the ring
-    generators by default).
+    generators by default).  `until` is passed to _saturate: the closure is
+    None once its span holds that vector.
     """
-    return _stable_closure(base, delta, seeds, degree_bound, generators)
-
-
-def _stable_closure(base, delta, seeds, degree_bound, generators, until=None):
-    """delta_stable_closure, with _saturate's `until` passed through: None
-    once the span holds that vector."""
     gens = list(base.ring_generators()) if generators is None else generators
 
     def moves(u, basis):
@@ -823,24 +819,26 @@ def simplicity_probe(
     if not saturated:
         log.append("subalgebra basis is truncated by the degree bound")
 
-    rng = random.Random(seed)
-    candidates = [(f"basis element {n}", b) for n, b in named]
-    for k in range(trials):
-        coeffs = [rng.randint(-2, 2) for _ in sub_basis]
-        elem = base.zero()
-        for c, b in zip(coeffs, sub_basis):
-            if c:
-                elem = elem + b * c
-        if elem.is_zero():
-            continue
-        candidates.append((f"random combination #{k + 1}", elem))
+    def candidates():
+        """Basis elements, then random combinations drawn only as they are reached."""
+        for n, b in named:
+            yield f"basis element {n}", b
+        rng = random.Random(seed)
+        for k in range(trials):
+            elem = base.zero()
+            for b in sub_basis:
+                c = rng.randint(-2, 2)
+                if c:
+                    elem = elem + b * c
+            if not elem.is_zero():
+                yield f"random combination #{k + 1}", elem
 
     unit = _unit_of(base)
     until = None if unit is None else base.decompose(unit)
     checked, witness = 0, None
-    for desc, s in candidates:
+    for desc, s in candidates():
         checked += 1
-        closure = _stable_closure(base, delta, [s], degree_bound, named, until)
+        closure = delta_stable_closure(base, delta, [s], degree_bound, named, until)
         if closure is None:
             continue
         missing = [n for n, b in named if not closure.contains(b)]

@@ -152,6 +152,23 @@ def test_duplicate_product_definition_rejected():
     assert len(spec.products) == 2
 
 
+def test_product_order_is_capped(tmp_path, capsys):
+    src = "algebra p {\n  kind presented;\n  generators a;\n  products {\n    a (N) a = a;\n  }\n}\n"
+    (alg,) = build_all(src.replace("N", str(MAX_EXPONENT))).values()
+    ((_, a),) = alg.generator_items()
+    assert alg.format_elem(alg.nth(a, a, MAX_EXPONENT)) == "a"
+    over = src.replace("N", str(MAX_EXPONENT + 1))
+    with pytest.raises(ParseError) as info:
+        parse(over)
+    assert (info.value.line, info.value.col) == (5, 8)
+    assert f"product order {MAX_EXPONENT + 1} exceeds the exponent cap" in str(info.value)
+    path = tmp_path / "order.confal"
+    path.write_text(over)
+    assert main(["locality", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: line 5, column 8: product order")
+
+
 def test_semantic_build_errors():
     # findim table length must be d^3
     with pytest.raises(ParseError):

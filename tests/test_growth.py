@@ -227,30 +227,28 @@ def test_coeff_growth_window_must_contain_zero():
         coeff_growth_check(WEYL, (1, 3), 3)
 
 
-class _TaggedRowSpace(RowSpace):
-    """Reference span: every row gets a tag, so every add tracks its combination."""
+class _TrackedRowSpace(RowSpace):
+    """Reference span: tracked whatever the caller asks, so every add keeps its combination."""
 
     made: list = []
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, track=True):
+        super().__init__(track=True)
         self.made.append(self)
 
-    def add(self, vec, tag=None):
-        return super().add(vec, self.dim if tag is None else tag)
 
-
-UNTAGGED_CASES = [*INSTANCES.values(), lambda: cur_matrix(3), cend2]
+UNTRACKED_CASES = [*INSTANCES.values(), lambda: cur_matrix(3), cend2]
 
 
 @pytest.mark.parametrize("window", [(-1, 1), (-2, 2)])
-@pytest.mark.parametrize("make", UNTAGGED_CASES, ids=[*INSTANCES, "cur3", "cend2"])
+@pytest.mark.parametrize("make", UNTRACKED_CASES, ids=[*INSTANCES, "cur3", "cend2"])
 def test_untagged_coeff_dims_match_a_tagged_span(monkeypatch, make, window):
+    # coeff_growth_check's untracked span against the same walk in a tracked one
     dims = coeff_growth_check(make(), window, 4).coeff_dims
-    monkeypatch.setattr(growth, "RowSpace", _TaggedRowSpace)
-    monkeypatch.setattr(_TaggedRowSpace, "made", [])
+    monkeypatch.setattr(growth, "RowSpace", _TrackedRowSpace)
+    monkeypatch.setattr(_TrackedRowSpace, "made", [])
     assert coeff_growth_check(make(), window, 4).coeff_dims == dims
-    (space,) = _TaggedRowSpace.made
+    (space,) = _TrackedRowSpace.made
     assert space.dim == dims[-1] and all(combo is not None for *_, combo in space._rows)
 
 
@@ -266,24 +264,24 @@ def test_csv_shape():
 def _full_layer_coeff_dims(alg, window, r_max):
     """dim(V^1 + ... + V^r) multiplying every independent product of the last
     layer by V, with no pruning against the lower powers: a reference."""
-    total, vees = RowSpace(), []
+    total, vees = RowSpace(track=False), []
     for _, g in alg.generator_items():
         for k in range(window[0], window[1] + 1):
             val = alg.phi(g, k)
-            if not val.is_zero() and total.add(alg.model_coords(val), len(vees)):
+            if not val.is_zero() and total.add(alg.model_coords(val)):
                 vees.append(val)
     dims, layer = [total.dim], vees
     for _ in range(2, r_max + 1):
-        layer_space, nxt = RowSpace(), []
+        layer_space, nxt = RowSpace(track=False), []
         for a in layer:
             for b in vees:
                 p = alg.model_mul(a, b)
                 if p.is_zero():
                     continue
                 coords = alg.model_coords(p)
-                if layer_space.add(coords, len(nxt)):
+                if layer_space.add(coords):
                     nxt.append(p)
-                total.add(coords, None)
+                total.add(coords)
         dims.append(total.dim)
         layer = nxt
     return dims

@@ -330,11 +330,10 @@ def test_rowspace_matches_sympy(seed):
     for i, vec in enumerate(vectors):
         inside = _sympy_rank(added + [vec], cols) == _sympy_rank(added, cols)
         assert space.contains(vec) == inside
-        assert space.add(vec, ("v", i)) == (not inside)
+        assert space.add(vec) == (not inside)
         if not inside:
             added.append(vec)
         assert space.dim == _sympy_rank(vectors[: i + 1], cols)
-    originals = {("v", i): vec for i, vec in enumerate(vectors)}
     for query in vectors + _random_vectors(rng, ncols, 10):
         expr = space.express(query)
         inside = _sympy_rank(added + [query], cols) == len(added)
@@ -344,33 +343,45 @@ def test_rowspace_matches_sympy(seed):
             continue
         assert all(_is_canonical(c) and c != 0 for c in expr.values())
         rebuilt: dict = {}
-        for tag, c in expr.items():
-            for k, v in originals[tag].items():
+        for i, c in expr.items():  # row i is the i-th accepted vector
+            for k, v in added[i].items():
                 rebuilt[k] = rebuilt.get(k, Fraction(0)) + c * v
         assert {k: v for k, v in rebuilt.items() if v} == {k: v for k, v in query.items() if v}
 
 
 def test_rowspace_residual_is_exact():
     space = RowSpace()
-    space.add({0: Fraction(2, 3), 1: Fraction(1, 5)}, "a")
+    space.add({0: Fraction(2, 3), 1: Fraction(1, 5)})
     # residual = vec minus the span member agreeing with it on the pivot 0
     assert space.residual({0: Fraction(4, 3), 1: Fraction(1)}) == {1: Fraction(3, 5)}
     assert space.residual({0: Fraction(-2), 1: Fraction(-3, 5)}) == {}
-    assert space.express({0: Fraction(-2), 1: Fraction(-3, 5)}) == {"a": Fraction(-3)}
+    assert space.express({0: Fraction(-2), 1: Fraction(-3, 5)}) == {0: Fraction(-3)}
 
 
-def test_rowspace_untagged_rows_store_no_combination():
+def test_rowspace_numbers_rows_by_insertion():
     space = RowSpace()
-    assert space.add({0: Fraction(2, 3), 1: 1})
-    assert space.add({1: 5, 2: 1}, "b")
-    assert not space.add({0: 2, 1: 3})
-    assert space.dim == 2
-    assert space.contains({0: 2, 1: 3, 2: 0}) and not space.contains({2: 1})
-    assert space.express({1: 10, 2: 2}) == {"b": 2}  # meets the tagged row only
-    with pytest.raises(ValueError, match="without a tag"):
-        space.express({0: 1})
-    with pytest.raises(ValueError, match="without a tag"):
-        space.add({0: 1, 2: 7}, "c")
+    assert space.add({0: 1, 1: 1})
+    assert not space.add({0: 2, 1: 2})  # rejected: takes no row number
+    assert space.add({1: Fraction(1, 2)})
+    assert space.express({0: 3, 1: 4}) == {0: 3, 1: 2}
+
+
+def test_rowspace_untracked_span_stores_no_combination():
+    rng = random.Random(2000)
+    for _ in range(3):
+        ncols = rng.randint(2, 6)
+        vectors = _random_vectors(rng, ncols, 10)
+        tracked, untracked = RowSpace(), RowSpace(track=False)
+        for vec in vectors:
+            assert untracked.add(vec) == tracked.add(vec)
+        assert untracked.dim == tracked.dim
+        for query in vectors + _random_vectors(rng, ncols, 10):
+            assert untracked.contains(query) == tracked.contains(query)
+            assert untracked.residual(query) == tracked.residual(query)
+            with pytest.raises(ValueError, match="tracked span"):
+                untracked.express(query)
+        assert all(combo is None for *_, combo in untracked._rows)
+        assert not untracked._scales
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -384,8 +395,8 @@ def test_linalg_returns_canonical_scalars(seed):
         ncols = rng.randint(2, 6)
         matrix = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, 5))]
         space = RowSpace()
-        for i, row in enumerate(matrix):
-            space.add(dict(enumerate(row)), i)
+        for row in matrix:
+            space.add(dict(enumerate(row)))
         for _ in range(8):
             query = {k: entry() for k in range(ncols)}
             assert all(map(_is_canonical, space.residual(query).values()))

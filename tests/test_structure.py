@@ -157,7 +157,7 @@ def test_recognize_weyl_recovers_derivation():
 def test_recognize_cur2_recovers_matrix_algebra():
     res = recognize_unital(CUR2)
     assert res.ok and res.closed and res.delta_is_zero
-    assert res.dim == 4
+    assert res.dim == 4 and res.space._track
     assert res.product_vector("u12", "u21") == {"u11": Fraction(1)}
     assert res.product_vector("u12", "u12") == {}
     assert res.unit_coords == {
@@ -274,6 +274,16 @@ def test_closure_dual_numbers_proper_ideal():
     assert closure.contains(eps) and not closure.unit_found
     assert not closure.contains(base.basis_element(0))
     assert closure.dim == 1 and closure.saturated
+    assert not closure.space._track  # only membership is read
+
+
+def test_closure_stops_once_its_span_holds_until():
+    alg = cur_dual_numbers()
+    base, delta = alg.base, alg.delta
+    unit, eps = base.basis_element(0), base.basis_element(1)
+    assert delta_stable_closure(base, delta, [unit], until=base.decompose(eps)) is None
+    closure = delta_stable_closure(base, delta, [eps], until=base.decompose(unit))
+    assert closure.dim == 1 and not closure.unit_found
 
 
 def test_closure_detects_unit_through_derivation():
@@ -457,9 +467,9 @@ def test_probe_work_on_cend2(monkeypatch):
     calls = [0]
     add = RowSpace.add
 
-    def counted(self, vec, tag):
+    def counted(self, vec):
         calls[0] += 1
-        return add(self, vec, tag)
+        return add(self, vec)
 
     monkeypatch.setattr(RowSpace, "add", counted)
     rep = simplicity_probe(alg, trials=5, seed=0)
@@ -469,6 +479,38 @@ def test_probe_work_on_cend2(monkeypatch):
     assert rep.to_json_dict() == ref.to_json_dict()
     assert (probe_adds, calls[0]) == (4526, 11185)
     assert 2 * probe_adds < calls[0]
+
+
+def test_probe_builds_each_closure_through_delta_stable_closure(monkeypatch):
+    # the public entry point is the one the benchmark tracer counts
+    (alg,) = build_all(CEND2_SOURCE).values()
+    calls = [0]
+    closure = structure.delta_stable_closure
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "delta_stable_closure", counted)
+    rep = simplicity_probe(alg, trials=5, seed=0)
+    assert calls[0] == rep.candidates_checked > 0
+
+
+def test_probe_draws_no_random_candidate_before_a_basis_witness(monkeypatch):
+    # cureps: the witness is basis element b2, so none of the 20 random
+    # combinations (2 draws each) is ever reached
+    alg = cur_dual_numbers()
+    calls = [0]
+    randint = random.Random.randint
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return randint(self, a, b)
+
+    monkeypatch.setattr(random.Random, "randint", counted)
+    rep = simplicity_probe(alg, trials=20)
+    assert rep.witness.startswith("basis element b2") and rep.candidates_checked == 2
+    assert calls[0] == 0
 
 
 # -- the round trip against an elimination per product ----------------------------------------
@@ -575,7 +617,7 @@ def _reference_recognize(alg, word_bound=8):
     def add_basis(elem, label, length):
         if len(reps) >= structure.RECOGNITION_CAP:
             raise ClosureBoundExceeded("cap")
-        if not space.add(class_coords(alg, elem), len(reps)):
+        if not space.add(class_coords(alg, elem)):
             return None
         labels.append(label)
         reps.append(elem)
