@@ -358,12 +358,12 @@ class _Parser:
                 self.error(_TORSION, expected=("'algebra'",))
             if not self.at_ident("algebra"):
                 self.unexpected("'algebra'")
+            name_tok = self.peek(1)
             specs.append(self.parse_algebra())
+            if any(s.name == name_tok.value for s in specs[:-1]):
+                self.error("duplicate algebra name", name_tok)
         if not specs:
             self.error("empty definition file", expected=("'algebra'",))
-        names = [s.name for s in specs]
-        if len(set(names)) != len(names):
-            self.error("duplicate algebra name", self.tokens[0])
         return specs
 
     def parse_algebra(self) -> AlgebraSpec:

@@ -161,24 +161,25 @@ class CoeffElem:
 # (every DSL load does) does not load them.
 
 
-def check_associativity(alg_or_table, max_m: int = 4, max_n: int = 4) -> CheckReport:
+def check_associativity(alg: PresentedAlgebra, max_m: int = 4, max_n: int = 4):
+    """`axioms.associativity_report` on a presented algebra."""
     from .axioms import associativity_report
 
-    alg = _as_algebra(alg_or_table)
     return associativity_report(alg, max_m, max_n)
 
 
-def is_conformal_identity(e: PresElem, alg_or_table=None):
+def is_conformal_identity(e: PresElem):
+    """`axioms.identity_report` for e in its own algebra."""
     from .axioms import identity_report
 
-    alg = e.alg if alg_or_table is None else _as_algebra(alg_or_table)
-    return identity_report(alg, e)
+    return identity_report(e.alg, e)
 
 
-def left_annihilator_probe(alg_or_table, dop_degree_bound: int = 3):
+def left_annihilator_probe(alg: PresentedAlgebra, dop_degree_bound: int = 3):
+    """`axioms.left_annihilator_probe` on a presented algebra."""
     from .axioms import left_annihilator_probe as generic
 
-    return generic(_as_algebra(alg_or_table), dop_degree_bound)
+    return generic(alg, dop_degree_bound)
 
 
 def coeff_mul(x: CoeffElem, y: CoeffElem) -> CoeffElem:
@@ -210,7 +211,7 @@ def coeff_mul(x: CoeffElem, y: CoeffElem) -> CoeffElem:
     return CoeffElem._make(alg, acc)
 
 
-def coeff_assoc_check(alg_or_table, window: int = 3) -> CheckReport:
+def coeff_assoc_check(alg: PresentedAlgebra, window: int = 3):
     """Associativity of the coefficient product on all symbol triples |k| <= window.
 
     With n symbols, each triple (a, b, c) compares (a b) c with a (b c), but
@@ -225,7 +226,6 @@ def coeff_assoc_check(alg_or_table, window: int = 3) -> CheckReport:
         raise ValueError("the coefficient window must be nonnegative")
     from .axioms import CheckReport
 
-    alg = _as_algebra(alg_or_table)
     rep = CheckReport("coefficient-associativity")
     symbols = [
         CoeffElem(alg, {(i, k): 1})
@@ -259,10 +259,3 @@ def coeff_assoc_check(alg_or_table, window: int = 3) -> CheckReport:
                     return rep
     return rep
 
-
-def _as_algebra(alg_or_table) -> PresentedAlgebra:
-    if isinstance(alg_or_table, PresentedAlgebra):
-        return alg_or_table
-    if isinstance(alg_or_table, ProductTable):
-        return PresentedAlgebra(alg_or_table)
-    raise TypeError("expected a PresentedAlgebra or ProductTable")

@@ -123,8 +123,11 @@ def test_duplicate_names_rejected():
         "algebra a { kind differential; base poly x; deriv zero;"
         " generators { e = 1; } }"
     )
-    with pytest.raises(ParseError):
-        parse(src + "\n" + src)
+    with pytest.raises(ParseError) as info:
+        parse(src + "\n\n" + src)
+    # reported at the repeated definition's name, on line 3
+    assert (info.value.line, info.value.col) == (3, 9)
+    assert "duplicate algebra name" in str(info.value)
     with pytest.raises(ParseError):
         parse(
             "algebra a { kind differential; base poly x; deriv zero;"

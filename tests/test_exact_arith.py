@@ -215,6 +215,28 @@ def test_dop_basic():
     assert repr(DOp.d(2) * 3 - 1) == "3*d^2 - 1"
 
 
+def test_poly_dop_and_matpoly_never_combine():
+    # DOp is a Poly in d, but the operators take only their own class or a scalar
+    with pytest.raises(TypeError):
+        MatPoly.identity(2) * DOp.const(2)
+    with pytest.raises(TypeError):
+        DOp.const(2) * MatPoly.identity(2)
+    with pytest.raises(TypeError):
+        MatPoly([[DOp.const(1)]])
+    with pytest.raises(TypeError):
+        Poly.const(2) + DOp.const(2)
+    with pytest.raises(TypeError):
+        DOp.d() * Poly.variable()
+    with pytest.raises(ValueError):
+        DOp.variable()  # Poly's constructor, in its default variable x
+    assert (Poly.const(2) == DOp.const(2)) is False
+    assert hash(DOp.const(3)) == hash(3)
+    a, b = DOp({2: 1, 0: -1}), DOp.d() + 1
+    results = [a + b, a + 2, 2 + a, a - b, a - 2, 2 - a, -a, a * b, a * 2, 2 * a,
+               a.divexact(b), a.times_d()]
+    assert all(type(r) is DOp for r in results)
+
+
 # -- matrices -------------------------------------------------------------------------------
 
 

@@ -1,6 +1,9 @@
 """The package's export list: every name resolves, once, and nothing public is left out."""
 
+import importlib
+import pkgutil
 import types
+import typing
 
 import confal
 
@@ -25,3 +28,26 @@ def test_star_import():
     namespace: dict = {}
     exec("from confal import *", namespace)
     assert {name for name in namespace if name != "__builtins__"} == set(confal.__all__)
+
+
+def test_every_annotation_resolves():
+    # every annotation names something its module binds at load, so that
+    # typing.get_type_hints works on each function, class and method confal defines
+    failures = []
+    for info in pkgutil.iter_modules(confal.__path__):
+        mod = importlib.import_module(f"confal.{info.name}")
+        for name, val in vars(mod).items():
+            if not callable(val) or getattr(val, "__module__", None) != mod.__name__:
+                continue
+            members = [(name, val)]
+            if isinstance(val, type):
+                for key, member in vars(val).items():
+                    member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                    if callable(member):
+                        members.append((f"{name}.{key}", member))
+            for qualname, obj in members:
+                try:
+                    typing.get_type_hints(obj)
+                except NameError as exc:
+                    failures.append(f"{mod.__name__}.{qualname}: {exc}")
+    assert failures == []

@@ -284,7 +284,7 @@ def test_known_fail_table_breaks_associativity():
     # u (0) u = u and u (1) u = u cannot be associative: the m=1, n=0
     # expansion forces u (1) u = 0.
     t = ProductTable(("u",), {(0, 0): [{0: DOp.one()}, {0: DOp.one()}]})
-    rep = check_associativity(t, 2, 2)
+    rep = check_associativity(PresentedAlgebra(t), 2, 2)
     assert not rep.ok
     assert any("m=1" in f and "n=0" in f for f in rep.failures)
 

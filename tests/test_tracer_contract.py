@@ -81,3 +81,19 @@ def test_install_wraps_and_uninstall_restores():
     assert after.keys() == before.keys()
     changed = [key for key, val in before.items() if after[key] is not val]
     assert not changed
+
+
+def test_poly_and_dop_products_are_counted_apart():
+    # DOp reuses Poly's operators, bound again in its own namespace so that
+    # the tracer reports each class's products under its own name
+    from confal.exact_arith import DOp, Poly
+
+    tracer = tracing.Tracer().install()
+    try:
+        Poly.variable() * Poly.variable()
+        DOp.d() * DOp.d()
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.raw(), {"cli.import_s": 0.0, "trace.overhead_s": 0.0})
+    assert metrics["exact_arith.poly_mul.calls"]["value"] == 1
+    assert metrics["exact_arith.dop_mul.calls"]["value"] == 1
