@@ -117,14 +117,9 @@ class DifferentialAlgebra(ConformalAlgebra):
     def phi0_coords(self, u: Elem) -> dict:
         """Coordinates of the 0-th coefficient over the base's basis.
 
-        Raises if the 0-th coefficient does not sit at t^0 (it always does:
-        (d^p f_a)(0) = 0 for p >= 1).
+        The 0-th coefficient sits at t^0: (d^p f_a)(0) = 0 for p >= 1.
         """
-        c0 = self.coefficient(u, 0)
-        for n in c0.coeffs:
-            if n != 0:
-                raise ValueError("zeroth coefficient escaped t^0")
-        return self.base.decompose(c0.coeffs.get(0, self.base.zero()))
+        return self.base.decompose(self.phi0_base(u))
 
     def phi0_base(self, u: Elem):
         """The 0-th coefficient as a base-algebra element."""
@@ -146,7 +141,13 @@ class DifferentialAlgebra(ConformalAlgebra):
 
 
 class DongReport(Record):
-    """Result of a mutual-locality sweep over one triple."""
+    """Result of a mutual-locality sweep over one triple.
+
+    `ok` is always True and `witness` always None: each recorded degree is
+    the largest order at which `locality`'s downward scan found a nonzero
+    product, so every product above it is zero by construction.  Both fields
+    stay in the record because `check`'s JSON output carries them.
+    """
 
     def __init__(self, ok: bool, max_order: int, degrees: dict | None = None,
                  witness: str | None = None):
@@ -165,10 +166,12 @@ class DongReport(Record):
 
 
 def dong_check(u, v, w, max_order: int) -> DongReport:
-    """Verify that u (n) v stays local with w (both sides) for n <= max_order.
+    """Record the locality degrees of u (n) v with w (both sides) for n <= max_order.
 
-    Works for any algebra exposing nth/locality/locality_scan_bound; the
-    locality degrees of the pairs and of each product with w are recorded.
+    Works for any algebra exposing nth/locality; the locality degrees of the
+    pairs are recorded too.  Each product u (n) v is formed once, and
+    `locality` forms the products of each pair.  The coefficient oracle, not
+    this sweep, is the independent check of those products.
     """
     if max_order < 0:
         raise ValueError("the mutual-locality order bound must be nonnegative")
@@ -178,18 +181,6 @@ def dong_check(u, v, w, max_order: int) -> DongReport:
         rep.degrees[label] = alg.locality(a, b)
     for n in range(max_order + 1):
         p = alg.nth(u, v, n)
-        if p.is_zero():
-            rep.degrees[f"(u {n} v),w"] = ALL_ZERO
-            rep.degrees[f"w,(u {n} v)"] = ALL_ZERO
-            continue
         for label, (a, b) in ((f"(u {n} v),w", (p, w)), (f"w,(u {n} v)", (w, p))):
-            deg = alg.locality(a, b)
-            rep.degrees[label] = deg
-            # confirm vanishing strictly above the claimed degree
-            start = 0 if deg is ALL_ZERO else deg + 1
-            for m in range(start, alg.locality_scan_bound(a, b) + 1):
-                if not alg.nth(a, b, m).is_zero():
-                    rep.ok = False
-                    rep.witness = f"nonzero product above claimed degree at {label}, order {m}"
-                    return rep
+            rep.degrees[label] = ALL_ZERO if p.is_zero() else alg.locality(a, b)
     return rep

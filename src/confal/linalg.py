@@ -73,6 +73,9 @@ class RowSpace:
         self._track = track
         self._scales: list = []  # u[i] == scales[i] * (row i's vector), when tracked
 
+    def __repr__(self):
+        return f"RowSpace(dim={self.dim}, track={self._track})"
+
     @property
     def dim(self) -> int:
         return len(self._rows)

@@ -197,6 +197,8 @@ class RecognitionResult(Record):
     independent verifications that ran.
     """
 
+    _uncompared = ("space",)  # the elimination state behind the other fields
+
     def __init__(self, algebra: str, ok: bool, identity, identity_elem, labels: list,
                  representatives: list, dim: int, closed: bool, product: dict, delta: dict,
                  delta_is_zero: bool, unit_coords: dict | None, generator_classes: dict,
@@ -568,6 +570,8 @@ class IdealClosure(Record):
     the degree bound (saturated=False then flags that the basis is only a
     lower bound for the true closure).
     """
+
+    _uncompared = ("space",)  # the elimination state behind the other fields
 
     def __init__(self, degree_bound: int, basis: list, dim: int, unit_found: bool,
                  unit_reason: str | None, saturated: bool, dropped: int,

@@ -168,8 +168,44 @@ def test_dong_sweep():
     e, L = WEYL.generator("e"), WEYL.generator("L")
     rep = dong_check(e, L, L, max_order=3)
     assert rep.ok and rep.degrees["u,v"] == 1 and rep.witness is None
+    rep = dong_check(L, e, L, max_order=2)
+    for n in range(3):
+        p = WEYL.nth(L, e, n)
+        assert rep.degrees[f"(u {n} v),w"] == WEYL.locality(p, L)
+        assert rep.degrees[f"w,(u {n} v)"] == WEYL.locality(L, p)
+    assert rep.degrees["(u 1 v),w"] is ALL_ZERO  # L (1) e = 0
     u12, u21 = CUR2.generator("u12"), CUR2.generator("u21")
     assert dong_check(u12, u21, u12, max_order=2).ok
+
+
+def test_dong_check_forms_each_product_once(monkeypatch):
+    # dong_check forms u (n) v for n <= max_order itself; every other product
+    # is formed inside locality
+    alg = weyl_algebra()
+    e, L = alg.generator("e"), alg.generator("L")
+    direct, depth = [], [0]
+    nth, locality = alg.nth, alg.locality
+
+    def counted_nth(a, b, n):
+        if not depth[0]:
+            direct.append(n)
+        return nth(a, b, n)
+
+    def nested_locality(a, b):
+        depth[0] += 1
+        try:
+            return locality(a, b)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(alg, "nth", counted_nth)
+    monkeypatch.setattr(alg, "locality", nested_locality)
+    for triple in ((e, L, L), (L, L, L), (L, e, L)):
+        for max_order in (1, 2, 3):
+            direct.clear()
+            rep = dong_check(*triple, max_order=max_order)
+            assert direct == list(range(max_order + 1))
+            assert rep.ok and rep.witness is None
 
 
 def test_dong_check_rejects_negative_order():
@@ -362,3 +398,66 @@ def test_base_cases_stay_canonical(make):
                 for q in got.values():
                     for c in q.coeffs.values():
                         assert type(c) is int or c.denominator != 1
+
+
+def _perturbed(alg, extra):
+    """alg with an nth that adds extra(a, b, n) to every true product."""
+    nth = alg.nth
+    alg.nth = lambda a, b, n: nth(a, b, n) + extra(a, b, n)
+    return alg
+
+
+def test_axioms_report_catches_a_wrong_left_derivative_law():
+    alg = weyl_algebra()
+    L = alg.generator("L")
+    _perturbed(alg, lambda a, b, n: b if n == 1 else alg.zero_elem())
+    rep = conformal_axioms_report(alg, [("(L,L)", (L, L))])
+    assert not rep.ok and rep.checked == 3
+    assert rep.failures == ["(d u)(1) v != -n u(0) v at pair (L,L)"]
+
+
+def test_axioms_report_catches_a_wrong_leibniz_law():
+    # a constant added to L (0) _ keeps (d L)(0) _ = 0 but breaks Leibniz at n = 0
+    alg = weyl_algebra()
+    e, L = alg.generator("e"), alg.generator("L")
+    _perturbed(alg, lambda a, b, n: e if n == 0 and a == L else alg.zero_elem())
+    rep = conformal_axioms_report(alg, [("(L,L)", (L, L))])
+    assert not rep.ok and rep.checked == 2
+    assert rep.failures == ["d(u (0) v) != (d u)(0) v + u (0) (d v) at pair (L,L)"]
+
+
+def test_identity_report_rejects_self_locality_above_one():
+    from confal import build_all, identity_report
+
+    alg = build_all("algebra sq { kind differential; base poly x; deriv d/dx;"
+                    " generators { q = x^2; } }")["sq"]
+    q = alg.generator("q")
+    assert alg.locality(q, q) == 2
+    rep = identity_report(alg, q)
+    assert not rep.ok and rep.self_locality == 2 and not rep.exactly_one
+    assert "self-locality degree 2 exceeds 1" in rep.failures
+
+
+def test_identity_report_rejects_the_zero_element():
+    from confal import identity_report
+
+    alg = weyl_algebra()
+    rep = identity_report(alg, alg.zero_elem())
+    assert not rep.ok and rep.self_locality is ALL_ZERO
+    assert rep.failures == ["e (0) e != e", "e (0) L != L", "the zero element is not an identity"]
+
+
+def test_phi0_coords_match_the_zeroth_coefficient():
+    # the body before it read phi0_base: the coefficient at k = 0, all of it at t^0
+    def reference(alg, u):
+        c0 = alg.coefficient(u, 0)
+        assert set(c0.coeffs) <= {0}
+        return alg.base.decompose(c0.coeffs.get(0, alg.base.zero()))
+
+    for alg in (weyl_algebra(), cur_matrix(2)):
+        gens = [g for _, g in alg.generator_items()]
+        elems = [alg.zero_elem(), *gens, gens[0].derive() * 3 + gens[-1],
+                 alg.apply_dop_power(gens[-1], 2), alg.nth(gens[-1], gens[0], 0)]
+        for u in elems:
+            assert alg.phi0_coords(u) == reference(alg, u)
+        assert any(alg.phi0_coords(u) for u in elems)

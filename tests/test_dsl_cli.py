@@ -15,7 +15,7 @@ from confal import (
 )
 from confal.cli import main
 from confal.dsl import MAX_EXPONENT, AlgebraSpec, eval_base_expr, parse_base_expr
-from confal.instances import INSTANCES
+from confal.instances import INSTANCES, cur_matrix, cur_matrix_presented
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INSTANCE_DIR = ROOT / "instances"
@@ -57,6 +57,20 @@ def test_builder_matches_the_bundled_file(name):
     bundled = [load_path(str(path)) for path in FILES]
     (shipped,) = [algs[name] for algs in bundled if name in algs]
     assert _printed(INSTANCES[name]()) == _printed(shipped)
+
+
+@pytest.mark.parametrize("make", [cur_matrix, cur_matrix_presented])
+def test_matrix_builders_at_the_edges_of_their_size(make):
+    big = make(10)
+    names = [name for name, _ in big.generator_items()]
+    assert len(names) == len(set(names)) == 100
+    assert names[:2] == ["u11", "u12"] and names[-1] == "u1010"
+    # u1,11 and u11,1 would share the name u111
+    with pytest.raises(ParseError, match="duplicate generator 'u111'"):
+        make(11)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="matrix size must be positive"):
+            make(n)
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.stem)

@@ -76,3 +76,21 @@ def test_token_is_hashable_and_reports_are_not():
     assert len({token, Token("ident", "x", 1, 1), Token("ident", "x", 1, 2)}) == 2
     with pytest.raises(TypeError):
         hash(CheckReport("a"))
+
+
+def test_results_holding_a_span_compare_by_their_fields():
+    from confal import cur_dual_numbers, recognize_unital, simplicity_probe, weyl_algebra
+
+    weyl = weyl_algebra()
+    first, second = recognize_unital(weyl), recognize_unital(weyl)
+    assert first == second and repr(first) == repr(second)
+    assert "space=RowSpace(dim=" in repr(first)
+    assert first.space is not second.space
+    cureps = cur_dual_numbers()
+    first, second = simplicity_probe(cureps), simplicity_probe(cureps)
+    assert first.witness_closure is not None
+    assert first == second and repr(first) == repr(second)
+    assert "space=RowSpace(dim=1, track=False)" in repr(first)
+    # the span is left out of ==, every other field is not
+    second.witness_closure.dropped += 1
+    assert first != second
