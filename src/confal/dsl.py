@@ -647,7 +647,7 @@ def _eval(expr, base, atoms):
         if isinstance(base, MatPolyRing):
             if not (1 <= i <= base.n and 1 <= j <= base.n):
                 raise ValueError(f"matrix unit E({i},{j}) out of range for n={base.n}")
-            return MatPoly.unit(base.n, i - 1, j - 1, base.var)
+            return MatPoly.unit(base.n, i - 1, j - 1)
         if isinstance(base, FinDim) and f"E({i},{j})" in base.names:
             return base.basis_element(base.names.index(f"E({i},{j})"))
         raise ValueError("matrix units need a matpoly or matrix-findim base")
@@ -682,9 +682,9 @@ def eval_base_expr(expr, base):
     """Evaluate an expression tree to an element of the base algebra."""
     atoms = {}
     if isinstance(base, PolyRing):
-        atoms[base.var] = Poly.variable(base.var)
+        atoms[base.var] = Poly.variable()
     elif isinstance(base, MatPolyRing):
-        atoms[base.var] = base.one() * Poly.variable(base.var)
+        atoms[base.var] = base.one() * Poly.variable()
     elif isinstance(base, FinDim):
         for i, nm in enumerate(base.names):
             atoms[nm] = base.basis_element(i)

@@ -10,8 +10,9 @@ hashes as its int.  There is no floating point anywhere in the algebraic
 layer.
 
 `Poly` is the one univariate polynomial type.  It serves the base rings
-Q[x], and as its subclass `DOp`, pinned to the reserved variable d, the
-module-action ring Q[d]; `MatPoly` is Mat_n(Q[x]) on one flat sparse map.
+Q[x], and as its subclass `DOp` the module-action ring Q[d]; `MatPoly` is
+Mat_n(Q[x]) on one flat sparse map.  A value holds only its coefficients:
+the ring that holds it names the variable.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -76,17 +77,6 @@ def falling_factorial(n: int, p: int) -> int:
 
 
 # -- sparse key->coefficient helpers: Poly's maps, MatPoly's flat maps, the Q[d] rank's --
-
-
-def _sp_clean(data: dict) -> dict:
-    out = {}
-    for k, v in data.items():
-        v = rat(v)
-        if v != 0:
-            if k < 0:
-                raise ValueError("negative exponent in a polynomial")
-            out[int(k)] = v
-    return out
 
 
 def _sp_add(a: dict, b: dict) -> dict:
@@ -154,15 +144,6 @@ def _sp_divexact(a: dict, b: dict) -> dict:
     return quo
 
 
-def _join_var(a, b) -> str:
-    """The variable of a result of Poly or MatPoly operands: a constant adopts the other's."""
-    if a.var == b.var or b.is_const():
-        return a.var
-    if a.is_const():
-        return b.var
-    raise ValueError(f"variable mismatch: {a.var} vs {b.var}")
-
-
 def power(val, k: int, one):
     """val^k (k >= 0) by repeated squaring, stopping once a square vanishes.
 
@@ -204,58 +185,56 @@ def signed_sum(terms) -> str:
     return text
 
 
-def _sp_format(data: dict, sym: str) -> str:
-    return signed_sum(
-        (data[k], None if k == 0 else (sym if k == 1 else f"{sym}^{k}"))
-        for k in sorted(data, reverse=True)
-    )
-
-
 class Poly:
-    """Sparse univariate polynomial over the rationals in a named variable.
+    """Sparse univariate polynomial over the rationals.
 
-    Treat instances as immutable.  The operators combine a value with a scalar
-    or with an operand of exactly its own class, never a subclass or a base
-    class, and build every result through `self._make`; so `DOp`, the one
-    subclass, gets this arithmetic and still never mixes with a Poly.
-    Binary operations require matching variables; a constant adopts the
-    other operand's variable.
+    Treat instances as immutable.  A value is its coefficient map alone: the
+    base ring that holds it (`ore_skew.PolyRing`) names the variable, and
+    `repr` writes the class's `symbol`.  The operators combine a value with a
+    scalar or with an operand of exactly its own class, never a subclass or a
+    base class, and build every result through `self._make`; so `DOp`, the
+    one subclass, gets this arithmetic and still never mixes with a Poly.
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("coeffs",)
+    symbol = "x"
 
-    def __init__(self, coeffs=None, var: str = "x"):
-        self.var = var
-        self.coeffs = _sp_clean(coeffs or {})
+    def __init__(self, coeffs=None):
+        self.coeffs = out = {}
+        for k, v in (coeffs or {}).items():
+            v = rat(v)
+            if v != 0:
+                if k < 0:
+                    raise ValueError("negative exponent in a polynomial")
+                out[int(k)] = v
 
     @classmethod
-    def _make(cls, coeffs: dict, var: str) -> "Poly":
+    def _make(cls, coeffs: dict) -> "Poly":
         """Wrap an already canonical map: int exponents >= 0, nonzero int or Fraction values."""
         out = object.__new__(cls)
-        out.var = var
         out.coeffs = coeffs
         return out
 
     # constructors
     @classmethod
-    def zero(cls, var: str = "x") -> "Poly":
-        return cls({}, var)
+    def zero(cls) -> "Poly":
+        return cls({})
 
     @classmethod
-    def const(cls, c, var: str = "x") -> "Poly":
-        return cls({0: rat(c)}, var)
+    def const(cls, c) -> "Poly":
+        return cls({0: rat(c)})
 
     @classmethod
-    def one(cls, var: str = "x") -> "Poly":
-        return cls({0: 1}, var)
+    def one(cls) -> "Poly":
+        return cls({0: 1})
 
     @classmethod
-    def monomial(cls, k: int, c=1, var: str = "x") -> "Poly":
-        return cls({k: rat(c)}, var)
+    def monomial(cls, k: int, c=1) -> "Poly":
+        return cls({k: rat(c)})
 
     @classmethod
-    def variable(cls, var: str = "x") -> "Poly":
-        return cls({1: 1}, var)
+    def variable(cls) -> "Poly":
+        return cls({1: 1})
 
     # queries
     def is_zero(self) -> bool:
@@ -269,25 +248,23 @@ class Poly:
         return max(self.coeffs) if self.coeffs else -1
 
     def key(self):
-        return (self.var, tuple(sorted(self.coeffs.items())))
+        return tuple(sorted(self.coeffs.items()))
 
     # arithmetic
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.const(other, self.var)
+            other = self.const(other)
         elif type(other) is not type(self):
             return NotImplemented
-        return self._make(_sp_add(self.coeffs, other.coeffs), _join_var(self, other))
+        return self._make(_sp_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(_sp_scale(self.coeffs, -1), self.var)
+        return self._make(_sp_scale(self.coeffs, -1))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.const(other, self.var)
-        elif type(other) is not type(self):
+        if type(other) is not type(self) and not isinstance(other, (int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -296,81 +273,55 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._make(_sp_scale(self.coeffs, rat(other)), self.var)
+            return self._make(_sp_scale(self.coeffs, rat(other)))
         if type(other) is not type(self):
             return NotImplemented
-        return self._make(_sp_mul(self.coeffs, other.coeffs), _join_var(self, other))
+        return self._make(_sp_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return power(self, n, lambda: self.one(self.var))
+        return power(self, n, self.one)
 
     def derive(self) -> "Poly":
         """Formal derivative with respect to the variable."""
-        return self._make({k - 1: v * k for k, v in self.coeffs.items() if k > 0}, self.var)
+        return self._make({k - 1: v * k for k, v in self.coeffs.items() if k > 0})
 
     def divexact(self, other: "Poly") -> "Poly":
         if type(other) is not type(self):
             raise TypeError(f"cannot divide a {type(self).__name__} by {other!r}")
-        return self._make(_sp_divexact(self.coeffs, other.coeffs), _join_var(self, other))
+        return self._make(_sp_divexact(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.const(other, self.var)
+            other = self.const(other)
         elif type(other) is not type(self):
             return NotImplemented
-        if self.coeffs != other.coeffs:
-            return False
-        return self.var == other.var or self.is_const() or other.is_const()
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        # a constant equals its value and the same constant in any variable
+        # a constant equals its value
         if self.is_const():
             return hash(self.coeffs.get(0, 0))
         return hash(self.key())
 
     def __repr__(self):
-        return _sp_format(self.coeffs, self.var)
+        c, sym = self.coeffs, self.symbol
+        return signed_sum((c[k], None if k == 0 else (sym if k == 1 else f"{sym}^{k}"))
+                          for k in sorted(c, reverse=True))
 
 
 class DOp(Poly):
-    """Element of Q[d]: a Poly in the reserved variable d, the module-action symbol.
+    """Element of Q[d], the module-action ring acting on conformal elements.
 
-    These act on conformal elements.  Poly's operators combine only operands
-    of exactly one class, so a DOp never mixes with a base-ring Poly.  The
-    constructors default to d and reject any other variable; the `var` they
-    take is what Poly's shared operators pass.
+    Poly's operators combine only operands of exactly one class, so a DOp
+    never mixes with a base-ring Poly.
     """
 
     __slots__ = ()
-
-    def __init__(self, coeffs=None, var: str = "d"):
-        if var != "d":
-            raise ValueError(f"a DOp is a polynomial in d, not in {var}")
-        self.var = var
-        self.coeffs = _sp_clean(coeffs or {})
-
-    @classmethod
-    def _make(cls, coeffs: dict, var: str = "d") -> "DOp":
-        out = object.__new__(cls)
-        out.var = var
-        out.coeffs = coeffs
-        return out
-
-    @classmethod
-    def zero(cls) -> "DOp":
-        return cls({})
-
-    @classmethod
-    def one(cls, var: str = "d") -> "DOp":
-        return cls({0: 1}, var)
-
-    @classmethod
-    def const(cls, c, var: str = "d") -> "DOp":
-        return cls({0: rat(c)}, var)
+    symbol = "d"
 
     @classmethod
     def d(cls, p: int = 1) -> "DOp":
@@ -384,6 +335,7 @@ class DOp(Poly):
     # traced name in the class's own namespace, so it counts DOp's calls apart
     # from Poly's.  Assigning __eq__ in a class body sets __hash__ to None, so
     # __hash__ is bound as well.
+    __init__ = Poly.__init__
     __add__ = __radd__ = Poly.__add__
     __sub__, __rsub__, __neg__ = Poly.__sub__, Poly.__rsub__, Poly.__neg__
     __mul__ = __rmul__ = Poly.__mul__
@@ -391,94 +343,83 @@ class DOp(Poly):
     __eq__, __hash__ = Poly.__eq__, Poly.__hash__
 
 
-def _det(rows, var: str) -> "Poly":
+def _det(rows) -> "Poly":
     """Cofactor expansion along the first row of a square tuple of Poly rows."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    acc = Poly.zero(var)
+    acc = Poly.zero()
     for j in range(n):
         if rows[0][j].is_zero():
             continue
         minor = [[rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        term = rows[0][j] * _det(minor, var)
+        term = rows[0][j] * _det(minor)
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
 
 
 class MatPoly:
-    """Square matrix over Q[var], stored flat as a sparse {(i, j, k): coeff} map.
+    """Square matrix over Q[x], stored flat as a sparse {(i, j, k): coeff} map.
 
-    The key (i, j, k) (0-based) stands for var^k E_ij, the basis key of
+    The key (i, j, k) (0-based) stands for x^k E_ij, the basis key of
     MatPolyRing, so decomposing over that basis is a copy of `data`.  No zero
     coefficient is stored.  `rows`, `entry` and `det` are derived Poly views.
-    The public constructor takes rows of Poly, int or Fraction entries and
-    rejects a nonconstant entry in another variable; internal results go
-    through `_make`, which trusts its canonical input.  As with Poly, a
-    constant matrix equals the same constant matrix in any variable.
+    The public constructor takes rows of Poly, int or Fraction entries;
+    internal results go through `_make`, which trusts its canonical input.
     """
 
-    __slots__ = ("n", "var", "data")
+    __slots__ = ("n", "data")
 
-    def __init__(self, rows, var: str | None = None):
+    def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        if var is None:
-            var = next((e.var for r in rows for e in r
-                        if type(e) is Poly and not e.is_const()), "x")
         data = {}
         for i, r in enumerate(rows):
             for j, e in enumerate(r):
                 if type(e) is not Poly:
-                    e = Poly.const(e, var)
-                elif e.var != var and not e.is_const():
-                    raise ValueError(f"variable mismatch: {e.var} vs {var}")
+                    e = Poly.const(e)
                 for k, c in e.coeffs.items():
                     data[(i, j, k)] = c
         self.n = n
-        self.var = var
         self.data = data
 
     @classmethod
-    def _make(cls, n: int, var: str, data: dict) -> "MatPoly":
+    def _make(cls, n: int, data: dict) -> "MatPoly":
         """Wrap an already canonical map: int or Fraction values, none of them zero."""
         out = object.__new__(cls)
         out.n = n
-        out.var = var
         out.data = data
         return out
 
     @classmethod
-    def zero(cls, n: int, var: str = "x") -> "MatPoly":
-        return cls._make(n, var, {})
+    def zero(cls, n: int) -> "MatPoly":
+        return cls._make(n, {})
 
     @classmethod
-    def identity(cls, n: int, var: str = "x") -> "MatPoly":
-        return cls._make(n, var, {(i, i, 0): 1 for i in range(n)})
+    def identity(cls, n: int) -> "MatPoly":
+        return cls._make(n, {(i, i, 0): 1 for i in range(n)})
 
     @classmethod
-    def unit(cls, n: int, i: int, j: int, var: str = "x", coeff=1, xpow: int = 0) -> "MatPoly":
-        """Matrix unit E_ij (0-based) scaled by coeff * var^xpow."""
+    def unit(cls, n: int, i: int, j: int, coeff=1, xpow: int = 0) -> "MatPoly":
+        """Matrix unit E_ij (0-based) scaled by coeff * x^xpow."""
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"matrix unit ({i}, {j}) out of range for n={n}")
         if xpow < 0:
             raise ValueError("negative exponent in a polynomial")
         c = rat(coeff)
-        return cls._make(n, var, {(i, j, xpow): c} if c else {})
+        return cls._make(n, {(i, j, xpow): c} if c else {})
 
     @property
     def rows(self) -> tuple:
         cells = [[{} for _ in range(self.n)] for _ in range(self.n)]
         for (i, j, k), c in self.data.items():
             cells[i][j][k] = c
-        return tuple(tuple(Poly._make(cell, self.var) for cell in r) for r in cells)
+        return tuple(tuple(Poly._make(cell) for cell in r) for r in cells)
 
     def entry(self, i: int, j: int) -> Poly:
-        return Poly._make(
-            {k: c for (a, b, k), c in self.data.items() if a == i and b == j}, self.var
-        )
+        return Poly._make({k: c for (a, b, k), c in self.data.items() if a == i and b == j})
 
     def is_zero(self) -> bool:
         return not self.data
@@ -490,7 +431,7 @@ class MatPoly:
         return max((k for _, _, k in self.data), default=-1)
 
     def key(self):
-        return (self.n, self.var, tuple(sorted(self.data.items())))
+        return (self.n, tuple(sorted(self.data.items())))
 
     def _check(self, other: "MatPoly"):
         if self.n != other.n:
@@ -500,10 +441,10 @@ class MatPoly:
         if not isinstance(other, MatPoly):
             return NotImplemented
         self._check(other)
-        return MatPoly._make(self.n, _join_var(self, other), _sp_add(self.data, other.data))
+        return MatPoly._make(self.n, _sp_add(self.data, other.data))
 
     def __neg__(self):
-        return MatPoly._make(self.n, self.var, {key: -c for key, c in self.data.items()})
+        return MatPoly._make(self.n, {key: -c for key, c in self.data.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MatPoly):
@@ -515,7 +456,7 @@ class MatPoly:
         if isinstance(other, (int, Fraction)):
             c = rat(other)
             data = {key: v * c for key, v in self.data.items()} if c else {}
-            return MatPoly._make(self.n, self.var, data)
+            return MatPoly._make(self.n, data)
         if type(other) is not Poly:
             return NotImplemented
         out: dict = {}
@@ -523,8 +464,7 @@ class MatPoly:
             for e, w in other.coeffs.items():
                 key = (i, j, k + e)
                 out[key] = out[key] + v * w if key in out else v * w
-        return MatPoly._make(self.n, _join_var(self, other),
-                             {key: c for key, c in out.items() if c})
+        return MatPoly._make(self.n, {key: c for key, c in out.items() if c})
 
     def __mul__(self, other):
         if not isinstance(other, MatPoly):
@@ -538,8 +478,7 @@ class MatPoly:
             for j, e, w in by_row.get(l, ()):
                 key = (i, j, k + e)
                 out[key] = out[key] + v * w if key in out else v * w
-        return MatPoly._make(self.n, _join_var(self, other),
-                             {key: c for key, c in out.items() if c})
+        return MatPoly._make(self.n, {key: c for key, c in out.items() if c})
 
     def __rmul__(self, other):
         return self._times_central(other)  # scalars and Q[x] are central
@@ -547,27 +486,23 @@ class MatPoly:
     def __pow__(self, p: int):
         if p < 0:
             raise ValueError("negative matrix power")
-        return power(self, p, lambda: MatPoly.identity(self.n, self.var))
+        return power(self, p, lambda: MatPoly.identity(self.n))
 
     def derive(self) -> "MatPoly":
         return MatPoly._make(
-            self.n, self.var, {(i, j, k - 1): c * k for (i, j, k), c in self.data.items() if k}
+            self.n, {(i, j, k - 1): c * k for (i, j, k), c in self.data.items() if k}
         )
 
     def det(self) -> Poly:
         """Exact determinant by cofactor expansion (intended for small n)."""
-        return _det(self.rows, self.var)
+        return _det(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, MatPoly):
             return NotImplemented
-        if self.n != other.n or self.data != other.data:
-            return False
-        return self.var == other.var or self.is_const()
+        return self.n == other.n and self.data == other.data
 
     def __hash__(self):
-        # equal matrices have equal maps; the variable is left out so that a
-        # constant matrix hashes alike in every variable
         return hash((self.n, frozenset(self.data.items())))
 
     def __repr__(self):

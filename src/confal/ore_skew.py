@@ -55,25 +55,34 @@ class BaseAlgebra:
 
 
 class PolyRing(BaseAlgebra):
-    """Q[x] with basis x^k, k >= 0."""
+    """Q[var] with basis var^k, k >= 0; its values hold coefficients, the ring names var."""
 
     def __init__(self, var: str = "x"):
         self.var = var
 
+    def __repr__(self):
+        return f"PolyRing({self.var!r})"
+
+    def __eq__(self, other):
+        return type(other) is PolyRing and self.var == other.var
+
+    def __hash__(self):
+        return hash(self.var)
+
     def zero(self):
-        return Poly.zero(self.var)
+        return Poly.zero()
 
     def one(self):
-        return Poly.one(self.var)
+        return Poly.one()
 
     def decompose(self, a) -> dict:
         return dict(a.coeffs)
 
     def from_coords(self, coords: dict):
-        return Poly._make({k: c for k, c in coords.items() if c}, self.var)
+        return Poly._make({k: c for k, c in coords.items() if c})
 
     def basis_element(self, key: int):
-        return Poly.monomial(key, 1, self.var)
+        return Poly.monomial(key)
 
     def describe_key(self, key: int) -> str:
         if key == 0:
@@ -83,11 +92,11 @@ class PolyRing(BaseAlgebra):
         return f"{self.var}^{key}"
 
     def ring_generators(self):
-        return [("1", self.one()), (self.var, Poly.variable(self.var))]
+        return [("1", self.one()), (self.var, Poly.variable())]
 
 
 class MatPolyRing(BaseAlgebra):
-    """Mat_n(Q[x]) with basis x^k E_ij.  Basis keys are (i, j, k), 0-based."""
+    """Mat_n(Q[var]) with basis var^k E_ij.  Basis keys are (i, j, k), 0-based."""
 
     def __init__(self, n: int, var: str = "x"):
         if n < 1:
@@ -95,21 +104,30 @@ class MatPolyRing(BaseAlgebra):
         self.n = n
         self.var = var
 
+    def __repr__(self):
+        return f"MatPolyRing({self.n}, {self.var!r})"
+
+    def __eq__(self, other):
+        return type(other) is MatPolyRing and (self.n, self.var) == (other.n, other.var)
+
+    def __hash__(self):
+        return hash((self.n, self.var))
+
     def zero(self):
-        return MatPoly.zero(self.n, self.var)
+        return MatPoly.zero(self.n)
 
     def one(self):
-        return MatPoly.identity(self.n, self.var)
+        return MatPoly.identity(self.n)
 
     def decompose(self, a) -> dict:
         return dict(a.data)
 
     def from_coords(self, coords: dict):
-        return MatPoly._make(self.n, self.var, {key: c for key, c in coords.items() if c})
+        return MatPoly._make(self.n, {key: c for key, c in coords.items() if c})
 
     def basis_element(self, key):
         i, j, k = key
-        return MatPoly.unit(self.n, i, j, self.var, 1, k)
+        return MatPoly.unit(self.n, i, j, 1, k)
 
     def describe_key(self, key) -> str:
         i, j, k = key
@@ -124,10 +142,8 @@ class MatPolyRing(BaseAlgebra):
         gens = []
         for i in range(self.n):
             for j in range(self.n):
-                gens.append((f"E({i + 1},{j + 1})", MatPoly.unit(self.n, i, j, self.var)))
-        gens.append(
-            (f"{self.var}*1", MatPoly.identity(self.n, self.var) * Poly.variable(self.var))
-        )
+                gens.append((f"E({i + 1},{j + 1})", MatPoly.unit(self.n, i, j)))
+        gens.append((f"{self.var}*1", MatPoly.identity(self.n) * Poly.variable()))
         return gens
 
 
@@ -220,6 +236,9 @@ class FinDim(BaseAlgebra):
         self.table = tuple(fixed)
         self._check_associativity()
         self.unit = self._find_unit()
+
+    def __repr__(self):
+        return f"FinDim(dim={self.dim}, names={self.names!r})"
 
     def _check_associativity(self):
         d = self.dim

@@ -53,7 +53,7 @@ def weyl_elems():
 def test_weyl_product_table():
     e, L = WEYL.generator("e"), WEYL.generator("L")
     f = WEYL.primitive
-    x = Poly.variable("x")
+    x = Poly.variable()
     assert WEYL.nth(e, e, 0) == f(Poly.one())
     assert WEYL.nth(e, L, 0) == f(x)
     assert WEYL.nth(L, e, 0) == f(x)
@@ -91,7 +91,7 @@ def test_derive_shifts_products():
     assert WEYL.nth(de, L, 1) == -WEYL.nth(e, L, 0)
     assert WEYL.nth(de, L, 2) == WEYL.nth(e, L, 1) * -2
     # frozen: (d f_1) (1) f_x = -f_x
-    assert WEYL.nth(de, L, 1) == -WEYL.primitive(Poly.variable("x"))
+    assert WEYL.nth(de, L, 1) == -WEYL.primitive(Poly.variable())
 
 
 def test_coefficient_map():
@@ -253,7 +253,7 @@ def test_generator_values_are_base_elements():
     for foreign in (WEYL.generator("L"), cur_matrix_presented(2).generator("u11")):
         with pytest.raises(ValueError):
             DifferentialAlgebra(base, ScaledDdx(base), {"g": foreign})
-    alg = DifferentialAlgebra(base, ScaledDdx(base), {"g": Poly.variable("x")})
+    alg = DifferentialAlgebra(base, ScaledDdx(base), {"g": Poly.variable()})
     assert alg.generator("g").alg is alg
 
 
@@ -359,7 +359,7 @@ def cend2() -> DifferentialAlgebra:
     """CEnd_2 = (Mat_2(Q[x]), d/dx) with the matrix units and x times the unit."""
     base = MatPolyRing(2, "x")
     gens = {f"u{i + 1}{j + 1}": MatPoly.unit(2, i, j) for i in range(2) for j in range(2)}
-    gens["L"] = MatPoly.identity(2) * Poly.variable("x")
+    gens["L"] = MatPoly.identity(2) * Poly.variable()
     return DifferentialAlgebra(base, ScaledDdx(base), gens, name="cend2")
 
 

@@ -40,7 +40,7 @@ def _weylx():
     """The Weyl generators plus f = 3/2 x^2 - 5/4 x^3, whose orders reach N = 3."""
     base = PolyRing("x")
     f = Poly({2: Fraction(3, 2), 3: Fraction(-5, 4)})
-    gens = {"e": base.one(), "L": Poly.variable("x"), "f": f}
+    gens = {"e": base.one(), "L": Poly.variable(), "f": f}
     return DifferentialAlgebra(base, ScaledDdx(base), gens, name="weylx")
 
 
@@ -90,7 +90,7 @@ def test_degree_invariant_under_redundant_generator():
     fat = DifferentialAlgebra(
         base,
         ScaledDdx(base),
-        {"e": base.one(), "L": Poly.variable("x"), "M": Poly.monomial(2)},
+        {"e": base.one(), "L": Poly.variable(), "M": Poly.monomial(2)},
         name="weyl+",
     )
     slim_rep = growth_table(WEYL, 8)

@@ -263,7 +263,7 @@ def _weyl_with_random_generator(seed):
     rng = random.Random(seed)
     base = PolyRing("x")
     f = Poly({2: _rand_q(rng) or 1, 3: _rand_q(rng) or 1})
-    gens = {"e": base.one(), "L": Poly.variable("x"), "f": f}
+    gens = {"e": base.one(), "L": Poly.variable(), "f": f}
     return DifferentialAlgebra(base, ScaledDdx(base), gens, name=f"weylx{seed}")
 
 

@@ -19,7 +19,7 @@ from confal import (
     PresentedAlgebra,
     weyl_algebra,
 )
-from confal.dsl import load_path
+from confal.dsl import build_all, load_path
 from confal.exact_arith import gen_binom
 from confal.presented_conformal import CoeffElem, coeff_mul
 
@@ -292,6 +292,19 @@ def test_known_fail_table_breaks_associativity():
 def test_left_annihilator_trivial_when_unital():
     # unital instances have no left annihilators in the probed space
     assert left_annihilator_probe(CUR2P) == []
+
+
+def test_left_annihilator_found_when_a_generator_acts_by_zero():
+    # a has every product zero, so a, d*a and d^2*a annihilate from the left
+    alg = build_all(
+        "algebra p { kind presented; generators a, b; products { b (0) b = b; } }")["p"]
+    found = left_annihilator_probe(alg, 2)
+    a = alg.generator("a")
+    assert found == [alg.apply_dop_power(a, p) for p in range(3)]
+    for u in found:
+        for _, g in alg.generator_items():
+            for n in range(alg.locality_scan_bound(u, g) + 1):
+                assert alg.nth(u, g, n).is_zero()
 
 
 def test_pres_elem_linear_structure():

@@ -11,6 +11,7 @@ from confal import (
     DOp,
     DifferentialAlgebra,
     MatPoly,
+    MatPolyRing,
     MismatchWitness,
     NotNilpotent,
     NotUnital,
@@ -61,7 +62,7 @@ def test_find_identity_weyl():
 def test_find_identity_not_unital():
     base = PolyRing("x")
     no_id = DifferentialAlgebra(
-        base, ZeroDerivation(base), {"g": Poly.variable("x")}, name="xQ[x]"
+        base, ZeroDerivation(base), {"g": Poly.variable()}, name="xQ[x]"
     )
     with pytest.raises(NotUnital):
         find_identity(no_id)
@@ -290,16 +291,26 @@ def test_closure_detects_unit_through_derivation():
     # seed x in (Q[x], d/dx): delta(x) = 1 so the closure reaches the unit
     base = PolyRing("x")
     delta = ScaledDdx(base)
-    closure = delta_stable_closure(base, delta, [Poly.variable("x")])
+    closure = delta_stable_closure(base, delta, [Poly.variable()])
     assert closure.unit_found
     assert closure.unit_reason == "the unit lies in the span"
+
+
+def test_closure_detects_unit_through_its_determinant():
+    # I + x*E(1,2) is invertible (determinant 1) although the unit is not in its span
+    base = MatPolyRing(2, "x")
+    seed = base.one() + MatPoly.unit(2, 0, 1) * Poly.variable()
+    closure = delta_stable_closure(base, ZeroDerivation(base), [seed], degree_bound=1,
+                                   generators=[])
+    assert closure.dim == 1 and closure.unit_found
+    assert closure.unit_reason == "invertible element in the span (determinant 1)"
 
 
 def test_closure_reads_the_basis_cap_at_call_time(monkeypatch):
     base = PolyRing("x")
     monkeypatch.setattr(structure, "SATURATION_CAP", 1)
     with pytest.raises(ClosureBoundExceeded):
-        delta_stable_closure(base, ScaledDdx(base), [Poly.variable("x")])
+        delta_stable_closure(base, ScaledDdx(base), [Poly.variable()])
 
 
 def test_simplicity_witnesses():
@@ -307,6 +318,13 @@ def test_simplicity_witnesses():
     assert eps_rep.witness_found and eps_rep.witness_missing
     poly_rep = simplicity_probe(poly_zero(), trials=10)
     assert poly_rep.witness_found and "x" in poly_rep.witness
+
+
+def test_probe_results_compare_and_print_by_value():
+    # the closure keeps its base ring, which compares and prints as a value
+    assert simplicity_probe(poly_zero()) == simplicity_probe(poly_zero())
+    for build in (poly_zero, cur_matrix, cur_dual_numbers):
+        assert " at 0x" not in repr(simplicity_probe(build()))
 
 
 def test_simplicity_no_witness_on_simple_instances():
