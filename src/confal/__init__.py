@@ -34,8 +34,8 @@ _SUBMODULE = {
                     "enumerate_span", "growth_table", "module_rank")),
         ("instances", ("cur_dual_numbers", "cur_matrix", "cur_matrix_presented",
                        "poly_zero", "weyl_algebra")),
-        ("ore_skew", ("DdxPlusAd", "Derivation", "FinDim", "LinearAction", "MatPolyRing",
-                      "OreRing", "PolyRing", "ScaledDdx", "SkewLaurent", "ZeroDerivation",
+        ("ore_skew", ("Derivation", "FinDim", "LinearAction", "MatPolyRing", "OreRing",
+                      "PolyRing", "ScaledDdx", "SkewLaurent", "ZeroDerivation",
                       "ad_derivation", "matrix_findim", "nilpotency_index",
                       "weyl_instance")),
         ("presented_conformal", ("PresElem", "PresentedAlgebra", "ProductTable",

@@ -29,14 +29,16 @@ Grammar (EBNF; `#` starts a comment running to end of line):
     rational   := ("+" | "-")* literal
     literal    := INT ["/" INT]
 
-INT is a run of ASCII digits.  `comb` is a Q[d]-combination of generators,
-read as (coefficient, d-power, generator) triples in source order: it is the
-right-hand side of a product and the text of an element (`parse_element`,
-`--element`).  Its "0" alternative stands for a whole combination, followed
-by ";", ")" or the end.  `expr` is an expression over the base algebra: a
-generator value, an `ad(...)` correction and the nilpotent `r` of identity
-transport (`parse_base_expr`, `--r`).  Text given on its own, as an element
-or an `r`, must be consumed whole: anything after the rule is an error.
+INT is a run of ASCII digits.  A unary minus binds tighter than `^`:
+`-x^2` is (-x)^2, and -(x^2) needs its parentheses.  `comb` is a
+Q[d]-combination of generators, read as (coefficient, d-power, generator)
+triples in source order: it is the right-hand side of a product and the text
+of an element (`parse_element`, `--element`).  Its "0" alternative stands
+for a whole combination, followed by ";", ")" or the end.  `expr` is an
+expression over the base algebra: a generator value, an `ad(...)` correction
+and the nilpotent `r` of identity transport (`parse_base_expr`, `--r`).
+Text given on its own, as an element or an `r`, must be consumed whole:
+anything after the rule is an error.
 
 MAX_EXPONENT caps every exponent: the d-power of each term of a
 combination, nested `d`s added up, the product of the `^` exponents
@@ -60,17 +62,8 @@ import sys
 from fractions import Fraction
 
 from .errors import BoundExceeded, NotNilpotent, ParseError
-from .exact_arith import DOp, Poly, power, ratio, signed_sum
-from .ore_skew import (
-    DdxPlusAd,
-    FinDim,
-    LinearAction,
-    MatPoly,
-    MatPolyRing,
-    PolyRing,
-    ScaledDdx,
-    ZeroDerivation,
-)
+from .exact_arith import DOp, power, ratio, signed_sum
+from .ore_skew import FinDim, LinearAction, MatPolyRing, PolyRing, ScaledDdx, ZeroDerivation
 from .record import Record
 
 MAX_EXPONENT = 256
@@ -573,8 +566,7 @@ def _expr_text(expr, prec: int = 0) -> str:
     if kind == "E":
         return f"E({expr[1]},{expr[2]})"
     if kind == "neg":
-        inner = _expr_text(expr[1], 2)
-        text = f"-{inner}"
+        text = "-" + _expr_text(expr[1], 3)  # `-` binds tighter than `^`
         return f"({text})" if prec >= 1 else text
     if kind in ("add", "sub"):
         op = " + " if kind == "add" else " - "
@@ -584,7 +576,8 @@ def _expr_text(expr, prec: int = 0) -> str:
         text = _expr_text(expr[1], 1) + "*" + _expr_text(expr[2], 2)
         return f"({text})" if prec >= 2 else text
     if kind == "pow":
-        return _expr_text(expr[1], 3) + f"^{expr[2]}"
+        text = _expr_text(expr[1], 3) + f"^{expr[2]}"
+        return f"({text})" if prec >= 3 else text
     raise ValueError(f"unknown expression node {kind!r}")
 
 
@@ -643,14 +636,10 @@ def _eval(expr, base, atoms):
             raise ValueError(f"unknown name {expr[1]!r} in a base expression")
         return atoms[expr[1]]
     if kind == "E":
-        i, j = expr[1], expr[2]
-        if isinstance(base, MatPolyRing):
-            if not (1 <= i <= base.n and 1 <= j <= base.n):
-                raise ValueError(f"matrix unit E({i},{j}) out of range for n={base.n}")
-            return MatPoly.unit(base.n, i - 1, j - 1)
-        if isinstance(base, FinDim) and f"E({i},{j})" in base.names:
-            return base.basis_element(base.names.index(f"E({i},{j})"))
-        raise ValueError("matrix units need a matpoly or matrix-findim base")
+        name = f"E({expr[1]},{expr[2]})"
+        if name not in atoms:
+            raise ValueError(f"this base has no matrix unit {name}")
+        return atoms[name]
     if kind == "neg":
         return -_eval(expr[1], base, atoms)
     if kind in ("add", "sub"):
@@ -679,16 +668,13 @@ def _eval(expr, base, atoms):
 
 
 def eval_base_expr(expr, base):
-    """Evaluate an expression tree to an element of the base algebra."""
-    atoms = {}
-    if isinstance(base, PolyRing):
-        atoms[base.var] = Poly.variable()
-    elif isinstance(base, MatPolyRing):
-        atoms[base.var] = base.one() * Poly.variable()
-    elif isinstance(base, FinDim):
-        for i, nm in enumerate(base.names):
-            atoms[nm] = base.basis_element(i)
-    val = _eval(expr, base, atoms)
+    """Evaluate an expression tree to an element of the base algebra.
+
+    Its atoms are the base's named ring generators: the variable of a
+    polynomial base, the matrix units E(i,j) and x*I of a matpoly base, and
+    the basis elements of a findim base.
+    """
+    val = _eval(expr, base, dict(base.ring_generators()))
     return base.one() * val if isinstance(val, _SCALAR) else val
 
 
@@ -739,7 +725,7 @@ def build(spec: AlgebraSpec):
     if dkind == "zero":
         make, args = ZeroDerivation, ()
     elif dkind == "matrix":
-        if not isinstance(base, FinDim):
+        if bkind != "findim":
             raise ValueError("a matrix derivation needs a findim base")
         flat = spec.deriv[1]
         if len(flat) != base.dim ** 2:
@@ -749,16 +735,14 @@ def build(spec: AlgebraSpec):
         make, args = LinearAction, (_reshape(flat, base.dim, base.dim),)
     else:
         _, var, adjoint = spec.deriv
-        if isinstance(base, FinDim):
+        if bkind == "findim":
             raise ValueError("d/dx does not act on a findim base")
         if var != base.var:
             raise ValueError(f"derivation variable {var!r} does not match base {base.var!r}")
-        if adjoint is None:
-            make, args = ScaledDdx, ()
-        else:
-            if not isinstance(base, MatPolyRing):
-                raise ValueError("ad(...) corrections need a matpoly base")
-            make, args = DdxPlusAd, (eval_base_expr(adjoint, base),)
+        if adjoint is not None and bkind != "matpoly":
+            raise ValueError("ad(...) corrections need a matpoly base")
+        make = ScaledDdx
+        args = () if adjoint is None else (eval_base_expr(adjoint, base),)
     try:
         delta = make(base, *args)
     except (NotNilpotent, BoundExceeded) as exc:

@@ -20,8 +20,12 @@ finite-dimensional algebra given by structure constants over a distinguished
 basis.  Their values -- Poly, MatPoly and FinDimElem -- compute with their own
 operators (`+`, `-`, `*` by a scalar or a value, `==`, `is_zero()`,
 `degree()`, `key()`); the algebra objects carry no arithmetic of their own.
-Derivations verify the Leibniz rule and local nilpotency on the ring
-generators (and their pairwise products) at construction time.
+Each algebra is a value (`==` and `hash` by its defining data) that names its
+unit and its ring generators, which are also the atoms of its DSL
+expressions.  A derivation checks at construction only what its input can
+break: local nilpotency along the ring generators' orbits always, and the
+Leibniz rule only for an explicit action matrix (`LinearAction`); d/dx,
+d/dx + ad(r) and the zero map are derivations by construction.
 """
 
 from __future__ import annotations
@@ -39,12 +43,18 @@ class BaseAlgebra:
     """Common surface of the coefficient-algebra variants.
 
     The algebra object holds no arithmetic: values (Poly, MatPoly, FinDimElem)
-    compute with their own operators.  It names the constants (`zero`, `one`,
-    `basis_element`, `ring_generators`), decomposes a value over its canonical
-    countable basis (`decompose`), builds one back from such coordinates
-    (`from_coords`) and formats it.  Basis keys are hashable and mutually
-    comparable.
+    compute with their own operators.  It names the constants (`zero`, `unit`,
+    `basis_element`, `ring_generators`: (name, value) pairs that generate it as
+    an algebra), decomposes a value over its canonical countable basis
+    (`decompose`), builds one back from such coordinates (`from_coords`) and
+    formats it.  Basis keys are hashable and mutually comparable.  `unit` is
+    None only for a FinDim without one.
     """
+
+    def one(self):
+        if self.unit is None:
+            raise ValueError("this finite-dimensional algebra has no unit")
+        return self.unit
 
     def format(self, a) -> str:
         terms = []
@@ -59,6 +69,7 @@ class PolyRing(BaseAlgebra):
 
     def __init__(self, var: str = "x"):
         self.var = var
+        self.unit = Poly.one()
 
     def __repr__(self):
         return f"PolyRing({self.var!r})"
@@ -71,9 +82,6 @@ class PolyRing(BaseAlgebra):
 
     def zero(self):
         return Poly.zero()
-
-    def one(self):
-        return Poly.one()
 
     def decompose(self, a) -> dict:
         return dict(a.coeffs)
@@ -103,6 +111,7 @@ class MatPolyRing(BaseAlgebra):
             raise ValueError("matrix dimension must be positive")
         self.n = n
         self.var = var
+        self.unit = MatPoly.identity(n)
 
     def __repr__(self):
         return f"MatPolyRing({self.n}, {self.var!r})"
@@ -115,9 +124,6 @@ class MatPolyRing(BaseAlgebra):
 
     def zero(self):
         return MatPoly.zero(self.n)
-
-    def one(self):
-        return MatPoly.identity(self.n)
 
     def decompose(self, a) -> dict:
         return dict(a.data)
@@ -143,7 +149,7 @@ class MatPolyRing(BaseAlgebra):
         for i in range(self.n):
             for j in range(self.n):
                 gens.append((f"E({i + 1},{j + 1})", MatPoly.unit(self.n, i, j)))
-        gens.append((f"{self.var}*1", MatPoly.identity(self.n) * Poly.variable()))
+        gens.append((self.var, self.unit * Poly.variable()))
         return gens
 
 
@@ -151,8 +157,8 @@ class FinDimElem:
     """A value of a FinDim algebra: its coordinate tuple over the distinguished basis.
 
     The operators go through the algebra's `add`, `scale` and `mul`, which
-    raise ValueError on a value of another FinDim; `==` is False across
-    algebras and agrees with `hash`.
+    raise ValueError on a value of an unequal FinDim; `==` is False across
+    unequal algebras and agrees with `hash`.
     """
 
     __slots__ = ("alg", "coords")
@@ -198,7 +204,8 @@ class FinDimElem:
     def __eq__(self, other):
         if not isinstance(other, FinDimElem):
             return NotImplemented
-        return self.alg is other.alg and self.coords == other.coords
+        a, b = self.alg, other.alg
+        return self.coords == other.coords and (a is b or a == b)
 
     def __hash__(self):
         return hash(self.coords)  # 3 == Fraction(3) and both hash as 3
@@ -240,6 +247,12 @@ class FinDim(BaseAlgebra):
     def __repr__(self):
         return f"FinDim(dim={self.dim}, names={self.names!r})"
 
+    def __eq__(self, other):
+        return type(other) is FinDim and (self.names, self.table) == (other.names, other.table)
+
+    def __hash__(self):
+        return hash((self.names, self.table))
+
     def _check_associativity(self):
         d = self.dim
         b = [self.basis_element(i) for i in range(d)]
@@ -266,16 +279,11 @@ class FinDim(BaseAlgebra):
 
     def _own(self, *values):
         for v in values:
-            if v.alg is not self:
+            if v.alg is not self and v.alg != self:
                 raise ValueError("values of different finite-dimensional algebras")
 
     def zero(self):
         return FinDimElem(self, (0,) * self.dim)
-
-    def one(self):
-        if self.unit is None:
-            raise ValueError("this finite-dimensional algebra has no unit")
-        return self.unit
 
     def add(self, a, b):
         self._own(a, b)
@@ -343,12 +351,17 @@ def matrix_findim(n: int) -> FinDim:
 
 
 class Derivation:
-    """delta : A -> A.
+    """delta : A -> A, a derivation of the base algebra.
 
-    Construction verifies, exactly, the Leibniz rule on all pairs drawn from
-    the ring generators and their pairwise products, and local nilpotency of
-    delta on that same set.  `orbit` is the only iteration of delta; it is
-    capped by NILPOTENCY_BOUND, read at call time.
+    Construction proves what the input can break and nothing else.  Each
+    subclass is a derivation by construction except LinearAction, whose
+    matrix is input and which checks the Leibniz rule itself.  Local
+    nilpotency is checked here, by one `orbit` per ring generator: that is
+    enough, because delta^(m+n-1)(ab) = 0 once delta^m(a) = 0 and
+    delta^n(b) = 0 (Leibniz), sums follow by linearity, and the ring
+    generators generate A as an algebra.
+    `orbit` is the only iteration of delta; it is capped by
+    NILPOTENCY_BOUND, read at call time.
     """
 
     def __init__(self, base: BaseAlgebra):
@@ -381,63 +394,38 @@ class Derivation:
             a = self(a)
         return out
 
-    def _probe_set(self) -> list:
-        """The ring generators and their nonzero pairwise products, each once, in order."""
-        gens = [g for _, g in self.base.ring_generators()]
-        probe = dict.fromkeys(gens)  # values hash by value
-        for a in gens:
-            for b in gens:
-                p = a * b
-                if not p.is_zero():
-                    probe.setdefault(p)
-        return list(probe)
-
     def _verify(self):
-        base = self.base
-        probe = self._probe_set()
-        for a in probe:
-            for b in probe:
-                if self._apply(a * b) != self._apply(a) * b + a * self._apply(b):
-                    raise ValueError(
-                        f"Leibniz rule fails on ({base.format(a)}, {base.format(b)})"
-                    )
-        for a in probe:
-            self.orbit(a)  # raises BoundExceeded past the cap
+        for _, g in self.base.ring_generators():
+            self.orbit(g)  # raises BoundExceeded past the cap
 
 
 class ScaledDdx(Derivation):
-    """d/dx, entrywise on matrix algebras."""
+    """d/dx, entrywise on matrix algebras, plus ad(r) = [r, -] for a nilpotent r.
 
-    def __init__(self, base):
+    Both d/dx and ad(r) are derivations for every r, so only nilpotency is
+    checked: r^n = 0 here, and the generator orbits in Derivation.
+    """
+
+    def __init__(self, base, r: MatPoly | None = None):
+        if r is not None and not isinstance(base, MatPolyRing):
+            raise TypeError("d/dx + ad(r) needs a matrix-polynomial base")
         if not isinstance(base, (PolyRing, MatPolyRing)):
             raise TypeError("d/dx needs a polynomial or matrix-polynomial base")
-        super().__init__(base)
-
-    def _apply(self, a):
-        return a.derive()
-
-
-class DdxPlusAd(Derivation):
-    """d/dx + ad(r) on Mat_n(Q[x]) for a nilpotent r."""
-
-    def __init__(self, base, r: MatPoly):
-        if not isinstance(base, MatPolyRing):
-            raise TypeError("d/dx + ad(r) needs a matrix-polynomial base")
-        if not (r ** base.n).is_zero():
+        if r is not None and not (r ** base.n).is_zero():
             raise NotNilpotent(f"r is not nilpotent: r^{base.n} != 0")
         self.r = r
         super().__init__(base)
 
     def _apply(self, a):
-        return a.derive() + self.r * a - a * self.r
+        r = self.r
+        if r is None:
+            return a.derive()
+        return a.derive() + r * a - a * r
 
 
 class ZeroDerivation(Derivation):
     def _apply(self, a):
         return self.base.zero()
-
-    def _verify(self):
-        pass  # the zero map is a derivation and kills everything in one step
 
 
 class LinearAction(Derivation):
@@ -466,6 +454,18 @@ class LinearAction(Derivation):
                 if m != 0:
                     out[i] += m * c
         return FinDimElem(self.base, tuple(out))
+
+    def _verify(self):
+        """The Leibniz rule on ordered basis pairs, enough by bilinearity; then nilpotency."""
+        base = self.base
+        basis = [base.basis_element(i) for i in range(base.dim)]
+        for a in basis:
+            for b in basis:
+                if self._apply(a * b) != self._apply(a) * b + a * self._apply(b):
+                    raise ValueError(
+                        f"Leibniz rule fails on ({base.format(a)}, {base.format(b)})"
+                    )
+        super()._verify()
 
 
 def ad_derivation(base: FinDim, r) -> LinearAction:

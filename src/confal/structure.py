@@ -606,13 +606,8 @@ class IdealClosure(Record):
         }
 
 
-def _unit_of(base):
-    """The unit of base, or None for a FinDim without one."""
-    return base.unit if isinstance(base, FinDim) else base.one()
-
-
 def _detect_unit(base, space: RowSpace, basis):
-    unit = _unit_of(base)
+    unit = base.unit
     if unit is not None and space.contains(base.decompose(unit)):
         return True, "the unit lies in the span"
     if isinstance(base, MatPolyRing):
@@ -837,8 +832,7 @@ def simplicity_probe(
             if not elem.is_zero():
                 yield f"random combination #{k + 1}", elem
 
-    unit = _unit_of(base)
-    until = None if unit is None else base.decompose(unit)
+    until = None if base.unit is None else base.decompose(base.unit)
     checked, witness = 0, None
     for desc, s in candidates():
         checked += 1

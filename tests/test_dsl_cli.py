@@ -96,6 +96,62 @@ def test_pretty_roundtrip_presented():
     assert products[("b", 0, "b")] == ()
 
 
+@pytest.mark.parametrize("expr", ["-(x^2)", "(x^2)^3", "-(x^2)^3", "-x^2", "2*-x", "-(-x)",
+                                  "x*x^2"])
+def test_pretty_keeps_signs_and_powers(expr):
+    # a unary minus binds tighter than ^: -x^2 is (-x)^2, so -(x^2) keeps its parentheses
+    source = f"algebra a {{ kind differential; base poly x; deriv d/dx; generators {{ u = {expr}; }} }}"
+    (spec,) = parse(source)
+    assert parse(pretty(spec)) == [spec]
+    assert _printed(build_all(pretty(spec))["a"]) == _printed(build_all(source)["a"])
+
+
+def _block(*clauses):
+    """An algebra block opening on line 2, one clause a line from line 3 on."""
+    return "\nalgebra a {\n" + "".join(f"  {c}\n" for c in clauses) + "}\n"
+
+
+DIFF = ("kind differential;", "base poly x;", "deriv zero;")
+PARSE_ERRORS = {
+    "missing kind": (_block("generators g;"), 2, 1, "missing kind clause"),
+    "missing generators": (_block("kind presented;"), 2, 1, "missing generators clause"),
+    "differential bare": (_block(*DIFF, "generators g;"), 2, 1,
+                          "differential generators need '{ name = expr; ... }'"),
+    "presented braced": (_block("kind presented;", "generators { g = 1; }"), 2, 1,
+                         "presented generators are a bare name list"),
+    "no base": (_block("kind differential;", "deriv zero;", "generators { g = 1; }"), 2, 1,
+                "a differential algebra needs a base clause"),
+    "no deriv": (_block("kind differential;", "base poly x;", "generators { g = 1; }"), 2, 1,
+                 "a differential algebra needs a deriv clause"),
+    "differential products": (_block(*DIFF, "generators { g = 1; }", "products { }"), 2, 1,
+                              "products clauses belong to presented algebras"),
+    "presented base": (_block("kind presented;", "base poly x;", "generators g;"), 2, 1,
+                       "presented algebras take no base or deriv clause"),
+    "presented deriv": (_block("kind presented;", "deriv zero;", "generators g;"), 2, 1,
+                        "presented algebras take no base or deriv clause"),
+    "matpoly 0": (_block("kind differential;", "base matpoly 0 x;", "deriv zero;",
+                         "generators { g = 1; }"), 4, 8, "matrix dimension must be positive"),
+    "findim 0": (_block("kind differential;", "base findim 0 table [1];", "deriv zero;",
+                        "generators { g = 1; }"), 4, 8, "dimension must be positive"),
+    "deriv d/x": (_block("kind differential;", "base poly x;", "deriv d/x;",
+                         "generators { g = 1; }"), 5, 11, "found 'x' (expected 'd<var>')"),
+    "deriv foo": (_block("kind differential;", "base poly x;", "deriv foo;",
+                         "generators { g = 1; }"), 5, 9,
+                  "found 'foo' (expected 'zero' or 'd/d<var>' or 'matrix')"),
+    # reported at the token after the block
+    "empty generators": (_block(*DIFF, "generators { }"), 7, 1, "empty generators block"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_messages_and_positions(case):
+    source, line, col, message = PARSE_ERRORS[case]
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == f"line {line}, column {col}: {message}"
+
+
 def test_parse_reports_position_and_expectation():
     with pytest.raises(ParseError) as err:
         parse("algebra w {\n  kind differential\n}")
@@ -194,7 +250,7 @@ def test_semantic_build_errors():
             "deriv zero; generators { u = b1; } }"
         )
     # matrix unit out of range
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("this base has no matrix unit E(3,1)")):
         build_all(
             "algebra m { kind differential; base matpoly 2 x; deriv zero; "
             "generators { u = E(3,1); } }"
@@ -292,6 +348,12 @@ def test_deep_nesting_is_a_parse_error():
         with pytest.raises(ParseError) as err:
             call()
         assert "nested too deeply" in str(err.value)
+    # reported inside the parentheses, where the stack ran out; how deep that is
+    # depends on the stack the call starts from
+    with pytest.raises(ParseError) as err:
+        parse_base_expr(deep)
+    assert err.value.line == 1 and 1 < err.value.col <= 2000
+    assert str(err.value) == f"line 1, column {err.value.col}: nested too deeply"
 
 
 def test_base_powers_by_squaring(monkeypatch):

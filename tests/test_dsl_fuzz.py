@@ -64,7 +64,7 @@ def _edit(text: str, edits) -> str:
 def _assert_round_trip(spec):
     text = pretty(spec)
     again = parse(text)
-    assert len(again) == 1
+    assert again == [spec]  # what pretty's docstring promises
     assert pretty(again[0]) == text
 
 

@@ -171,6 +171,13 @@ def test_recognize_cur2_recovers_matrix_algebra():
     assert replay["skipped"] == 0 and replay["checked"] == 48
 
 
+def test_recovered_algebras_compare_by_value():
+    # two recognitions of one instance recover equal FinDim algebras
+    first, second = (recognize_unital(cur_matrix(2)).to_findim() for _ in range(2))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert first.unit == second.unit
+
+
 def test_recognize_presented_current_algebra():
     res = recognize_unital(cur_matrix_presented(2))
     assert res.ok and res.closed and res.delta_is_zero and res.dim == 4
@@ -323,6 +330,7 @@ def test_simplicity_witnesses():
 def test_probe_results_compare_and_print_by_value():
     # the closure keeps its base ring, which compares and prints as a value
     assert simplicity_probe(poly_zero()) == simplicity_probe(poly_zero())
+    assert simplicity_probe(cur_dual_numbers()) == simplicity_probe(cur_dual_numbers())
     for build in (poly_zero, cur_matrix, cur_dual_numbers):
         assert " at 0x" not in repr(simplicity_probe(build()))
 
