@@ -35,7 +35,12 @@ both slots of the n-th product:
 A term pair d^i a, d^j b thus costs min(j, m) + 1 base cases (m = n - i),
 where expanding the rule one d at a time costs about 2^j.  Base cases are
 memoised for the duration of one product only, so a pair of basis symbols
-costs at most n+1 of them in total.
+costs at most n+1 of them in total.  A vanishing base case costs no
+arithmetic: for a term pair c_i d^i a, c_j d^j b the rational c_i c_j is
+formed at most once, and only when one of its base cases contributes.  The
+sign, the falling factorials and the binomial make one integer weight w, so
+each coefficient v of a base case costs one rational multiplication,
+(c_i c_j) (w v).
 """
 
 from __future__ import annotations
@@ -78,19 +83,24 @@ def nth_product_terms(u_terms: dict, v_terms: dict, n: int, base_case) -> dict:
             if i > n:
                 continue  # the left-slot factor n(n-1)...(n-i+1) vanishes
             m = n - i
-            left = ci * falling_factorial(n, i) if i else ci
+            # (-1)^i n!/(n-i)!, an integer, and 1 at i = 0
+            left = falling_factorial(n, i) if i else 1
             if i % 2:
                 left = -left
             for bk, q in v_terms.items():
                 for j, cj in q.coeffs.items():
-                    scale = left * cj
+                    scale = None  # ci * cj, formed once the pair contributes
                     for r in range(min(j, m) + 1):
                         key = (ak, m - r, bk)
                         base = memo.get(key)
                         if base is None:
                             base = memo[key] = base_case(ak, m - r, bk)
+                        if not base:
+                            continue
+                        if scale is None:
+                            scale = ci * cj
                         # C(j,r) m!/(m-r)! is an integer, and 1 at r = 0
-                        c = scale * (comb(j, r) * perm(m, r)) if r else scale
+                        w = left * (comb(j, r) * perm(m, r)) if r else left
                         shift = j - r
                         for k, b in base.items():
                             row = acc.get(k)
@@ -98,7 +108,7 @@ def nth_product_terms(u_terms: dict, v_terms: dict, n: int, base_case) -> dict:
                                 row = acc[k] = {}
                             for e, v in b.coeffs.items():
                                 e += shift
-                                t = c * v
+                                t = scale * (w * v)
                                 row[e] = row[e] + t if e in row else t
     return terms_clean({k: DOp(row) for k, row in acc.items()})
 

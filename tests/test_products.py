@@ -1,5 +1,6 @@
 """The shared core: closed-form right slot, a second route, its cost, one model base."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from confal import (
     poly_zero,
     weyl_algebra,
 )
+from confal.exact_arith import DOp
 from confal.products import ConformalAlgebra, nth_product_terms, terms_clean
 
 WEYL = weyl_algebra()
@@ -74,10 +76,21 @@ def _mixed(alg):
 # -- the closed form against the one-power-at-a-time expansion ---------------------------
 
 
+def _rational(alg, rng, powers):
+    """Each generator at the given d-powers, with seeded non-integral coefficients."""
+    out = alg.zero_elem()
+    for g in _gens(alg):
+        for p in powers:
+            c = Fraction(2 * rng.randint(-4, 4) + 1, rng.choice((2, 4, 6)))
+            out = out + alg.apply_dop_power(g, p) * c
+    return out
+
+
 @pytest.mark.parametrize("alg", [WEYL, POLYZERO, CUR2P], ids=lambda a: a.name)
 def test_closed_form_matches_recursion(alg):
-    lefts = _gens(alg) + [_mixed(alg)]
-    rights = _gens(alg) + [_mixed(alg)]
+    rng = random.Random(alg.name)
+    lefts = _gens(alg) + [_mixed(alg), _rational(alg, rng, (0, 3, 8))]
+    rights = _gens(alg) + [_mixed(alg), _rational(alg, rng, (0,))]
     for u in lefts:
         for v in rights:
             for j in range(9):
@@ -86,6 +99,18 @@ def test_closed_form_matches_recursion(alg):
                     got = nth_product_terms(u.terms, dv.terms, n, alg._base_case)
                     want = reference_nth(u.terms, dv.terms, n, alg._base_case)
                     assert got == want, (alg.name, u, v, j, n)
+                    for q in got.values():
+                        for c in q.coeffs.values():
+                            # an int exactly when integral
+                            assert type(c) is int or c.denominator != 1, (alg.name, c)
+
+
+def test_integral_results_are_ints():
+    L = WEYL.generator("L")
+    # (1/2 L) (1) (2 L) = -L: the coefficient 1/2 * 2 comes out as the int -1
+    got = nth_product_terms((L * Fraction(1, 2)).terms, (L * 2).terms, 1, WEYL._base_case)
+    (q,) = got.values()
+    assert q.coeffs == {0: -1} and type(q.coeffs[0]) is int
 
 
 def test_negative_order_rejected():
@@ -148,6 +173,57 @@ def test_recursion_cost_is_exponential_in_the_power():
     assert recursive.calls == 2 ** 12
 
 
+# -- cost: rational products per product, counted on the coefficients ---------------------
+
+
+class CountingFraction(Fraction):
+    """A Fraction that counts the products it takes part in (their results are plain Fractions)."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingFraction.products += 1
+        return Fraction.__mul__(self, other)
+
+    def __rmul__(self, other):
+        CountingFraction.products += 1
+        return Fraction.__rmul__(self, other)
+
+
+def _counted_terms(key, powers: dict) -> dict:
+    return {key: DOp({p: CountingFraction(num, den) for p, (num, den) in powers.items()})}
+
+
+def _count_products(u_terms, v_terms, n, base_case):
+    CountingFraction.products = 0
+    out = nth_product_terms(u_terms, v_terms, n, base_case)
+    return out, CountingFraction.products
+
+
+def test_vanishing_base_cases_cost_no_rational_products():
+    u = _counted_terms("a", {0: (1, 2), 2: (1, 3)})
+    v = _counted_terms("b", {0: (1, 5), 3: (2, 7)})
+    for n in range(6):
+        out, products = _count_products(u, v, n, lambda a, m, b: {})
+        assert out == {} and products == 0, (n, products)
+
+
+def test_one_contributing_base_case_forms_one_product():
+    unit = DOp({0: 1})
+
+    def base_case(a, m, b):
+        # only a (1) b is nonzero
+        return {"c": unit} if m == 1 else {}
+
+    u = _counted_terms("a", {0: (1, 2)})
+    v = _counted_terms("b", {3: (2, 7)})
+    for n in range(1, 5):
+        # the one term pair meets orders n, n-1, ..., max(n-3, 0): order 1 among them
+        out, products = _count_products(u, v, n, base_case)
+        assert out == reference_nth(u, v, n, base_case), n
+        assert products == 1, (n, products)
+
+
 SHARED = ("apply_dop_power", "is_zero", "generator", "generator_items", "zero_elem",
           "coordinates", "format_elem", "nth", "locality", "locality_coeff_sum")
 
@@ -157,3 +233,4 @@ def test_models_inherit_the_shared_operations(model):
     # a name bound in the model's own namespace must be the base's function
     for name in SHARED:
         assert getattr(model, name) is getattr(ConformalAlgebra, name), name
+
