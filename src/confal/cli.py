@@ -268,12 +268,13 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_transport(args) -> int:
     from .ore_skew import FinDim
-    from .structure import transport_identity
 
     alg = _pick_algebra(args)
     base = alg.base if hasattr(alg, "base") else None
     if not isinstance(base, FinDim):
         raise ValueError("transport needs a findim differential instance")
+    from .structure import transport_identity
+
     r = eval_base_expr(parse_base_expr(args.r), base)
     res = transport_identity(base, r, name=f"{alg.name}+ad")
     result = res.to_json_dict()
@@ -288,17 +289,18 @@ def _cmd_transport(args) -> int:
 
 def _cmd_simplicity(args) -> int:
     from .diff_conformal import DifferentialAlgebra
-    from .structure import simplicity_probe
 
     alg = _pick_algebra(args)
     if not isinstance(alg, DifferentialAlgebra):
         raise ValueError("simplicity needs a differential instance")
+    from .structure import simplicity_probe
+
     rep = simplicity_probe(
         alg, trials=args.trials, degree_bound=args.degree_bound, seed=args.seed
     )
     text = [
-        f"simplicity probe of {alg.name} "
-        f"(degree bound {rep.degree_bound}, {rep.candidates_checked} candidates):",
+        f"simplicity probe of {alg.name} (seed {args.seed}, "
+        f"degree bound {rep.degree_bound}, {rep.candidates_checked} candidates):",
         f"  coefficient subalgebra dimension: {rep.subalgebra_dim}",
     ]
     if rep.witness_found:

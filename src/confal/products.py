@@ -33,14 +33,26 @@ both slots of the n-th product:
     commutes with the weighted shift to order m-1.
 
 A term pair d^i a, d^j b thus costs min(j, m) + 1 base cases (m = n - i),
-where expanding the rule one d at a time costs about 2^j.  Base cases are
-memoised for the duration of one product only, so a pair of basis symbols
-costs at most n+1 of them in total.  A vanishing base case costs no
-arithmetic: for a term pair c_i d^i a, c_j d^j b the rational c_i c_j is
-formed at most once, and only when one of its base cases contributes.  The
-sign, the falling factorials and the binomial make one integer weight w, so
-each coefficient v of a base case costs one rational multiplication,
-(c_i c_j) (w v).
+where expanding the rule one d at a time costs about 2^j.
+
+Locality scans, axiom sweeps and associativity ask for the same base cases
+at many orders, so each algebra keeps those it has formed in one lasting
+table keyed by (a, m, b), which `ConformalAlgebra.nth` hands to the engine;
+a model's `_base_case` stays pure.  The engine stores each base case as a
+flat tuple of (symbol, d-power, coefficient) triples, under half the memory
+of the terms dict a model returns.  The table takes entries until it holds
+BASE_CASE_CAP of them.  256 holds every base case that the CLI commands form
+on the bundled instances at their default bounds (at most 245, `recognize`
+on weyl) and bounds the memory of long walks such as a recognition at a
+high word bound.  Later misses, and every base case of an engine call
+without a table, are memoised for one product only, so a pair of basis
+symbols still costs at most n+1 base case calls per product.
+
+A vanishing base case costs no arithmetic: for a term pair c_i d^i a,
+c_j d^j b the rational c_i c_j is formed at most once, and only when one of
+its base cases contributes.  The sign, the falling factorials and the
+binomial make one integer weight w, so each coefficient v of a base case
+costs one rational multiplication, (c_i c_j) (w v).
 """
 
 from __future__ import annotations
@@ -72,11 +84,25 @@ def terms_clean(terms: dict) -> dict:
     return {k: q for k, q in terms.items() if not q.is_zero()}
 
 
-def nth_product_terms(u_terms: dict, v_terms: dict, n: int, base_case) -> dict:
-    """Order-n product of two elements given as terms dicts."""
+# entries a lasting base-case table takes; later misses live for one product
+BASE_CASE_CAP = 256
+
+
+def nth_product_terms(u_terms: dict, v_terms: dict, n: int, base_case, *,
+                      table: dict | None = None) -> dict:
+    """Order-n product of two elements given as terms dicts.
+
+    table, when given, is a lasting map (a, m, b) -> base case that this
+    product reads and fills up to BASE_CASE_CAP entries; base cases it cannot
+    keep, and all of them without a table, are memoised for this call only.
+    Both hold a base case as a tuple of (symbol, d-power, coefficient)
+    triples, the empty tuple when it vanishes.
+    """
     if n < 0:
         raise ValueError("product order must be nonnegative")
     memo: dict = {}
+    if table is None:
+        table = memo
     acc: dict = {}  # basis symbol -> {d-power: coefficient}
     for ak, p in u_terms.items():
         for i, ci in p.coeffs.items():
@@ -92,9 +118,13 @@ def nth_product_terms(u_terms: dict, v_terms: dict, n: int, base_case) -> dict:
                     scale = None  # ci * cj, formed once the pair contributes
                     for r in range(min(j, m) + 1):
                         key = (ak, m - r, bk)
-                        base = memo.get(key)
+                        base = table.get(key)
                         if base is None:
-                            base = memo[key] = base_case(ak, m - r, bk)
+                            base = memo.get(key)
+                            if base is None:
+                                base = tuple((k, e, v) for k, b in base_case(ak, m - r, bk).items()
+                                             for e, v in b.coeffs.items())
+                                (table if len(table) < BASE_CASE_CAP else memo)[key] = base
                         if not base:
                             continue
                         if scale is None:
@@ -102,14 +132,13 @@ def nth_product_terms(u_terms: dict, v_terms: dict, n: int, base_case) -> dict:
                         # C(j,r) m!/(m-r)! is an integer, and 1 at r = 0
                         w = left * (comb(j, r) * perm(m, r)) if r else left
                         shift = j - r
-                        for k, b in base.items():
+                        for k, e, v in base:
                             row = acc.get(k)
                             if row is None:
                                 row = acc[k] = {}
-                            for e, v in b.coeffs.items():
-                                e += shift
-                                t = scale * (w * v)
-                                row[e] = row[e] + t if e in row else t
+                            e += shift
+                            t = scale * (w * v)
+                            row[e] = row[e] + t if e in row else t
     return terms_clean({k: DOp(row) for k, row in acc.items()})
 
 
@@ -222,6 +251,7 @@ class ConformalAlgebra:
     def __init__(self, name: str, generators: dict):
         self.name = name
         self.generators = generators
+        self._base_cases: dict = {}  # (a, m, b) -> base case, at most BASE_CASE_CAP of them
 
     # -- elements ----------------------------------------------------------------
 
@@ -265,7 +295,8 @@ class ConformalAlgebra:
         # the engine's terms are already clean: wrap them without a second pass
         out = object.__new__(Elem)
         out.alg = self
-        out.terms = nth_product_terms(u.terms, v.terms, n, self._base_case)
+        out.terms = nth_product_terms(u.terms, v.terms, n, self._base_case,
+                                      table=self._base_cases)
         return out
 
     def locality(self, u: Elem, v: Elem):

@@ -619,9 +619,12 @@ def test_cli_simplicity(capsys):
     cureps = str(INSTANCE_DIR / "cureps.confal")
     assert main(["simplicity", cureps, "--trials", "5"]) == 0
     out = capsys.readouterr().out
+    assert out.startswith("simplicity probe of cureps (seed 0, degree bound 5, ")
     assert "proper delta-stable ideal found" in out
     assert main(["simplicity", cureps, "--trials", "5", "--seed", "1"]) == 0
-    assert "proper delta-stable ideal found" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("simplicity probe of cureps (seed 1, degree bound 5, ")
+    assert "proper delta-stable ideal found" in out
     presented = str(INSTANCE_DIR / "cur2_presented.confal")
     assert main(["simplicity", presented, "--trials", "5"]) == 2
     assert "differential instance" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """The shared core: closed-form right slot, a second route, its cost, one model base."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,11 @@ from confal import (
     poly_zero,
     weyl_algebra,
 )
+from confal.axioms import associativity_report
 from confal.exact_arith import DOp
-from confal.products import ConformalAlgebra, nth_product_terms, terms_clean
+from confal.instances import INSTANCES
+from confal.products import BASE_CASE_CAP, ConformalAlgebra, nth_product_terms, terms_clean
+from confal.structure import recognize_unital
 
 WEYL = weyl_algebra()
 POLYZERO = poly_zero()
@@ -54,12 +58,18 @@ def reference_nth(u_terms: dict, v_terms: dict, n: int, base_case) -> dict:
 
 
 class CountingBaseCase:
+    """Wraps a base case and records the (a, m, b) of every call."""
+
     def __init__(self, base_case):
         self.base_case = base_case
-        self.calls = 0
+        self.keys: list = []
+
+    @property
+    def calls(self) -> int:
+        return len(self.keys)
 
     def __call__(self, a, m, b):
-        self.calls += 1
+        self.keys.append((a, m, b))
         return self.base_case(a, m, b)
 
 
@@ -171,6 +181,94 @@ def test_recursion_cost_is_exponential_in_the_power():
     )
     assert closed.calls <= 13
     assert recursive.calls == 2 ** 12
+
+
+# -- cost: each algebra's lasting base-case table -----------------------------------------
+
+
+def _count_base_cases(alg) -> CountingBaseCase:
+    """Route the algebra's own products through a counter."""
+    alg._base_case = CountingBaseCase(alg._base_case)
+    return alg._base_case
+
+
+@pytest.mark.parametrize("make", [weyl_algebra, poly_zero, cur_matrix_presented],
+                         ids=lambda f: f.__name__)
+def test_a_repeated_product_calls_no_base_case(make):
+    alg = make()
+    calls = _count_base_cases(alg)
+    u = _gens(alg)[0] + _mixed(alg)
+    v = alg.apply_dop_power(u, 4)
+    for n in (0, 3, 6):
+        first = alg.nth(u, v, n)
+        assert calls.keys, (alg.name, n)
+        calls.keys.clear()
+        assert alg.nth(u, v, n) == first
+        assert calls.keys == [], (alg.name, n)
+
+
+def _full_weyl():
+    """A Weyl algebra whose table was pushed past the cap by a recognition."""
+    alg = weyl_algebra()
+    assert recognize_unital(alg, word_bound=40).dim == 41
+    assert len(alg._base_cases) == BASE_CASE_CAP
+    return alg
+
+
+def test_table_stops_at_the_cap():
+    alg = _full_weyl()
+    held = dict(alg._base_cases)
+    recognize_unital(alg, word_bound=40)
+    assert alg._base_cases == held
+
+
+def test_full_table_products_match_reference():
+    alg = _full_weyl()
+    base_case = alg._base_case
+    calls = _count_base_cases(alg)
+    e, L = alg.generator("e"), alg.generator("L")
+    far = L
+    for _ in range(45):
+        far = alg.nth(far, L, 0)  # f_{x^46}: its base cases lie outside the table
+    rng = random.Random(29)
+    elems = [e, L, far, _mixed(alg), _rational(alg, rng, (0, 3)) + far * Fraction(1, 3)]
+    missed = 0
+    for u in elems:
+        for v in elems:
+            for j in (0, 1, 6):
+                dv = alg.apply_dop_power(v, j)
+                for n in (0, 1, 4, 9):
+                    calls.keys.clear()
+                    got = alg.nth(u, dv, n).terms
+                    assert got == reference_nth(u.terms, dv.terms, n, base_case), (u, v, j, n)
+                    counts = Counter(calls.keys)
+                    assert max(counts.values(), default=0) <= 1, (u, v, j, n)
+                    assert not counts.keys() & alg._base_cases.keys()
+                    missed += len(counts)
+    assert missed
+    assert len(alg._base_cases) == BASE_CASE_CAP
+
+
+def _reports(alg, bound: int) -> dict:
+    """Locality matrices on the generators and on their d^bound images, and associativity."""
+    gens = alg.generator_items()
+    out = {"associativity": associativity_report(alg, bound, bound).to_json_dict()}
+    for p in (0, bound):
+        out[f"locality d^{p}"] = {
+            (a, b): repr(alg.locality(alg.apply_dop_power(u, p), v))
+            for a, u in gens for b, v in gens
+        }
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_warm_table_changes_no_report(name):
+    warm = INSTANCES[name]()
+    _reports(warm, 3)
+    if name == "weyl":
+        recognize_unital(warm, word_bound=40)  # full: later misses live for one product
+    assert warm._base_cases
+    assert _reports(warm, 2) == _reports(INSTANCES[name](), 2)
 
 
 # -- cost: rational products per product, counted on the coefficients ---------------------

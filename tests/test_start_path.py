@@ -38,6 +38,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main({argv!r}) == 0
 """
 
+RUN_MAIN_REJECTED = """
+from confal.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert main({argv!r}) == 2
+"""
+
 
 def _env() -> dict:
     env = dict(os.environ)
@@ -82,6 +88,18 @@ def test_model_commands_load_no_algorithm_layer(argv):
 ], ids=["locality-differential", "locality-presented", "simplicity", "transport"])
 def test_command_leaves_layers_it_does_not_run_unloaded(argv, unloaded):
     assert not _loaded(RUN_MAIN.format(argv=argv)) & unloaded
+
+
+@pytest.mark.parametrize("argv", [
+    *(["transport", str(ROOT / "instances" / f"{name}.confal"), "--r", "x"]
+      for name in ("weyl", "cur2", "polyzero", "cur2_presented")),
+    ["simplicity", PRESENTED_FILE],
+], ids=["transport-weyl", "transport-cur2", "transport-polyzero", "transport-cur2p",
+        "simplicity-cur2p"])
+def test_rejected_command_leaves_structure_unloaded(argv):
+    # the model check comes first: an instance the command cannot take exits 2
+    # before the algorithm layer is imported
+    assert "structure" not in _loaded(RUN_MAIN_REJECTED.format(argv=argv))
 
 
 def test_no_command_loads_dataclasses():
