@@ -18,10 +18,10 @@ from .record import Record
 
 
 class CheckReport(Record):
-    def __init__(self, name: str, ok: bool = True, checked: int = 0,
-                 failures: list | None = None, details: dict | None = None):
+    def __init__(self, name: str, checked: int = 0, failures: list | None = None,
+                 details: dict | None = None):
         self.name = name
-        self.ok = ok
+        self.ok = not failures
         self.checked = checked
         self.failures = [] if failures is None else failures
         self.details = {} if details is None else details
@@ -209,10 +209,10 @@ def locality_combinations(alg, u, v):
 
 
 class IdentityReport(Record):
-    def __init__(self, ok: bool, self_locality, exactly_one: bool, failures: list | None = None):
-        self.ok = ok
+    def __init__(self, self_locality, failures: list | None = None):
+        self.ok = not failures
         self.self_locality = self_locality
-        self.exactly_one = exactly_one
+        self.exactly_one = self_locality == 1
         self.failures = [] if failures is None else failures
 
     def to_json_dict(self):
@@ -241,12 +241,7 @@ def identity_report(alg, e) -> IdentityReport:
         failures.append(f"self-locality degree {self_loc} exceeds 1")
     if e.is_zero():
         failures.append("the zero element is not an identity")
-    return IdentityReport(
-        ok=not failures,
-        self_locality=self_loc,
-        exactly_one=(self_loc == 1),
-        failures=failures,
-    )
+    return IdentityReport(self_loc, failures)
 
 
 def left_annihilator_probe(alg, dop_degree_bound: int = 3):

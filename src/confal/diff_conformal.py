@@ -56,6 +56,9 @@ class DifferentialAlgebra(ConformalAlgebra):
             gens[gname] = self.primitive(val)
         super().__init__(name, gens)
 
+    def _defining(self) -> tuple:
+        return self.name, self.base, self.delta, [(n, g.terms) for n, g in self.generators.items()]
+
     def primitive(self, a) -> Elem:
         """f_a for a base element a."""
         return Elem(
@@ -149,12 +152,11 @@ class DongReport(Record):
     stay in the record because `check`'s JSON output carries them.
     """
 
-    def __init__(self, ok: bool, max_order: int, degrees: dict | None = None,
-                 witness: str | None = None):
-        self.ok = ok
+    def __init__(self, max_order: int, degrees: dict | None = None):
+        self.ok = True
         self.max_order = max_order
         self.degrees = {} if degrees is None else degrees
-        self.witness = witness
+        self.witness = None
 
     def to_json_dict(self):
         return {
@@ -176,7 +178,7 @@ def dong_check(u, v, w, max_order: int) -> DongReport:
     if max_order < 0:
         raise ValueError("the mutual-locality order bound must be nonnegative")
     alg = u.alg
-    rep = DongReport(ok=True, max_order=max_order)
+    rep = DongReport(max_order)
     for label, (a, b) in (("u,v", (u, v)), ("v,w", (v, w)), ("u,w", (u, w))):
         rep.degrees[label] = alg.locality(a, b)
     for n in range(max_order + 1):

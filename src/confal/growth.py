@@ -73,9 +73,6 @@ class MonomialSpan(Record):
         self.order_bound = order_bound
         self.entries = [] if entries is None else entries
 
-    def of_length(self, length: int):
-        return [e for e in self.entries if e.length <= length]
-
 
 def generator_order_bound(alg) -> int:
     """Max pairwise locality degree of the declared generators (0 if all vanish)."""
@@ -301,23 +298,31 @@ def loglog_slope(gamma):
 
 
 class GrowthReport(Record):
-    def __init__(self, algebra: str, r_max: int, order_bound: int, gamma: list, degree,
-                 slope: float | None, window: tuple | None = None,
-                 coeff_dims: list | None = None, bound_rhs: list | None = None,
-                 bound_ok: list | None = None, bound_rhs_literal: list | None = None,
-                 bound_ok_literal: list | None = None):
+    """gamma(1..r_max), and dim(V^1 + ... + V^r) over a coefficient window;
+    r_max, the degree, the slope and the bounds of the module doc are read off them."""
+
+    def __init__(self, algebra: str, order_bound: int, gamma: list,
+                 window: tuple | None = None, coeff_dims: list | None = None):
+        if window is None:
+            rhs = rhs_lit = ok = ok_lit = None
+        else:
+            width = window[1] - window[0]
+            rhs = [(width + max(order_bound, 1)) * r * g for r, g in enumerate(gamma, 1)]
+            rhs_lit = [(width + order_bound) * r * g for r, g in enumerate(gamma, 1)]
+            ok = [d <= b for d, b in zip(coeff_dims, rhs)]
+            ok_lit = [d <= b for d, b in zip(coeff_dims, rhs_lit)]
         self.algebra = algebra
-        self.r_max = r_max
+        self.r_max = len(gamma)
         self.order_bound = order_bound
         self.gamma = gamma
-        self.degree = degree
-        self.slope = slope
+        self.degree = detect_degree(gamma)
+        self.slope = loglog_slope(gamma)
         self.window = window
         self.coeff_dims = coeff_dims
-        self.bound_rhs = bound_rhs
-        self.bound_ok = bound_ok
-        self.bound_rhs_literal = bound_rhs_literal
-        self.bound_ok_literal = bound_ok_literal
+        self.bound_rhs = rhs
+        self.bound_ok = ok
+        self.bound_rhs_literal = rhs_lit
+        self.bound_ok_literal = ok_lit
 
     def rows(self):
         table = difference_table(self.gamma, DIFF_DEPTH)
@@ -414,14 +419,7 @@ def growth_table(alg, r_max: int) -> GrowthReport:
 
     ranker = ModuleRank()
     gamma = [ranker.rank for _ in _walk(gens, products, ranker.add, r_max)]
-    return GrowthReport(
-        algebra=getattr(alg, "name", "algebra"),
-        r_max=r_max,
-        order_bound=bound,
-        gamma=gamma,
-        degree=detect_degree(gamma),
-        slope=loglog_slope(gamma),
-    )
+    return GrowthReport(getattr(alg, "name", "algebra"), bound, gamma)
 
 
 def coeff_growth_check(alg, window: tuple, r_max: int) -> GrowthReport:
@@ -439,7 +437,6 @@ def coeff_growth_check(alg, window: tuple, r_max: int) -> GrowthReport:
     if not (m_minus <= 0 <= m_plus):
         raise ValueError("the window must contain 0")
     base_report = growth_table(alg, r_max)
-    n_bound = base_report.order_bound
 
     total = RowSpace(track=False)
 
@@ -457,14 +454,5 @@ def coeff_growth_check(alg, window: tuple, r_max: int) -> GrowthReport:
     kept = {id(s) for s in next(walk)}  # the coefficients that span V, by generator below
     groups = [(g, {k: s for k, s in phis.items() if id(s) in kept}) for g, phis in window_phis]
     dims = [total.dim] + [total.dim for _ in walk]
-
-    width = m_plus - m_minus
-    rhs = [(width + max(n_bound, 1)) * (r + 1) * base_report.gamma[r] for r in range(r_max)]
-    rhs_lit = [(width + n_bound) * (r + 1) * base_report.gamma[r] for r in range(r_max)]
-    base_report.window = (m_minus, m_plus)
-    base_report.coeff_dims = dims
-    base_report.bound_rhs = rhs
-    base_report.bound_ok = [d <= b for d, b in zip(dims, rhs)]
-    base_report.bound_rhs_literal = rhs_lit
-    base_report.bound_ok_literal = [d <= b for d, b in zip(dims, rhs_lit)]
-    return base_report
+    return GrowthReport(base_report.algebra, base_report.order_bound, base_report.gamma,
+                        (m_minus, m_plus), dims)

@@ -361,12 +361,19 @@ class Derivation:
     delta^n(b) = 0 (Leibniz), sums follow by linearity, and the ring
     generators generate A as an algebra.
     `orbit` is the only iteration of delta; it is capped by
-    NILPOTENCY_BOUND, read at call time.
+    NILPOTENCY_BOUND, read at call time.  Derivations compare as values, by
+    class and defining data (the base and what the subclass stores).
     """
 
     def __init__(self, base: BaseAlgebra):
         self.base = base
         self._verify()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash((type(self), self.base))
 
     def _apply(self, a):
         raise NotImplementedError
@@ -503,9 +510,6 @@ class OreRing:
 
     def t(self, n: int = 1) -> "SkewLaurent":
         return SkewLaurent(self, {n: self.base.one()})
-
-    def embed(self, a) -> "SkewLaurent":
-        return SkewLaurent(self, {0: a})
 
     def monomial(self, a, n: int) -> "SkewLaurent":
         """a * t^n."""

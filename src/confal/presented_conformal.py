@@ -73,6 +73,9 @@ class PresentedAlgebra(ConformalAlgebra):
         self.table = table
         super().__init__(name, {g: Elem(self, {i: DOp.one()}) for i, g in enumerate(table.gens)})
 
+    def _defining(self) -> tuple:
+        return self.name, self.table.gens, self.table.entries
+
     def symbol_name(self, key: int) -> str:
         return self.table.gens[key]
 

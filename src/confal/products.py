@@ -197,7 +197,7 @@ class Elem:
         return terms_key(self.terms)
 
     def _same(self, other: "Elem"):
-        if self.alg is not other.alg:
+        if self.alg is not other.alg and self.alg != other.alg:
             raise ValueError("elements of different algebras")
 
     def __add__(self, other):
@@ -239,19 +239,29 @@ class Elem:
     def __eq__(self, other):
         if not isinstance(other, Elem):
             return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
+        return self.terms == other.terms and (self.alg is other.alg or self.alg == other.alg)
 
     def __repr__(self):
         return self.alg.format_elem(self)
 
 
 class ConformalAlgebra:
-    """Named generators and the operations both models share (see the module doc)."""
+    """Named generators and the operations both models share (see the module doc).
+
+    Algebras of one model compare as values, by what their `_defining()`
+    returns, so two builds of one definition are equal and their elements mix.
+    """
 
     def __init__(self, name: str, generators: dict):
         self.name = name
         self.generators = generators
         self._base_cases: dict = {}  # (a, m, b) -> base case, at most BASE_CASE_CAP of them
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._defining() == other._defining()
+
+    def __hash__(self):
+        return hash((type(self), self.name))
 
     # -- elements ----------------------------------------------------------------
 

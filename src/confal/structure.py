@@ -194,28 +194,30 @@ class RecognitionResult(Record):
     maps basis index pairs to coordinate vectors (None marks a product left
     unresolved at the word bound), delta maps each index to the coordinate
     vector of its induced derivative.  The cross-check flags record the
-    independent verifications that ran.
+    independent verifications that ran, and each failed one adds its line
+    to `failures`; `ok`, `dim`, `closed` and `delta_is_zero` are read off the
+    other fields.
     """
 
     _uncompared = ("space",)  # the elimination state behind the other fields
 
-    def __init__(self, algebra: str, ok: bool, identity, identity_elem, labels: list,
-                 representatives: list, dim: int, closed: bool, product: dict, delta: dict,
-                 delta_is_zero: bool, unit_coords: dict | None, generator_classes: dict,
-                 components: dict, fit_ok: bool, dtilde_ok: bool, leibniz_ok: bool,
+    def __init__(self, algebra: str, identity, identity_elem, labels: list,
+                 representatives: list, product: dict, delta: dict,
+                 unit_coords: dict | None, generator_classes: dict, components: dict,
+                 fit_ok: bool, dtilde_ok: bool, leibniz_ok: bool,
                  failures: list | None = None, log: list | None = None,
                  space: RowSpace | None = None):
         self.algebra = algebra
-        self.ok = ok
+        self.ok = identity.ok and not failures
         self.identity = identity  # an IdentityReport
         self.identity_elem = identity_elem
         self.labels = labels
         self.representatives = representatives
-        self.dim = dim
-        self.closed = closed
+        self.dim = len(labels)
+        self.closed = all(entry is not None for entry in product.values())
         self.product = product
         self.delta = delta
-        self.delta_is_zero = delta_is_zero
+        self.delta_is_zero = all(not v for v in delta.values())
         self.unit_coords = unit_coords
         self.generator_classes = generator_classes
         self.components = components
@@ -378,7 +380,6 @@ def recognize_unital(
         product[(i, j)] = space.express(class_coords(alg, alg.nth(reps[i], reps[j], 0)))
         if product[(i, j)] is None:
             log.append(f"product left unresolved at the word bound: {labels[i]} * {labels[j]}")
-    closed = all(entry is not None for entry in product.values())
 
     failures: list = []
     fit_ok = True
@@ -423,30 +424,13 @@ def recognize_unital(
                     f"induced derivation breaks Leibniz on ({labels[i]}, {labels[j]})"
                 )
 
-    unit_coords = space.express(class_coords(alg, e))
-    result = RecognitionResult(
-        algebra=getattr(alg, "name", "algebra"),
-        ok=id_rep.ok and fit_ok and dtilde_ok and leibniz_ok and not failures,
-        identity=id_rep,
-        identity_elem=e,
-        labels=labels,
-        representatives=reps,
-        dim=len(reps),
-        closed=closed,
-        product=product,
-        delta=delta,
-        delta_is_zero=all(not v for v in delta.values()),
-        unit_coords=unit_coords,
-        generator_classes=generator_classes,
-        components=components,
-        fit_ok=fit_ok,
-        dtilde_ok=dtilde_ok,
-        leibniz_ok=leibniz_ok,
-        failures=failures,
-        log=log,
-        space=space,
+    return RecognitionResult(
+        algebra=getattr(alg, "name", "algebra"), identity=id_rep, identity_elem=e,
+        labels=labels, representatives=reps, product=product, delta=delta,
+        unit_coords=space.express(class_coords(alg, e)), generator_classes=generator_classes,
+        components=components, fit_ok=fit_ok, dtilde_ok=dtilde_ok, leibniz_ok=leibniz_ok,
+        failures=failures, log=log, space=space,
     )
-    return result
 
 
 def recognition_roundtrip(alg, result: RecognitionResult, n_max: int = 2) -> dict:
@@ -568,20 +552,20 @@ class IdealClosure(Record):
     The closure lives inside the degree filtration of the coefficient
     algebra; `dropped` counts products or derivatives discarded for exceeding
     the degree bound (saturated=False then flags that the basis is only a
-    lower bound for the true closure).
+    lower bound for the true closure).  `unit_found` holds when a
+    `unit_reason` was found.
     """
 
     _uncompared = ("space",)  # the elimination state behind the other fields
 
-    def __init__(self, degree_bound: int, basis: list, dim: int, unit_found: bool,
-                 unit_reason: str | None, saturated: bool, dropped: int,
+    def __init__(self, degree_bound: int, basis: list, unit_reason: str | None, dropped: int,
                  log: list | None = None, space: RowSpace | None = None, base=None):
         self.degree_bound = degree_bound
         self.basis = basis
-        self.dim = dim
-        self.unit_found = unit_found
+        self.dim = len(basis)
+        self.unit_found = unit_reason is not None
         self.unit_reason = unit_reason
-        self.saturated = saturated
+        self.saturated = dropped == 0
         self.dropped = dropped
         self.log = [] if log is None else log
         self.space = space
@@ -606,18 +590,17 @@ class IdealClosure(Record):
         }
 
 
-def _detect_unit(base, space: RowSpace, basis):
+def _detect_unit(base, space: RowSpace, basis) -> str | None:
+    """Why the span holds a unit, or None when no reason is found."""
     unit = base.unit
     if unit is not None and space.contains(base.decompose(unit)):
-        return True, "the unit lies in the span"
+        return "the unit lies in the span"
     if isinstance(base, MatPolyRing):
         for b in basis:
             det = b.det()
             if not det.is_zero() and det.is_const():
-                return True, (
-                    f"invertible element in the span (determinant {det})"
-                )
-    return False, None
+                return f"invertible element in the span (determinant {det})"
+    return None
 
 
 SATURATION_CAP = 4096  # basis cap of the saturation loops
@@ -710,19 +693,8 @@ def delta_stable_closure(
     if saturated is None:
         return None
     space, basis, dropped = saturated
-    unit_found, unit_reason = _detect_unit(base, space, basis)
-    return IdealClosure(
-        degree_bound=degree_bound,
-        basis=basis,
-        dim=len(basis),
-        unit_found=unit_found,
-        unit_reason=unit_reason,
-        saturated=(dropped == 0),
-        dropped=dropped,
-        log=log,
-        space=space,
-        base=base,
-    )
+    return IdealClosure(degree_bound, basis, _detect_unit(base, space, basis), dropped,
+                        log=log, space=space, base=base)
 
 
 def coefficient_subalgebra(alg: DifferentialAlgebra, degree_bound: int = 5):
@@ -751,10 +723,11 @@ class SimplicityReport(Record):
     A named witness is conclusive (the subalgebra is not simple as a
     delta-stable algebra within the filtration); finding none is only
     evidence, bounded by the trials and the degree filtration.
+    `witness_found` holds when a witness is named.
     """
 
     def __init__(self, algebra: str, degree_bound: int, trials: int,
-                 candidates_checked: int, subalgebra_dim: int, witness_found: bool,
+                 candidates_checked: int, subalgebra_dim: int,
                  witness: str | None = None, witness_missing: list | None = None,
                  witness_closure: IdealClosure | None = None, log: list | None = None):
         self.algebra = algebra
@@ -762,7 +735,7 @@ class SimplicityReport(Record):
         self.trials = trials
         self.candidates_checked = candidates_checked
         self.subalgebra_dim = subalgebra_dim
-        self.witness_found = witness_found
+        self.witness_found = witness is not None
         self.witness = witness
         self.witness_missing = [] if witness_missing is None else witness_missing
         self.witness_closure = witness_closure
@@ -852,7 +825,6 @@ def simplicity_probe(
         trials=trials,
         candidates_checked=checked,
         subalgebra_dim=len(sub_basis),
-        witness_found=witness is not None,
         witness=text,
         witness_missing=missing,
         witness_closure=closure,

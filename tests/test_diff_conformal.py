@@ -284,7 +284,7 @@ def test_one_nilpotency_cap(monkeypatch):
     messages = []
     for attempt in (
         lambda: nilpotency_index(delta, x3),
-        lambda: ring.t(-1) * ring.embed(x3),
+        lambda: ring.t(-1) * ring.monomial(x3, 0),
         lambda: alg.nth(g, g, 0),
     ):
         with pytest.raises(BoundExceeded) as err:

@@ -97,13 +97,25 @@ def test_pretty_roundtrip_presented():
 
 
 @pytest.mark.parametrize("expr", ["-(x^2)", "(x^2)^3", "-(x^2)^3", "-x^2", "2*-x", "-(-x)",
-                                  "x*x^2"])
+                                  "x*x^2", "x + 1", "2 - x*x", "(x - 1)*(x + 1)",
+                                  "x - (1 - x)"])
 def test_pretty_keeps_signs_and_powers(expr):
     # a unary minus binds tighter than ^: -x^2 is (-x)^2, so -(x^2) keeps its parentheses
     source = f"algebra a {{ kind differential; base poly x; deriv d/dx; generators {{ u = {expr}; }} }}"
     (spec,) = parse(source)
     assert parse(pretty(spec)) == [spec]
     assert _printed(build_all(pretty(spec))["a"]) == _printed(build_all(source)["a"])
+
+
+def test_pretty_roundtrip_matrix_derivation():
+    # every product zero, so the nilpotent map b1 -> b2 / 2 is a derivation
+    source = ("algebra m { kind differential; base findim 2 table [0, 0, 0, 0, 0, 0, 0, 0]; "
+              "deriv matrix [0, 0, 1/2, 0]; generators { u = b1; v = b2; } }")
+    (spec,) = parse(source)
+    text = pretty(spec)
+    assert "  deriv matrix [0, 0, 1/2, 0];\n" in text
+    assert parse(text) == [spec]
+    assert build_all(text)["m"] == build_all(source)["m"]
 
 
 def _block(*clauses):
@@ -267,6 +279,31 @@ def test_semantic_build_errors():
             "algebra u { kind differential; base poly x; deriv zero; "
             "generators { e = y; } }"
         )
+    # a derivation that does not fit its base
+    for head, gen, message in MISMATCHED_DERIVATIONS.values():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_all(f"algebra w {{ kind differential; {head} generators {{ {gen} }} }}")
+
+
+MISMATCHED_DERIVATIONS = {
+    "matrix on poly": ("base poly x; deriv matrix [0];", "e = 1;",
+                       "a matrix derivation needs a findim base"),
+    "matrix length": ("base findim 1 table [1]; deriv matrix [0, 0];", "e = b1;",
+                      "derivation matrix needs 1 rationals, got 2"),
+    "d/dx on findim": ("base findim 1 table [1]; deriv d/dx;", "e = b1;",
+                       "d/dx does not act on a findim base"),
+    "ad on poly": ("base poly x; deriv d/dx + ad(x);", "e = 1;",
+                   "ad(...) corrections need a matpoly base"),
+}
+
+
+def test_mismatched_derivation_in_a_file_exits_2(tmp_path, capsys):
+    head, gen, message = MISMATCHED_DERIVATIONS["ad on poly"]
+    path = tmp_path / "mismatch.confal"
+    path.write_text(f"algebra w {{ kind differential; {head} generators {{ {gen} }} }}\n")
+    assert main(["locality", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_presented_build_products():

@@ -26,7 +26,7 @@ from confal import (
     weyl_algebra,
 )
 from confal import growth
-from confal.growth import difference_table, generator_order_bound, monomial_cap
+from confal.growth import GrowthReport, difference_table, generator_order_bound, monomial_cap
 from confal.instances import INSTANCES
 from confal.linalg import RowSpace
 from confal.ore_skew import SkewLaurent
@@ -220,6 +220,29 @@ def test_coeff_growth_bound_holds_on_weyl():
     assert all(rep.bound_ok)
     # dims strictly increase for the Weyl instance
     assert all(a < b for a, b in zip(rep.coeff_dims, rep.coeff_dims[1:]))
+
+
+@pytest.mark.parametrize("make", [weyl_algebra, cur_dual_numbers, lambda: cur_matrix(2)],
+                         ids=["weyl", "cureps", "cur2"])
+def test_coeff_growth_report_is_built_from_what_it_measured(make):
+    alg = make()
+    rep = coeff_growth_check(alg, (-1, 2), 3)
+    table = growth_table(alg, 3)
+    assert rep == GrowthReport(table.algebra, table.order_bound, table.gamma, (-1, 2),
+                               rep.coeff_dims)
+    assert rep.to_json_dict() == GrowthReport(
+        table.algebra, table.order_bound, table.gamma, (-1, 2), rep.coeff_dims).to_json_dict()
+    # every field but the window, the dims and the bounds is the growth table's
+    for field in ("algebra", "r_max", "order_bound", "gamma", "degree", "slope"):
+        assert getattr(rep, field) == getattr(table, field), field
+    assert table.window is table.coeff_dims is table.bound_ok_literal is None
+
+
+def test_growth_report_bounds_follow_the_window():
+    rep = GrowthReport("a", 0, [1, 2, 4], (-1, 1), [3, 6, 13])
+    assert rep.r_max == 3 and rep.degree == "exponential"
+    assert rep.bound_rhs == [3, 12, 36] and rep.bound_ok == [True, True, True]
+    assert rep.bound_rhs_literal == [2, 8, 24] and rep.bound_ok_literal == [False, True, True]
 
 
 def test_coeff_growth_window_must_contain_zero():

@@ -178,6 +178,52 @@ def test_recovered_algebras_compare_by_value():
     assert first.unit == second.unit
 
 
+@pytest.mark.parametrize("build", [lambda: cur_matrix(2), lambda: cur_matrix_presented(2),
+                                   weyl_algebra], ids=["cur2", "cur2_presented", "weyl"])
+def test_recognitions_of_two_builds_compare_equal(build):
+    first_alg, second_alg = build(), build()
+    assert first_alg is not second_alg
+    assert first_alg == second_alg and hash(first_alg) == hash(second_alg)
+    first, second = recognize_unital(first_alg), recognize_unital(second_alg)
+    assert first.identity_elem.alg is first_alg and second.identity_elem.alg is second_alg
+    assert first == second and repr(first) == repr(second)
+    # elements of two builds of one definition mix; elements of different algebras do not
+    g = first_alg.generator_items()[0][1]
+    h = second_alg.generator_items()[0][1]
+    assert g == h and (g + h) == g * 2 and first_alg.nth(g, h, 0) == second_alg.nth(g, h, 0)
+    foreign = WEYL if build is not weyl_algebra else CUR2
+    other = foreign.generator_items()[0][1]
+    assert g != other
+    with pytest.raises(ValueError, match="different algebras"):
+        g + other
+    with pytest.raises(ValueError, match="different algebras"):
+        first_alg.nth(g, other, 0)
+
+
+def test_algebras_compare_by_their_defining_data():
+    def weyl_like(values, name="weyl", delta=WEYL.delta):
+        return DifferentialAlgebra(WEYL.base, delta, values, name=name)
+
+    values = {"e": Poly.const(1), "L": Poly.variable()}
+    assert weyl_like(values) == WEYL and hash(weyl_like(values)) == hash(WEYL)
+    assert weyl_like(values, name="other") != WEYL
+    assert weyl_like(dict(reversed(values.items()))) != WEYL  # the generator order is data
+    assert weyl_like(values, delta=ZeroDerivation(WEYL.base)) != WEYL
+    assert cur_matrix(2) != cur_matrix_presented(2) and cur_matrix(2) != cur_matrix(3)
+    base = MatPolyRing(2, "x")
+    assert ScaledDdx(base) == ScaledDdx(MatPolyRing(2, "x")) != ZeroDerivation(base)
+    r = MatPoly.unit(2, 0, 1)
+    assert ScaledDdx(base, r) == ScaledDdx(base, MatPoly.unit(2, 0, 1)) != ScaledDdx(base)
+    assert hash(ScaledDdx(base, r)) == hash(ScaledDdx(base))
+
+
+def test_transport_results_compare_equal():
+    m2 = matrix_findim(2)
+    r = m2.basis_element(m2.names.index("E(1,2)"))
+    first, second = transport_identity(m2, r), transport_identity(m2, r)
+    assert first.algebra is not second.algebra and first == second
+
+
 def test_recognize_presented_current_algebra():
     res = recognize_unital(cur_matrix_presented(2))
     assert res.ok and res.closed and res.delta_is_zero and res.dim == 4
@@ -220,6 +266,52 @@ def test_dtilde_matches_higher_products():
             cur = -WEYL.nth(e, cur, 1)
             direct = WEYL.nth(e, f, n) * (-1) ** n
             assert cur == direct, n
+
+
+def _doubled(alg, method, when):
+    """A test double: alg whose `method` returns twice its value where when(*args) holds."""
+    real = getattr(alg, method)
+
+    def double(*args):
+        out = real(*args)
+        return out + out if when(*args) else out
+
+    setattr(alg, method, double)
+    return alg
+
+
+def test_recognition_reports_a_wrong_coefficient_fit():
+    # phi(L, 1) doubled: the coefficients of L stop being constant in k
+    alg = weyl_algebra()
+    L = alg.generator("L")
+    res = recognize_unital(_doubled(alg, "phi", lambda u, k: k == 1 and u == L))
+    assert (res.fit_ok, res.dtilde_ok, res.leibniz_ok) == (False, True, True)
+    assert res.failures == ["coefficient fit degree 3 != d-degree 0 on L"]
+    assert res.ok is False
+
+
+def test_recognition_reports_a_broken_iterated_derivation_law():
+    # L = f_{x^2}, so e (2) L = 2 f_1 is nonzero; doubling it breaks
+    # (-e (1) .)^2 L = e (2) L and nothing else
+    (alg,) = build_all("algebra q { kind differential; base poly x; deriv d/dx; "
+                       "generators { e = 1; L = x^2; } }").values()
+    e, L = alg.generator("e"), alg.generator("L")
+    assert recognize_unital(alg).ok
+    res = recognize_unital(_doubled(alg, "nth", lambda u, v, n: n == 2 and u == e and v == L))
+    assert (res.fit_ok, res.dtilde_ok, res.leibniz_ok) == (True, False, True)
+    assert res.failures == ["iterated-derivation law fails on L at n=2"]
+    assert res.ok is False
+
+
+def test_recognition_reports_an_induced_derivation_that_breaks_leibniz():
+    # e (1) L doubled: the induced derivative of L doubles, that of L*L does not
+    alg = weyl_algebra()
+    e, L = alg.generator("e"), alg.generator("L")
+    res = recognize_unital(_doubled(alg, "nth", lambda u, v, n: n == 1 and u == e and v == L))
+    assert (res.fit_ok, res.dtilde_ok, res.leibniz_ok) == (True, True, False)
+    assert res.failures[0] == "induced derivation breaks Leibniz on (L, L)"
+    assert all(f.startswith("induced derivation breaks Leibniz") for f in res.failures)
+    assert res.ok is False
 
 
 def test_mismatch_witness_message():
@@ -426,11 +518,11 @@ def _reference_probe(alg, trials=50, degree_bound=5, seed=0):
         missing = [n for n, b in named if not closure.contains(b)]
         if missing and not closure.unit_found:
             return SimplicityReport(
-                candidates_checked=checked, witness_found=True,
+                candidates_checked=checked,
                 witness=f"{desc}: {base.format(s)}", witness_missing=missing,
                 witness_closure=closure, **common)
     log.append("no proper delta-stable ideal found at this degree bound")
-    return SimplicityReport(candidates_checked=len(candidates), witness_found=False, **common)
+    return SimplicityReport(candidates_checked=len(candidates), **common)
 
 
 def _bundled_differential():
@@ -728,10 +820,8 @@ def _reference_recognize(alg, word_bound=8):
                 leibniz_ok = False
                 failures.append(f"induced derivation breaks Leibniz on ({labels[i]}, {labels[j]})")
     return structure.RecognitionResult(
-        algebra=alg.name, ok=id_rep.ok and not failures, identity=id_rep, identity_elem=e,
-        labels=labels, representatives=reps, dim=len(reps),
-        closed=all(v is not None for v in product.values()), product=product, delta=delta,
-        delta_is_zero=all(not v for v in delta.values()),
+        algebra=alg.name, identity=id_rep, identity_elem=e,
+        labels=labels, representatives=reps, product=product, delta=delta,
         unit_coords=space.express(class_coords(alg, e)), generator_classes=generator_classes,
         components=components, fit_ok=fit_ok, dtilde_ok=not dt_failures, leibniz_ok=leibniz_ok,
         failures=failures, log=log, space=space,
