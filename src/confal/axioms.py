@@ -45,23 +45,25 @@ def conformal_axioms_report(alg, pairs) -> CheckReport:
 
     (d u)(n) v = -n * u(n-1) v with (d u)(0) v = 0, and the Leibniz law
     d(u (n) v) = (d u)(n) v + u (n) (d v), both checked exactly as elements
-    for n up to the pair's scan bound.  Each order forms (d u)(n) v, u (n) v
-    and u (n) (d v) once; u (n) v is kept as the next order's u (n-1) v.
+    for n up to one past the pair's scan bound.  Each pair forms (d u)(n) v,
+    u (n) v and u (n) (d v) for every such n in three ranges, each product
+    once; u (n) v is read again as the next order's u (n-1) v.
     """
     rep = CheckReport("conformal-axioms")
     for label, (u, v) in pairs:
         top = alg.locality_scan_bound(u, v) + 1
-        du, dv = u.derive(), v.derive()
+        du_v = alg.nth_orders(u.derive(), v, 0, top)
+        u_v = alg.nth_orders(u, v, 0, top)
+        u_dv = alg.nth_orders(u, v.derive(), 0, top)
         prev = alg.zero_elem()  # u (n-1) v; the law reads 0 at n = 0
         for n in range(top + 1):
-            du_v = alg.nth(du, v, n)
             rep.checked += 1
-            if du_v != prev * -n:
+            if du_v[n] != prev * -n:
                 rep.fail(f"(d u)({n}) v != -n u({n - 1}) v at pair {label}")
                 return rep
-            prev = alg.nth(u, v, n)
+            prev = u_v[n]
             rep.checked += 1
-            if prev.derive() != du_v + alg.nth(u, dv, n):
+            if prev.derive() != du_v[n] + u_dv[n]:
                 rep.fail(f"d(u ({n}) v) != (d u)({n}) v + u ({n}) (d v) at pair {label}")
                 return rep
     return rep
@@ -76,13 +78,14 @@ def associativity_report(alg, max_m: int, max_n: int, triples=None) -> CheckRepo
     Both sums run over 0 <= j <= m.  The report verifies each form and that
     the two computed values of the full product agree.
 
-    Each triple memoizes four families, by order alone, and forms each
-    member on first use: v (k) w, u (j) v, u (i) (v (k) w) and
-    (u (j) v) (k) w.  The left form's right-hand side reuses the right
-    form's left-hand side and the other way round.  With M = max_m and
-    N = max_n a triple forms (M + N + 1) + (M + 1) + 2 (M + 1) (N + 1)
-    + M (M + 1) n-th products (fewer if it fails early): 32 at (2, 2),
-    against 108 for the sums as written.
+    Each triple forms four families, each member once, in order ranges:
+    v (k) w for k <= M + N and u (j) v for j <= M (M = max_m, N = max_n),
+    then on first use u (i) (v (k) w) for i <= min(M, M + N - k) and
+    (u (j) v) (k) w for k <= M + N - j, exactly the orders the sums read.
+    The left form's right-hand side reuses the right form's left-hand side
+    and the other way round.  A triple forms (M + N + 1) + (M + 1)
+    + 2 (M + 1) (N + 1) + M (M + 1) n-th products (fewer if it fails early):
+    32 at (2, 2), against 108 for the sums as written.
     """
     if max_m < 0 or max_n < 0:
         raise ValueError("associativity orders must be nonnegative")
@@ -96,7 +99,7 @@ def associativity_report(alg, max_m: int, max_n: int, triples=None) -> CheckRepo
             for c, uc in gens
         ]
     for label, (u, v, w) in triples:
-        u_of_vw, uv_of_w = _triple_products(alg.nth, u, v, w)
+        u_of_vw, uv_of_w = _triple_products(alg, u, v, w, max_m, max_n)
         for m in range(max_m + 1):
             for n in range(max_n + 1):
                 left_lhs = u_of_vw(m, n)
@@ -119,11 +122,19 @@ def associativity_report(alg, max_m: int, max_n: int, triples=None) -> CheckRepo
     return rep
 
 
-def _triple_products(nth, u, v, w):
-    """(i, k) -> u (i) (v (k) w) and (j, k) -> (u (j) v) (k) w, memoized by order."""
-    vw = cache(lambda k: nth(v, w, k))
-    uv = cache(lambda j: nth(u, v, j))
-    return cache(lambda i, k: nth(u, vw(k), i)), cache(lambda j, k: nth(uv(j), w, k))
+def _triple_products(alg, u, v, w, max_m: int, max_n: int):
+    """(i, k) -> u (i) (v (k) w) and (j, k) -> (u (j) v) (k) w, formed in order ranges.
+
+    The expansions read u (i) (v (k) w) at i <= min(max_m, max_m + max_n - k)
+    and (u (j) v) (k) w at j <= max_m, k <= max_m + max_n - j; each range
+    covers those orders and no more.
+    """
+    top = max_m + max_n
+    vw = alg.nth_orders(v, w, 0, top)
+    uv = alg.nth_orders(u, v, 0, max_m)
+    u_of = cache(lambda k: alg.nth_orders(u, vw[k], 0, min(max_m, top - k)))
+    of_w = cache(lambda j: alg.nth_orders(uv[j], w, 0, top - j))
+    return (lambda i, k: u_of(k)[i]), (lambda j, k: of_w(j)[k])
 
 
 def coefficient_locality_report(alg, window: int, extra_orders: int = 3) -> CheckReport:
@@ -261,9 +272,8 @@ def left_annihilator_probe(alg, dop_degree_bound: int = 3):
     rows: dict = {}  # (generator, n, coordinate) -> its condition on the candidates
     for col, (_, cand) in enumerate(cands):
         for gname, g in gens:
-            bound = alg.locality_scan_bound(cand, g)
-            for n in range(bound + 1):
-                prod = alg.nth(cand, g, n)
+            prods = alg.nth_orders(cand, g, 0, alg.locality_scan_bound(cand, g))
+            for n, prod in enumerate(prods):
                 for coord, c in alg.coordinates(prod).items():
                     rows.setdefault((gname, n, coord), [0] * len(cands))[col] += c
 

@@ -157,8 +157,7 @@ def _cmd_oracle(args) -> int:
     failures = []
     for a, u in gens:
         for b, v in gens:
-            for n in range(args.max_order + 1):
-                p = alg.nth(u, v, n)
+            for n, p in enumerate(alg.nth_orders(u, v, 0, args.max_order)):
                 for k in range(-args.window, args.window + 1):
                     direct = alg.phi(p, k)
                     brute = alg.locality_coeff_sum(u, v, n, n, k)

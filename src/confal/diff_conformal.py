@@ -77,6 +77,10 @@ class DifferentialAlgebra(ConformalAlgebra):
             orbit = self._orbits[bkey] = self.delta.orbit(self.base.basis_element(bkey))
         return orbit
 
+    def _base_orders(self, akey, bkey) -> int:
+        """f_a (m) f_b = 0 once delta^m kills b: m stays below b's orbit length."""
+        return len(self._orbit(bkey))
+
     def _base_case(self, akey, m: int, bkey) -> dict:
         orbit = self._orbit(bkey)
         if m >= len(orbit):
@@ -170,10 +174,11 @@ class DongReport(Record):
 def dong_check(u, v, w, max_order: int) -> DongReport:
     """Record the locality degrees of u (n) v with w (both sides) for n <= max_order.
 
-    Works for any algebra exposing nth/locality; the locality degrees of the
-    pairs are recorded too.  Each product u (n) v is formed once, and
-    `locality` forms the products of each pair.  The coefficient oracle, not
-    this sweep, is the independent check of those products.
+    Works for any algebra exposing nth_orders/locality; the locality degrees
+    of the pairs are recorded too.  The products u (n) v are formed once, in
+    one range, and `locality` forms the products of each pair.  The
+    coefficient oracle, not this sweep, is the independent check of those
+    products.
     """
     if max_order < 0:
         raise ValueError("the mutual-locality order bound must be nonnegative")
@@ -181,8 +186,7 @@ def dong_check(u, v, w, max_order: int) -> DongReport:
     rep = DongReport(max_order)
     for label, (a, b) in (("u,v", (u, v)), ("v,w", (v, w)), ("u,w", (u, w))):
         rep.degrees[label] = alg.locality(a, b)
-    for n in range(max_order + 1):
-        p = alg.nth(u, v, n)
+    for n, p in enumerate(alg.nth_orders(u, v, 0, max_order)):
         for label, (a, b) in ((f"(u {n} v),w", (p, w)), (f"w,(u {n} v)", (w, p))):
             rep.degrees[label] = ALL_ZERO if p.is_zero() else alg.locality(a, b)
     return rep

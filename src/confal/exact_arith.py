@@ -261,7 +261,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(_sp_scale(self.coeffs, -1))
+        return self._make({k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         if type(other) is not type(self) and not isinstance(other, (int, Fraction)):

@@ -414,8 +414,7 @@ def growth_table(alg, r_max: int) -> GrowthReport:
 
     def products(w):
         for g in gens:
-            for n in range(bound + 1):
-                yield alg.nth(w, g, n)
+            yield from alg.nth_orders(w, g, 0, bound)
 
     ranker = ModuleRank()
     gamma = [ranker.rank for _ in _walk(gens, products, ranker.add, r_max)]

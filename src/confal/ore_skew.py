@@ -494,13 +494,23 @@ def nilpotency_index(delta: Derivation, a) -> int:
 
 
 class OreRing:
-    """The skew Laurent ring A[t, t^-1; delta]."""
+    """The skew Laurent ring A[t, t^-1; delta].
+
+    Rings compare as values, by base and derivation, so the coefficients of
+    two builds of one algebra are equal and mix.
+    """
 
     def __init__(self, base: BaseAlgebra, delta: Derivation):
         if delta.base is not base:
             raise ValueError("derivation is attached to a different base algebra")
         self.base = base
         self.delta = delta
+
+    def __eq__(self, other):
+        return type(other) is OreRing and self.base == other.base and self.delta == other.delta
+
+    def __hash__(self):
+        return hash(self.delta)
 
     def zero(self) -> "SkewLaurent":
         return SkewLaurent(self, {})
@@ -539,7 +549,7 @@ class SkewLaurent:
         return not self.coeffs
 
     def _same(self, other: "SkewLaurent"):
-        if self.ring is not other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("elements of different skew rings")
 
     def __add__(self, other):
@@ -600,7 +610,7 @@ class SkewLaurent:
     def __eq__(self, other):
         if not isinstance(other, SkewLaurent):
             return NotImplemented
-        if self.ring is not other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             return False
         if set(self.coeffs) != set(other.coeffs):
             return False

@@ -79,6 +79,9 @@ class PresentedAlgebra(ConformalAlgebra):
     def symbol_name(self, key: int) -> str:
         return self.table.gens[key]
 
+    def _base_orders(self, i, j) -> int:
+        return len(self.table.entries.get((i, j), ()))
+
     def _base_case(self, i, m: int, j) -> dict:
         return self.table.lookup(i, j, m)
 
@@ -129,7 +132,7 @@ class CoeffElem:
     def __add__(self, other):
         if not isinstance(other, CoeffElem):
             return NotImplemented
-        if self.alg is not other.alg:
+        if self.alg is not other.alg and self.alg != other.alg:
             raise ValueError("coefficients of different presentations")
         return CoeffElem._make(self.alg, _sp_add(self.coords, other.coords))
 
@@ -148,7 +151,7 @@ class CoeffElem:
     def __eq__(self, other):
         if not isinstance(other, CoeffElem):
             return NotImplemented
-        return self.alg is other.alg and self.coords == other.coords
+        return self.coords == other.coords and (self.alg is other.alg or self.alg == other.alg)
 
     def __hash__(self):
         # equal coordinate maps hash alike: 3 == Fraction(3) and both hash as 3
@@ -193,7 +196,7 @@ def coeff_mul(x: CoeffElem, y: CoeffElem) -> CoeffElem:
     summands are added into one coordinate map.
     """
     alg = x.alg
-    if alg is not y.alg:
+    if alg is not y.alg and alg != y.alg:
         raise ValueError("coefficients of different presentations")
     entries = alg.table.entries
     acc: dict = {}

@@ -11,6 +11,8 @@ only
 
   * `_base_case(a, m, b)`: the order-m product of two pure symbols, as a
     terms dict;
+  * `_base_orders(a, b)`: a count above which every base case a (s) b
+    vanishes (the length of delta's orbit on b, or of the table entry);
   * `symbol_name(a)`: how a basis symbol prints;
   * `locality_scan_bound(u, v)`: an order above which u (n) v provably
     vanishes;
@@ -20,8 +22,10 @@ only
     default) says when a product against v's coefficients is one product
     shifted in t.
 
-The engine `nth_product_terms` supplies bilinearity and the removal of d from
-both slots of the n-th product:
+The engine `nth_products_terms` forms u (n) v for every n of a range
+lo..hi in one pass; `ConformalAlgebra.nth_orders` is that range and
+`ConformalAlgebra.nth` (through `nth_product_terms`) the range of one
+order.  It supplies bilinearity and the removal of d from both slots:
 
   * left slot:  a power d^i contributes (-1)^i n(n-1)...(n-i+1) at order n-i,
     which is zero once i exceeds n;
@@ -32,27 +36,34 @@ both slots of the n-th product:
     obtained by iterating u (m) (d v) = d(u (m) v) + m (u (m-1) v), since d
     commutes with the weighted shift to order m-1.
 
-A term pair d^i a, d^j b thus costs min(j, m) + 1 base cases (m = n - i),
-where expanding the rule one d at a time costs about 2^j.
+So the engine loops over term pairs c_i d^i a, c_j d^j b, then over the
+base orders s < `_base_orders(a, b)`, then over the shifts r <= j with
+n = i + s + r in the range, each adding
+(-1)^i n!/(n-i)! C(j, r) (s+r)!/s! c_i c_j d^(j-r) (a (s) b) to order n.
+A term pair reads each base case it can need once, at most
+min(hi - i + 1, `_base_orders(a, b)`) of them, where expanding the rule one
+d at a time costs about 2^j per order: on weyl, d^200 f_x (300) d^200 f_x
+reads 2 base cases, not the 101 shifts of the right slot.
 
 Locality scans, axiom sweeps and associativity ask for the same base cases
 at many orders, so each algebra keeps those it has formed in one lasting
-table keyed by (a, m, b), which `ConformalAlgebra.nth` hands to the engine;
+table keyed by (a, s, b), which `nth` and `nth_orders` hand to the engine;
 a model's `_base_case` stays pure.  The engine stores each base case as a
 flat tuple of (symbol, d-power, coefficient) triples, under half the memory
 of the terms dict a model returns.  The table takes entries until it holds
-BASE_CASE_CAP of them.  256 holds every base case that the CLI commands form
-on the bundled instances at their default bounds (at most 245, `recognize`
-on weyl) and bounds the memory of long walks such as a recognition at a
-high word bound.  Later misses, and every base case of an engine call
-without a table, are memoised for one product only, so a pair of basis
-symbols still costs at most n+1 base case calls per product.
+BASE_CASE_CAP of them.  256 holds every base case of the CLI commands on
+the bundled instances at the benchmark's bounds (at most 216, `recognize`
+on weyl) and bounds the memory of long walks: a recognition of weyl at
+word bound 20 would grow a table to 1 260 entries.  Later misses, and every
+base case of an engine call without a table, are memoised for that call
+only.
 
 A vanishing base case costs no arithmetic: for a term pair c_i d^i a,
 c_j d^j b the rational c_i c_j is formed at most once, and only when one of
-its base cases contributes.  The sign, the falling factorials and the
-binomial make one integer weight w, so each coefficient v of a base case
-costs one rational multiplication, (c_i c_j) (w v).
+its base cases meets an order of the range.  The sign, the falling
+factorials and the binomial make one integer weight w, so each coefficient
+v of a base case costs one rational multiplication, (c_i c_j) (w v).  Each
+result is built once, with a coefficient an int exactly when integral.
 """
 
 from __future__ import annotations
@@ -84,62 +95,98 @@ def terms_clean(terms: dict) -> dict:
     return {k: q for k, q in terms.items() if not q.is_zero()}
 
 
-# entries a lasting base-case table takes; later misses live for one product
+# entries a lasting base-case table takes; later misses live for one engine call
 BASE_CASE_CAP = 256
 
 
-def nth_product_terms(u_terms: dict, v_terms: dict, n: int, base_case, *,
-                      table: dict | None = None) -> dict:
-    """Order-n product of two elements given as terms dicts.
+def nth_products_terms(u_terms: dict, v_terms: dict, lo: int, hi: int, base_case, *,
+                       table: dict | None = None, orders=None) -> list:
+    """[u (n) v for n in lo..hi] of two elements given as terms dicts.
 
-    table, when given, is a lasting map (a, m, b) -> base case that this
-    product reads and fills up to BASE_CASE_CAP entries; base cases it cannot
+    orders, when given, maps two basis symbols a, b to a count above which
+    every base case a (s) b vanishes: only the base orders s < orders(a, b)
+    are read.  None reads every order the range reaches.
+
+    table, when given, is a lasting map (a, s, b) -> base case that this
+    call reads and fills up to BASE_CASE_CAP entries; base cases it cannot
     keep, and all of them without a table, are memoised for this call only.
     Both hold a base case as a tuple of (symbol, d-power, coefficient)
-    triples, the empty tuple when it vanishes.
+    triples, the empty tuple when it vanishes.  Each result is built once,
+    with a coefficient an int exactly when it is integral.
     """
-    if n < 0:
+    if lo < 0:
         raise ValueError("product order must be nonnegative")
+    if hi < lo:
+        return []
     memo: dict = {}
     if table is None:
         table = memo
-    acc: dict = {}  # basis symbol -> {d-power: coefficient}
+    accs = [{}]  # per order: symbol -> {d-power: coefficient}
+    for _ in range(hi - lo):
+        accs.append({})
     for ak, p in u_terms.items():
         for i, ci in p.coeffs.items():
-            if i > n:
-                continue  # the left-slot factor n(n-1)...(n-i+1) vanishes
-            m = n - i
-            # (-1)^i n!/(n-i)!, an integer, and 1 at i = 0
-            left = falling_factorial(n, i) if i else 1
-            if i % 2:
-                left = -left
+            if i > hi:
+                continue  # the left-slot factor n(n-1)...(n-i+1) vanishes at every order
+            lo_i, hi_i = lo - i, hi - i
             for bk, q in v_terms.items():
+                top = hi_i + 1  # base orders s <= hi - i meet the range
+                if orders is not None:
+                    bound = orders(ak, bk)
+                    if bound < top:
+                        top = bound
                 for j, cj in q.coeffs.items():
                     scale = None  # ci * cj, formed once the pair contributes
-                    for r in range(min(j, m) + 1):
-                        key = (ak, m - r, bk)
+                    # n = i + s + r in [lo, hi] with 0 <= r <= j; s descending,
+                    # so at one order n the shifts r come ascending
+                    for s in range(top - 1, (lo_i - j if lo_i > j else 0) - 1, -1):
+                        key = (ak, s, bk)
                         base = table.get(key)
                         if base is None:
                             base = memo.get(key)
                             if base is None:
-                                base = tuple((k, e, v) for k, b in base_case(ak, m - r, bk).items()
+                                base = tuple((k, e, v) for k, b in base_case(ak, s, bk).items()
                                              for e, v in b.coeffs.items())
                                 (table if len(table) < BASE_CASE_CAP else memo)[key] = base
                         if not base:
                             continue
                         if scale is None:
                             scale = ci * cj
-                        # C(j,r) m!/(m-r)! is an integer, and 1 at r = 0
-                        w = left * (comb(j, r) * perm(m, r)) if r else left
-                        shift = j - r
-                        for k, e, v in base:
-                            row = acc.get(k)
-                            if row is None:
-                                row = acc[k] = {}
-                            e += shift
-                            t = scale * (w * v)
-                            row[e] = row[e] + t if e in row else t
-    return terms_clean({k: DOp(row) for k, row in acc.items()})
+                        r0, r1 = lo_i - s, hi_i - s
+                        for r in range(r0 if r0 > 0 else 0, (r1 if r1 < j else j) + 1):
+                            m = s + r
+                            # (-1)^i n!/(n-i)! C(j,r) m!/(m-r)! at n = m + i, an integer
+                            w = comb(j, r) * perm(m, r) if r else 1
+                            if i:
+                                w *= -perm(m + i, i) if i % 2 else perm(m + i, i)
+                            acc = accs[m - lo_i]  # n - lo
+                            shift = j - r
+                            for k, e, v in base:
+                                row = acc.get(k)
+                                if row is None:
+                                    row = acc[k] = {}
+                                e += shift
+                                c = scale * (w * v)
+                                row[e] = row[e] + c if e in row else c
+    make = DOp._make
+    for acc in accs:
+        for k, row in list(acc.items()):
+            for c in row.values():
+                if not c or (type(c) is not int and c.denominator == 1):
+                    row = {e: c if type(c) is int or c.denominator != 1 else c.numerator
+                           for e, c in row.items() if c}
+                    break
+            if row:
+                acc[k] = make(row)
+            else:
+                del acc[k]
+    return accs
+
+
+def nth_product_terms(u_terms: dict, v_terms: dict, n: int, base_case, *,
+                      table: dict | None = None, orders=None) -> dict:
+    """Order-n product of two elements given as terms dicts: `nth_products_terms` at n alone."""
+    return nth_products_terms(u_terms, v_terms, n, n, base_case, table=table, orders=orders)[0]
 
 
 def terms_normal_form(terms: dict, k: int):
@@ -187,6 +234,14 @@ class Elem:
         self.alg = alg
         self.terms = terms_clean(terms)
 
+    @classmethod
+    def _make(cls, alg: "ConformalAlgebra", terms: dict) -> "Elem":
+        """Wrap an already clean terms dict: no zero DOp."""
+        out = object.__new__(cls)
+        out.alg = alg
+        out.terms = terms
+        return out
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -211,10 +266,10 @@ class Elem:
                 out.pop(k, None)
             else:
                 out[k] = nq
-        return Elem(self.alg, out)
+        return Elem._make(self.alg, out)
 
     def __neg__(self):
-        return Elem(self.alg, {k: -q for k, q in self.terms.items()})
+        return Elem._make(self.alg, {k: -q for k, q in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Elem):
@@ -224,14 +279,18 @@ class Elem:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = rat(other)
-            return Elem(self.alg, {k: q * c for k, q in self.terms.items()})
+            if c == 1:
+                return self
+            if c == -1:
+                return -self
+            return Elem._make(self.alg, {k: q * c for k, q in self.terms.items()} if c else {})
         return NotImplemented
 
     __rmul__ = __mul__
 
     def derive(self) -> "Elem":
         """Apply d once."""
-        return Elem(self.alg, {k: q.times_d() for k, q in self.terms.items()})
+        return Elem._make(self.alg, {k: q.times_d() for k, q in self.terms.items()})
 
     def apply_dop(self, q: DOp) -> "Elem":
         return Elem(self.alg, terms_apply_dop(self.terms, q))
@@ -255,7 +314,7 @@ class ConformalAlgebra:
     def __init__(self, name: str, generators: dict):
         self.name = name
         self.generators = generators
-        self._base_cases: dict = {}  # (a, m, b) -> base case, at most BASE_CASE_CAP of them
+        self._base_cases: dict = {}  # (a, s, b) -> base case, at most BASE_CASE_CAP of them
 
     def __eq__(self, other):
         return type(other) is type(self) and self._defining() == other._defining()
@@ -301,13 +360,19 @@ class ConformalAlgebra:
     # -- products and locality ---------------------------------------------------------
 
     def nth(self, u: Elem, v: Elem, n: int) -> Elem:
+        """u (n) v: `nth_orders` at the one order n."""
         u._same(v)
-        # the engine's terms are already clean: wrap them without a second pass
-        out = object.__new__(Elem)
-        out.alg = self
-        out.terms = nth_product_terms(u.terms, v.terms, n, self._base_case,
-                                      table=self._base_cases)
-        return out
+        return Elem._make(self, nth_product_terms(u.terms, v.terms, n, self._base_case,
+                                                  table=self._base_cases,
+                                                  orders=self._base_orders))
+
+    def nth_orders(self, u: Elem, v: Elem, lo: int, hi: int) -> list:
+        """[u (n) v for n in lo..hi], formed in one engine pass."""
+        u._same(v)
+        return [Elem._make(self, terms)
+                for terms in nth_products_terms(u.terms, v.terms, lo, hi, self._base_case,
+                                                table=self._base_cases,
+                                                orders=self._base_orders)]
 
     def locality(self, u: Elem, v: Elem):
         """Largest n with u (n) v != 0, or ALL_ZERO.

@@ -150,9 +150,8 @@ def iterated_derivation_check(alg, e):
     failures = []
     for name, g in alg.generator_items():
         cur = g
-        for n in range(1, 4):
+        for n, rhs in enumerate(alg.nth_orders(e, g, 1, 3), 1):
             cur = -alg.nth(e, cur, 1)
-            rhs = alg.nth(e, g, n)
             if n % 2:
                 rhs = -rhs
             if cur != rhs:
@@ -456,8 +455,8 @@ def recognition_roundtrip(alg, result: RecognitionResult, n_max: int = 2) -> dic
     log = []
     for i in range(result.dim):
         for j in range(result.dim):
-            for n in range(n_max + 1):
-                w = class_coords(alg, alg.nth(reps[i], reps[j], n))
+            for n, prod in enumerate(alg.nth_orders(reps[i], reps[j], 0, n_max)):
+                w = class_coords(alg, prod)
                 dj = {j: 1}
                 for _ in range(n):
                     dj = _vec_image(result.delta, dj)

@@ -63,6 +63,19 @@ def test_presented_phi_normal_form():
     assert CUR2P.phi(u, 1).coords == {(1, 1): 1}
 
 
+@pytest.mark.parametrize("make", [weyl_algebra, lambda: cur_matrix_presented(2)],
+                         ids=["weyl", "cur2p"])
+def test_coefficients_of_two_builds_are_equal_and_add(make):
+    first, second = make(), make()
+    assert first is not second and first == second
+    for (_, g), (_, h) in zip(first.generator_items(), second.generator_items()):
+        for k in (-1, 0, 2):
+            a, b = first.phi(g, k), second.phi(h, k)
+            assert a == b and b == a
+            assert a + b == a.scale(2) and b + a == a.scale(2)
+            assert first.model_mul(a, b) == second.model_mul(b, a)
+
+
 # -- the memoised combinations against the unmemoised locality_coeff_sum ----------------------
 
 

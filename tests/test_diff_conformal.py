@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from confal import (
     ALL_ZERO,
     BoundExceeded,
+    ConfElem,
     DOp,
     DifferentialAlgebra,
     FinDim,
@@ -178,27 +179,21 @@ def test_dong_sweep():
     assert dong_check(u12, u21, u12, max_order=2).ok
 
 
-def test_dong_check_forms_each_product_once(monkeypatch):
+def test_dong_check_forms_each_product_once(monkeypatch, product_seam):
     # dong_check forms u (n) v for n <= max_order itself; every other product
-    # is formed inside locality
+    # is formed inside locality, whose products the seam forgets
     alg = weyl_algebra()
     e, L = alg.generator("e"), alg.generator("L")
-    direct, depth = [], [0]
-    nth, locality = alg.nth, alg.locality
-
-    def counted_nth(a, b, n):
-        if not depth[0]:
-            direct.append(n)
-        return nth(a, b, n)
+    direct = product_seam.orders
+    locality = alg.locality
 
     def nested_locality(a, b):
-        depth[0] += 1
+        start = len(direct)
         try:
             return locality(a, b)
         finally:
-            depth[0] -= 1
+            del direct[start:]
 
-    monkeypatch.setattr(alg, "nth", counted_nth)
     monkeypatch.setattr(alg, "locality", nested_locality)
     for triple in ((e, L, L), (L, L, L), (L, e, L)):
         for max_order in (1, 2, 3):
@@ -315,18 +310,15 @@ def test_locality_walks_each_orbit_once():
     assert delta.applied == once
 
 
-def test_axioms_report_forms_each_product_once(monkeypatch):
+def test_axioms_report_forms_each_product_once(product_seam):
     alg = weyl_algebra()
     L = alg.generator("L")
     u = alg.apply_dop_power(L, 3)
-    calls = []
-    nth = alg.nth
-    monkeypatch.setattr(alg, "nth", lambda a, b, n: calls.append(n) or nth(a, b, n))
     rep = conformal_axioms_report(alg, [("(d^3 L, L)", (u, L))])
     assert rep.ok
     scan = alg.locality_scan_bound(u, L)
     assert rep.checked == 2 * (scan + 2)
-    assert len(calls) == 3 * (scan + 2)
+    assert product_seam.orders == 3 * list(range(scan + 2))
 
 
 # -- the coefficient window: one skew product shifted across it ------------------------------
@@ -400,27 +392,27 @@ def test_base_cases_stay_canonical(make):
                         assert type(c) is int or c.denominator != 1
 
 
-def _perturbed(alg, extra):
-    """alg with an nth that adds extra(a, b, n) to every true product."""
-    nth = alg.nth
-    alg.nth = lambda a, b, n: nth(a, b, n) + extra(a, b, n)
+def _perturbed(seam, alg, extra):
+    """Add extra(a, b, n) to every true product a (n) b that alg forms."""
+    seam.alter = lambda a, b, n, terms: (
+        ConfElem(alg, terms) + extra(ConfElem(alg, a), ConfElem(alg, b), n)).terms
     return alg
 
 
-def test_axioms_report_catches_a_wrong_left_derivative_law():
+def test_axioms_report_catches_a_wrong_left_derivative_law(product_seam):
     alg = weyl_algebra()
     L = alg.generator("L")
-    _perturbed(alg, lambda a, b, n: b if n == 1 else alg.zero_elem())
+    _perturbed(product_seam, alg, lambda a, b, n: b if n == 1 else alg.zero_elem())
     rep = conformal_axioms_report(alg, [("(L,L)", (L, L))])
     assert not rep.ok and rep.checked == 3
     assert rep.failures == ["(d u)(1) v != -n u(0) v at pair (L,L)"]
 
 
-def test_axioms_report_catches_a_wrong_leibniz_law():
+def test_axioms_report_catches_a_wrong_leibniz_law(product_seam):
     # a constant added to L (0) _ keeps (d L)(0) _ = 0 but breaks Leibniz at n = 0
     alg = weyl_algebra()
     e, L = alg.generator("e"), alg.generator("L")
-    _perturbed(alg, lambda a, b, n: e if n == 0 and a == L else alg.zero_elem())
+    _perturbed(product_seam, alg, lambda a, b, n: e if n == 0 and a == L else alg.zero_elem())
     rep = conformal_axioms_report(alg, [("(L,L)", (L, L))])
     assert not rep.ok and rep.checked == 2
     assert rep.failures == ["d(u (0) v) != (d u)(0) v + u (0) (d v) at pair (L,L)"]

@@ -339,29 +339,21 @@ def test_coeff_growth_forms_one_skew_product_per_kept_word_and_generator(monkeyp
     assert (calls[0], kept) == (182, 91)  # one product per kept word per seed: 910
 
 
-def test_growth_extends_only_rank_raising_words(monkeypatch):
+def test_growth_extends_only_rank_raising_words(monkeypatch, product_seam):
     # outside the locality scans, a table to length r forms exactly the
     # products of the gamma(r - 1) kept words with every generator and order
     alg, r = _weylx(), 7
-    bound = generator_order_bound(alg)
-    nth, locality = alg.nth, alg.locality
-    calls, scanning = 0, False
-
-    def counted_nth(*args):
-        nonlocal calls
-        calls += not scanning
-        return nth(*args)
+    formed, locality = product_seam.orders, alg.locality
 
     def uncounted_locality(*args):
-        nonlocal scanning
-        scanning = True
+        start = len(formed)
         try:
             return locality(*args)
         finally:
-            scanning = False
+            del formed[start:]
 
-    monkeypatch.setattr(alg, "nth", counted_nth)
     monkeypatch.setattr(alg, "locality", uncounted_locality)
+    bound = generator_order_bound(alg)
     gamma = growth_table(alg, r).gamma
     assert gamma == [3, 7, 10, 13, 16, 19, 22] and bound == 3
-    assert calls <= gamma[r - 2] * len(alg.generator_items()) * (bound + 1)
+    assert len(formed) == gamma[r - 2] * len(alg.generator_items()) * (bound + 1)

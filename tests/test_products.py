@@ -5,10 +5,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from test_diff_conformal import divided_powers
 
 from confal import (
     DifferentialAlgebra,
     PresentedAlgebra,
+    ProductTable,
     cur_matrix_presented,
     poly_zero,
     weyl_algebra,
@@ -16,7 +18,13 @@ from confal import (
 from confal.axioms import associativity_report
 from confal.exact_arith import DOp
 from confal.instances import INSTANCES
-from confal.products import BASE_CASE_CAP, ConformalAlgebra, nth_product_terms, terms_clean
+from confal.products import (
+    BASE_CASE_CAP,
+    ConformalAlgebra,
+    nth_product_terms,
+    nth_products_terms,
+    terms_clean,
+)
 from confal.structure import recognize_unital
 
 WEYL = weyl_algebra()
@@ -129,6 +137,88 @@ def test_negative_order_rejected():
         nth_product_terms(L.terms, L.terms, -1, WEYL._base_case)
 
 
+# -- one engine pass over a range of orders ------------------------------------------------
+
+
+def _rational_presented():
+    """A presentation with non-integral table coefficients and d-powers in its entries."""
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    table = ProductTable(("a", "b"), {
+        (0, 0): [{0: DOp({0: half})}, {1: DOp({1: third})}],
+        (0, 1): [{}, {}, {0: DOp({0: 3, 2: half})}],
+        (1, 0): [{1: DOp({0: third}), 0: DOp({1: 1})}],
+        (1, 1): [{0: DOp({0: 1})}, {1: DOp({2: Fraction(5, 4)})}],
+    })
+    return PresentedAlgebra(table, name="rational")
+
+
+RANGE_ALGEBRAS = [make() for make in INSTANCES.values()] + [divided_powers(),
+                                                            _rational_presented()]
+
+
+def _assert_canonical(terms_list):
+    for terms in terms_list:
+        for q in terms.values():
+            assert q.coeffs
+            for c in q.coeffs.values():
+                assert c and (type(c) is int or c.denominator != 1), c
+
+
+@pytest.mark.parametrize("alg", RANGE_ALGEBRAS, ids=lambda a: a.name)
+def test_orders_match_each_order_and_the_reference(alg):
+    rng = random.Random(alg.name)
+    lefts = _gens(alg)[:2] + [_mixed(alg), _rational(alg, rng, (0, 3))]
+    rights = _gens(alg)[-2:] + [_mixed(alg), _rational(alg, rng, (1, 5))]
+    for u in lefts:
+        for v in rights:
+            top = alg.locality_scan_bound(u, v) + 1
+            for lo, hi in ((0, top), (2, top), (top, top + 2), (3, 2)):
+                got = alg.nth_orders(u, v, lo, hi)
+                assert got == [alg.nth(u, v, n) for n in range(lo, hi + 1)], (u, v, lo, hi)
+                _assert_canonical(p.terms for p in got)
+                want = [reference_nth(u.terms, v.terms, n, alg._base_case)
+                        for n in range(lo, hi + 1)]
+                assert [p.terms for p in got] == want, (u, v, lo, hi)
+                # without a table or a base-order bound the engine reads every order
+                assert nth_products_terms(u.terms, v.terms, lo, hi, alg._base_case) == want
+
+
+def test_orders_reject_a_negative_order():
+    L = WEYL.generator("L")
+    with pytest.raises(ValueError):
+        WEYL.nth_orders(L, L, -1, 2)
+    assert WEYL.nth_orders(L, L, 3, 2) == []
+
+
+class CountingTable(dict):
+    """A base-case table that counts its reads by key."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = Counter()
+
+    def get(self, key, default=None):
+        self.reads[key] += 1
+        return super().get(key, default)
+
+
+def test_a_high_order_reads_one_entry_per_term_pair_and_base_order():
+    # f_a (m) f_x vanishes from m = 2 on (the orbit x, 1 of d/dx), so at order
+    # 300 each term pair reads its base orders 0 and 1, not the 101 shifts of
+    # d^200 in the right slot
+    alg = weyl_algebra()
+    L, e = alg.generator("L"), alg.generator("e")
+    u = alg.apply_dop_power(L, 200) + alg.apply_dop_power(e, 150)
+    v = alg.apply_dop_power(L, 200)
+    alg._base_cases = table = CountingTable()
+    p = alg.nth(u, v, 300)
+    assert not p.is_zero()
+    assert set(table.reads) <= {(a, s, b) for a in u.terms for b in v.terms for s in (0, 1)}
+    assert max(table.reads.values()) == 1
+    for k in (-1, 2):
+        assert alg.phi(p, k) == alg.locality_coeff_sum(u, v, 300, 300, k), k
+
+
 # -- second route: the coefficient oracle at high d-powers -------------------------------
 
 
@@ -194,17 +284,20 @@ def _count_base_cases(alg) -> CountingBaseCase:
 
 @pytest.mark.parametrize("make", [weyl_algebra, poly_zero, cur_matrix_presented],
                          ids=lambda f: f.__name__)
-def test_a_repeated_product_calls_no_base_case(make):
+def test_a_repeated_product_calls_no_base_case(make, product_seam):
     alg = make()
     calls = _count_base_cases(alg)
     u = _gens(alg)[0] + _mixed(alg)
     v = alg.apply_dop_power(u, 4)
-    for n in (0, 3, 6):
-        first = alg.nth(u, v, n)
-        assert calls.keys, (alg.name, n)
-        calls.keys.clear()
-        assert alg.nth(u, v, n) == first
-        assert calls.keys == [], (alg.name, n)
+    first = alg.nth_orders(u, v, 0, 6)
+    assert calls.keys, alg.name
+    assert product_seam.orders == list(range(7))
+    calls.keys.clear()
+    # again as a range and one order at a time: every product formed, no base case
+    assert alg.nth_orders(u, v, 0, 6) == first
+    assert [alg.nth(u, v, n) for n in range(7)] == first
+    assert product_seam.orders == 3 * list(range(7))
+    assert calls.keys == [], alg.name
 
 
 def _full_weyl():
@@ -323,7 +416,7 @@ def test_one_contributing_base_case_forms_one_product():
 
 
 SHARED = ("apply_dop_power", "is_zero", "generator", "generator_items", "zero_elem",
-          "coordinates", "format_elem", "nth", "locality", "locality_coeff_sum")
+          "coordinates", "format_elem", "nth", "nth_orders", "locality", "locality_coeff_sum")
 
 
 @pytest.mark.parametrize("model", [DifferentialAlgebra, PresentedAlgebra])

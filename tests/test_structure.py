@@ -8,6 +8,7 @@ import pytest
 
 from confal import (
     ClosureBoundExceeded,
+    ConfElem,
     DOp,
     DifferentialAlgebra,
     MatPoly,
@@ -280,6 +281,17 @@ def _doubled(alg, method, when):
     return alg
 
 
+def _doubled_products(seam, alg, when):
+    """alg whose products a (n) b read twice their value where when(a, b, n) holds."""
+    def double(a, b, n, terms):
+        if when(ConfElem(alg, a), ConfElem(alg, b), n):
+            return {k: q * 2 for k, q in terms.items()}
+        return terms
+
+    seam.alter = double
+    return alg
+
+
 def test_recognition_reports_a_wrong_coefficient_fit():
     # phi(L, 1) doubled: the coefficients of L stop being constant in k
     alg = weyl_algebra()
@@ -290,24 +302,26 @@ def test_recognition_reports_a_wrong_coefficient_fit():
     assert res.ok is False
 
 
-def test_recognition_reports_a_broken_iterated_derivation_law():
+def test_recognition_reports_a_broken_iterated_derivation_law(product_seam):
     # L = f_{x^2}, so e (2) L = 2 f_1 is nonzero; doubling it breaks
     # (-e (1) .)^2 L = e (2) L and nothing else
     (alg,) = build_all("algebra q { kind differential; base poly x; deriv d/dx; "
                        "generators { e = 1; L = x^2; } }").values()
     e, L = alg.generator("e"), alg.generator("L")
     assert recognize_unital(alg).ok
-    res = recognize_unital(_doubled(alg, "nth", lambda u, v, n: n == 2 and u == e and v == L))
+    res = recognize_unital(
+        _doubled_products(product_seam, alg, lambda u, v, n: n == 2 and u == e and v == L))
     assert (res.fit_ok, res.dtilde_ok, res.leibniz_ok) == (True, False, True)
     assert res.failures == ["iterated-derivation law fails on L at n=2"]
     assert res.ok is False
 
 
-def test_recognition_reports_an_induced_derivation_that_breaks_leibniz():
+def test_recognition_reports_an_induced_derivation_that_breaks_leibniz(product_seam):
     # e (1) L doubled: the induced derivative of L doubles, that of L*L does not
     alg = weyl_algebra()
     e, L = alg.generator("e"), alg.generator("L")
-    res = recognize_unital(_doubled(alg, "nth", lambda u, v, n: n == 1 and u == e and v == L))
+    res = recognize_unital(
+        _doubled_products(product_seam, alg, lambda u, v, n: n == 1 and u == e and v == L))
     assert (res.fit_ok, res.dtilde_ok, res.leibniz_ok) == (True, True, False)
     assert res.failures[0] == "induced derivation breaks Leibniz on (L, L)"
     assert all(f.startswith("induced derivation breaks Leibniz") for f in res.failures)
@@ -842,22 +856,15 @@ def test_recognition_matches_the_two_pass_loop(alg, word_bound):
     assert recognition_roundtrip(alg, res) == recognition_roundtrip(alg, ref)
 
 
-def test_each_product_past_the_word_bound_is_formed_once(monkeypatch):
+def test_each_product_past_the_word_bound_is_formed_once(product_seam):
     # weyl at word bound 20, as the spans benchmark recognizes it: the two-pass
     # loop forms each of the 210 products it leaves unresolved a second time,
     # and its fit check rescans the top product order against e (4 products)
     (alg,) = load_path(str(INSTANCES / "weyl.confal")).values()
-    calls = [0]
-    nth = DifferentialAlgebra.nth
-
-    def counted(self, u, v, n):
-        calls[0] += 1
-        return nth(self, u, v, n)
-
-    monkeypatch.setattr(DifferentialAlgebra, "nth", counted)
+    formed = product_seam.orders
     res = recognize_unital(alg, word_bound=20)
-    got = calls[0]
-    calls[0] = 0
+    got = len(formed)
+    formed.clear()
     ref = _reference_recognize(alg, 20)
     assert res.to_json_dict() == ref.to_json_dict()
-    assert (got, calls[0]) == (488, 702)
+    assert (got, len(formed)) == (488, 702)
