@@ -16,7 +16,8 @@ Commands
                 nilpotent --r
     simplicity  sweep for proper delta-stable ideals
 
-Exit codes: 0 pass, 1 a check failed, 2 parse/input error, 3 resource bound.
+Exit codes: 0 pass, 1 a check failed, 2 parse/input error, 3 resource bound;
+the code of an error comes from its type (see errors).
 Reports render as text (default), deterministic JSON (schema "confal/1"), or
 CSV for the tabular commands.  The environment variable CONFAL_MAX_MONOMIALS
 sets the enumeration cap.
@@ -30,15 +31,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import (
-    BoundExceeded,
-    ClosureBoundExceeded,
-    MismatchWitness,
-    NotNilpotent,
-    NotUnital,
-    ParseError,
-    ResourceBound,
-)
+from .errors import ConfalError
 from .dsl import eval_base_expr, load_path, parse_base_expr, parse_element
 from .products import ALL_ZERO
 
@@ -116,15 +109,14 @@ def _cmd_check(args) -> int:
     assoc = associativity_report(alg, args.max_order, args.max_order)
     coeff = coefficient_locality_report(alg, args.window)
     dongs = []
-    dong_ok = True
     dong_order = min(args.max_order, 2)
     for a, u in gens:
         for b, v in gens:
             for c, w in gens:
                 rep = dong_check(u, v, w, max_order=dong_order)
-                dong_ok = dong_ok and rep.ok
                 if not rep.ok:
                     dongs.append({"triple": f"({a},{b},{c})", **rep.to_json_dict()})
+    dong_ok = not dongs
     ok = axioms.ok and assoc.ok and coeff.ok and dong_ok
     result = {
         "axioms": axioms.to_json_dict(),
@@ -184,10 +176,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_locality(args) -> int:
     alg = _pick_algebra(args)
     gens = alg.generator_items()
-    matrix = {}
-    for a, u in gens:
-        for b, v in gens:
-            matrix[(a, b)] = alg.locality(u, v)
+    matrix = {(a, b): alg.locality(u, v) for a, u in gens for b, v in gens}
     names = [a for a, _ in gens]
     width = max(6, max(len(n) for n in names) + 2)
     head = " " * width + "".join(f"{n:>{width}}" for n in names)
@@ -391,15 +380,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ResourceBound, BoundExceeded, ClosureBoundExceeded) as exc:
-        print(f"resource bound: {exc}", file=sys.stderr)
-        return 3
-    except (NotUnital, NotNilpotent, MismatchWitness) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+    except ConfalError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

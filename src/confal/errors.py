@@ -1,11 +1,26 @@
-"""Exception types shared across the workbench."""
+"""Exception types shared across the workbench.
+
+Each type carries the CLI's exit code and stderr label, so `cli.main`
+reports any ConfalError through one clause; a ResourceBound means that a
+computation hit a configured cap.
+"""
 
 
 class ConfalError(Exception):
     """Base class for all workbench errors."""
 
+    exit_code = 1
+    label = "check failed"
 
-class BoundExceeded(ConfalError):
+
+class ResourceBound(ConfalError):
+    """A computation hit a configured cap.  Nothing is truncated silently."""
+
+    exit_code = 3
+    label = "resource bound"
+
+
+class BoundExceeded(ResourceBound):
     """An iterated derivation failed to vanish within the configured bound."""
 
     def __init__(self, message, element=None, bound=None):
@@ -14,8 +29,8 @@ class BoundExceeded(ConfalError):
         self.bound = bound
 
 
-class ResourceBound(ConfalError):
-    """An enumeration hit its configured cap.  Nothing is truncated silently."""
+class ClosureBoundExceeded(ResourceBound):
+    """A closure kept producing independent elements past the configured bound."""
 
 
 class NotUnital(ConfalError):
@@ -24,10 +39,6 @@ class NotUnital(ConfalError):
 
 class NotNilpotent(ConfalError):
     """The element supplied to identity transport is not nilpotent."""
-
-
-class ClosureBoundExceeded(ConfalError):
-    """A closure kept producing independent elements past the configured bound."""
 
 
 class MismatchWitness(ConfalError):
@@ -43,6 +54,9 @@ class MismatchWitness(ConfalError):
 
 class ParseError(ConfalError):
     """Definition-file syntax error with position information."""
+
+    exit_code = 2
+    label = "error"
 
     def __init__(self, message, line, col, expected=()):
         full = f"line {line}, column {col}: {message}"

@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+import confal
 from confal import (
     FinDim, MatPoly, MatPolyRing, ParseError, build_all, load_path, parse, parse_element, pretty,
 )
+from confal import cli
 from confal.cli import main
 from confal.dsl import MAX_EXPONENT, AlgebraSpec, eval_base_expr, parse_base_expr
 from confal.instances import INSTANCES, cur_matrix, cur_matrix_presented
@@ -489,6 +491,53 @@ def test_cli_csv_rejected_before_any_computation(monkeypatch, capsys):
     assert main(["check", WEYL_FILE, "--format", "csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "tabular" in captured.err
+
+
+ERROR_CLASSES = sorted(
+    (cls for cls in (getattr(confal, name) for name in confal.__all__)
+     if isinstance(cls, type) and issubclass(cls, confal.ConfalError)),
+    key=lambda cls: cls.__name__,
+)
+EXPECTED_EXIT = {
+    "ParseError": (2, "error: "),
+    "ResourceBound": (3, "resource bound: "),
+    "BoundExceeded": (3, "resource bound: "),
+    "ClosureBoundExceeded": (3, "resource bound: "),
+    "NotUnital": (1, "check failed: "),
+    "NotNilpotent": (1, "check failed: "),
+    "MismatchWitness": (1, "check failed: "),
+    "ConfalError": (1, "check failed: "),
+}
+
+
+def _raised(cls):
+    if cls is confal.MismatchWitness:
+        return cls("u", "v", 0, "injected")
+    if cls is confal.ParseError:
+        return cls("injected", 1, 1)
+    return cls("injected")
+
+
+def test_every_error_class_has_an_expected_exit():
+    assert sorted(EXPECTED_EXIT) == [cls.__name__ for cls in ERROR_CLASSES]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_cli_reports_each_error_type_with_its_exit_code(cls, monkeypatch, capsys):
+    def fail(args):
+        raise _raised(cls)
+
+    monkeypatch.setattr(cli, "_cmd_locality", fail)
+    code, prefix = EXPECTED_EXIT[cls.__name__]
+    assert main(["locality", WEYL_FILE]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}{_raised(cls)}\n"
+
+
+def test_every_cap_error_is_a_resource_bound():
+    assert issubclass(confal.BoundExceeded, confal.ResourceBound)
+    assert issubclass(confal.ClosureBoundExceeded, confal.ResourceBound)
 
 
 def test_cli_locality_csv(capsys):
