@@ -152,8 +152,10 @@ class DongReport(Record):
 
     `ok` is always True and `witness` always None: each recorded degree is
     the largest order at which `locality`'s downward scan found a nonzero
-    product, so every product above it is zero by construction.  Both fields
-    stay in the record because `check`'s JSON output carries them.
+    product, so every product above it is zero by construction.  The record
+    is exported from `confal` and read by the tests and by the `weyl.dong`
+    job of `benchmarks/workloads.py`; the CLI's `check` states the lemma
+    instead of running it.
     """
 
     def __init__(self, max_order: int, degrees: dict | None = None):
@@ -178,7 +180,7 @@ def dong_check(u, v, w, max_order: int) -> DongReport:
     of the pairs are recorded too.  The products u (n) v are formed once, in
     one range, and `locality` forms the products of each pair.  The
     coefficient oracle, not this sweep, is the independent check of those
-    products.
+    products.  `benchmarks/tracing.py` wraps this function by name.
     """
     if max_order < 0:
         raise ValueError("the mutual-locality order bound must be nonnegative")

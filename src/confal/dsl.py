@@ -43,7 +43,8 @@ anything after the rule is an error.
 MAX_EXPONENT caps every exponent: the d-power of each term of a
 combination, nested `d`s added up, the product of the `^` exponents
 nested around each atom of an expression, scalars included, and the order n
-of each product a (n) b in a `products` block.
+of each product a (n) b in a `products` block.  MAX_MATPOLY_SIZE caps the n
+of `matpoly n`: the ring keeps its n*n matrix units as named atoms.
 
 The symbol `d` is reserved: it denotes the module operator in combinations
 (`d g`, `d^2 g`, `d(g)`) and cannot name a generator or a variable.
@@ -72,6 +73,13 @@ MAX_EXPONENT = 256
 On a 2-vCPU Xeon VM under Python 3.11, `confal identity` of d^256 e on the
 Weyl instance takes about 0.5 s and of d^1000 e about 50 s; the benchmark's
 workloads use powers up to d^15.
+"""
+
+MAX_MATPOLY_SIZE = 256
+"""Largest n a `matpoly n` base may ask for; more is a ParseError.
+
+On a 2-vCPU Xeon VM under Python 3.11, `confal locality` of a one-generator
+`matpoly n x` over d/dx takes about 0.4 s at n = 256 and 8 s at n = 1024.
 """
 
 _PUNCT = set("{}()[];,=+-*/^")
@@ -428,9 +436,12 @@ class _Parser:
         if tok.value == "poly":
             return ("poly", self.expect_name().value)
         if tok.value == "matpoly":
+            size = self.peek()
             n = self.expect_int()
             if n < 1:
                 self.error("matrix dimension must be positive", tok)
+            if n > MAX_MATPOLY_SIZE:
+                self.error(f"matrix dimension {n} exceeds the cap {MAX_MATPOLY_SIZE}", size)
             return ("matpoly", n, self.expect_name().value)
         if tok.value == "findim":
             dim = self.expect_int()
@@ -674,7 +685,12 @@ def eval_base_expr(expr, base):
     polynomial base, the matrix units E(i,j) and x*I of a matpoly base, and
     the basis elements of a findim base.
     """
-    val = _eval(expr, base, dict(base.ring_generators()))
+    return _base_value(expr, base, dict(base.ring_generators()))
+
+
+def _base_value(expr, base, atoms):
+    """eval_base_expr against a given atom table, so one build reads it once."""
+    val = _eval(expr, base, atoms)
     return base.one() * val if isinstance(val, _SCALAR) else val
 
 
@@ -721,6 +737,7 @@ def build(spec: AlgebraSpec):
         table = _reshape(spec.base[2], dim, dim, dim)
         base = FinDim(table)
 
+    atoms = dict(base.ring_generators())
     dkind = spec.deriv[0]
     if dkind == "zero":
         make, args = ZeroDerivation, ()
@@ -742,7 +759,7 @@ def build(spec: AlgebraSpec):
         if adjoint is not None and bkind != "matpoly":
             raise ValueError("ad(...) corrections need a matpoly base")
         make = ScaledDdx
-        args = () if adjoint is None else (eval_base_expr(adjoint, base),)
+        args = () if adjoint is None else (_base_value(adjoint, base, atoms),)
     try:
         delta = make(base, *args)
     except (NotNilpotent, BoundExceeded) as exc:
@@ -750,9 +767,7 @@ def build(spec: AlgebraSpec):
 
     from .diff_conformal import DifferentialAlgebra
 
-    gens = {}
-    for name, expr in spec.generators:
-        gens[name] = eval_base_expr(expr, base)
+    gens = {name: _base_value(expr, base, atoms) for name, expr in spec.generators}
     return DifferentialAlgebra(base, delta, gens, name=spec.name)
 
 

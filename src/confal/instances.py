@@ -87,12 +87,3 @@ def cur_matrix_presented(n: int = 2):
     return _build(f"algebra cur{n}p {{ kind presented;"
                   f" generators {', '.join(g for g, _, _ in units)};"
                   f" products {{ {products} }} }}")
-
-
-INSTANCES = {
-    "weyl": weyl_algebra,
-    "cur2": cur_matrix,
-    "cureps": cur_dual_numbers,
-    "polyzero": poly_zero,
-    "cur2p": cur_matrix_presented,
-}

@@ -14,14 +14,26 @@ import confal
 from confal import (
     FinDim, MatPoly, MatPolyRing, ParseError, build_all, load_path, parse, parse_element, pretty,
 )
-from confal import cli
+from confal import cli, diff_conformal
 from confal.cli import main
-from confal.dsl import MAX_EXPONENT, AlgebraSpec, eval_base_expr, parse_base_expr
-from confal.instances import INSTANCES, cur_matrix, cur_matrix_presented
+from confal.dsl import (
+    MAX_EXPONENT, MAX_MATPOLY_SIZE, AlgebraSpec, eval_base_expr, parse_base_expr,
+)
+from confal.instances import (
+    cur_dual_numbers, cur_matrix, cur_matrix_presented, poly_zero, weyl_algebra,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INSTANCE_DIR = ROOT / "instances"
 FILES = sorted(INSTANCE_DIR.glob("*.confal"))
+# the builder of each bundled file, by the name of the algebra the file defines
+INSTANCES = {
+    "weyl": weyl_algebra,
+    "cur2": cur_matrix,
+    "cureps": cur_dual_numbers,
+    "polyzero": poly_zero,
+    "cur2p": cur_matrix_presented,
+}
 
 PRESENTED_SRC = """
 algebra toy {
@@ -378,6 +390,34 @@ def test_exponent_cap():
               f" generators {{ e = x^{MAX_EXPONENT + 1}; }} }}")
 
 
+def test_matpoly_size_cap():
+    src = "algebra m { kind differential; base matpoly N x; deriv zero; generators { u = x; } }"
+    (spec,) = parse(src.replace("N", str(MAX_MATPOLY_SIZE)))
+    assert spec.base == ("matpoly", MAX_MATPOLY_SIZE, "x")
+    with pytest.raises(ParseError) as err:
+        parse(src.replace("N", str(MAX_MATPOLY_SIZE + 1)))
+    assert err.value.col == src.index("N") + 1
+    assert f"matrix dimension {MAX_MATPOLY_SIZE + 1} exceeds the cap" in str(err.value)
+
+
+def test_build_reads_the_atom_table_once_per_base(monkeypatch):
+    # every generator expression, and an ad(...) correction, is evaluated
+    # against one table of the base's atoms
+    calls = []
+    ring_generators = MatPolyRing.ring_generators
+    monkeypatch.setattr(MatPolyRing, "ring_generators",
+                        lambda ring: calls.append(ring) or ring_generators(ring))
+
+    def reads(count: int) -> int:
+        gens = " ".join(f"u{k} = {k}*x*E(1,1) + E(2,1);" for k in range(count))
+        calls.clear()
+        build_all("algebra m { kind differential; base matpoly 2 x;"
+                  f" deriv d/dx + ad(E(1,2)); generators {{ {gens} }} }}")
+        return len(calls)
+
+    assert reads(1) == reads(20)
+
+
 def test_deep_nesting_is_a_parse_error():
     weyl = load_path(WEYL_FILE)["weyl"]
     deep = "(" * 2000 + "e" + ")" * 2000
@@ -448,14 +488,35 @@ def test_cli_check_exit_codes(tmp_path):
     assert main(["check", str(torsion)]) == 2
 
 
-def test_cli_check_text_names_the_mutual_locality_scope(capsys):
-    # the sweep runs to min(--max-order, 2), whatever --max-order asks
-    assert main(["check", WEYL_FILE, "--max-order", "4", "--window", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert "  associativity (m,n <= 4): ok (400 identities)" in lines
-    assert "  mutual locality sweep (n <= 2): ok" in lines
-    assert main(["check", WEYL_FILE, "--max-order", "1", "--window", "2"]) == 0
-    assert "  mutual locality sweep (n <= 1): ok" in capsys.readouterr().out.splitlines()
+def test_cli_check_text_states_mutual_locality(capsys):
+    # each pair's locality scan bound is proved, so the lemma is stated, not swept
+    stated = "  mutual locality: holds on every triple (each pair's scan bound is proved)"
+    for order, identities in ((4, 400), (1, 64)):
+        assert main(["check", WEYL_FILE, "--max-order", str(order), "--window", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"  associativity (m,n <= {order}): ok ({identities} identities)" in lines
+        assert stated in lines
+        assert not any("sweep" in line for line in lines)
+
+
+def test_cli_check_runs_no_mutual_locality_sweep(monkeypatch, capsys):
+    argvs = [["check", str(path), "--max-order", "2", "--window", "2", "--format", "json"]
+             for path in FILES]
+    outputs = []
+    for argv in argvs:
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("check ran a mutual-locality sweep")
+
+    monkeypatch.setattr(diff_conformal, "dong_check", sweep)
+    for argv, expected in zip(argvs, outputs):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == expected
+        result = json.loads(out)["result"]
+        assert result["mutual_locality_ok"] is True and result["mutual_locality_failures"] == []
 
 
 def test_cli_identity(capsys):

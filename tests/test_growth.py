@@ -27,10 +27,10 @@ from confal import (
 )
 from confal import growth
 from confal.growth import GrowthReport, difference_table, generator_order_bound, monomial_cap
-from confal.instances import INSTANCES
 from confal.linalg import RowSpace
 from confal.ore_skew import SkewLaurent
 from test_diff_conformal import cend2
+from test_dsl_cli import INSTANCES
 
 WEYL = weyl_algebra()
 CUR2 = cur_matrix(2)

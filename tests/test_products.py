@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from test_diff_conformal import divided_powers
+from test_dsl_cli import INSTANCES
 
 from confal import (
     DifferentialAlgebra,
@@ -17,7 +18,6 @@ from confal import (
 )
 from confal.axioms import associativity_report
 from confal.exact_arith import DOp
-from confal.instances import INSTANCES
 from confal.products import (
     BASE_CASE_CAP,
     ConformalAlgebra,

@@ -83,9 +83,11 @@ def test_model_commands_load_no_algorithm_layer(argv):
 @pytest.mark.parametrize("argv,unloaded", [
     (["locality", WEYL_FILE], {"presented_conformal"}),
     (["locality", PRESENTED_FILE], {"diff_conformal"}),
+    (["check", PRESENTED_FILE, "--max-order", "1", "--window", "1"], {"diff_conformal"}),
     (["simplicity", FINDIM_FILE, "--trials", "5", "--degree-bound", "3"], {"growth", "axioms"}),
     (["transport", FINDIM_FILE, "--r", "b2"], {"growth"}),
-], ids=["locality-differential", "locality-presented", "simplicity", "transport"])
+], ids=["locality-differential", "locality-presented", "check-presented", "simplicity",
+        "transport"])
 def test_command_leaves_layers_it_does_not_run_unloaded(argv, unloaded):
     assert not _loaded(RUN_MAIN.format(argv=argv)) & unloaded
 
