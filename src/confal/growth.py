@@ -18,7 +18,9 @@ span of the generators' coefficients with t-exponents in a window
 [M-, M+], against the exact bound (M+ - M- + max(N, 1)) * r * gamma(r); the
 literal variant with max(N, 1) replaced by N is evaluated and reported
 alongside; there new means raising dim(V^1 + ... + V^r), in an untracked
-`RowSpace` (no combinations kept), since only the dimension is read.
+`RowSpace` (no combinations kept), since only the dimension is read.  Both
+walks start from each generator's integral multiple, which spans the same
+line, so their arithmetic stays in integers on integral bases.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import os
 from itertools import islice
 
 from .errors import ResourceBound
-from .exact_arith import _sp_divexact, _sp_mul, add_scaled
-from .linalg import RowSpace, primitive_integral
-from .products import ALL_ZERO, terms_scalar_normalized_key
+from .exact_arith import DOp, _sp_divexact, _sp_mul, add_scaled
+from .linalg import RowSpace, integral_multiple, primitive_integral
+from .products import ALL_ZERO, Elem, terms_scalar_normalized_key
 from .record import Record
 
 DEFAULT_MONOMIAL_CAP = 200_000
@@ -84,6 +86,32 @@ def generator_order_bound(alg) -> int:
             if deg is not ALL_ZERO:
                 best = max(best, deg)
     return best
+
+
+def _integral_generators(alg) -> list:
+    """Each generator g as its integral multiple c * g, c the lcm of g's coefficient denominators.
+
+    A walk over these spans what a walk over the generators spans: a word of
+    length r is multilinear in its letters, so it only picks up a nonzero
+    rational factor, and a spanning vector rescaled spans the same line.
+    Over a base with integral structure constants, such as Q[x] and
+    Mat_N(Q[x]), products of integral letters stay integral, so the walks
+    do no Fraction arithmetic.
+    """
+    out = []
+    for _, g in alg.generator_items():
+        flat, den = integral_multiple(alg.coordinates(g))
+        out.append(g if den == 1 else
+                   Elem._make(alg, {k: DOp._make(q) for k, q in _by_symbol(flat).items()}))
+    return out
+
+
+def _by_symbol(flat: dict) -> dict:
+    """Coordinates {(symbol, d-power): c} regrouped as symbol -> {d-power: c}."""
+    out: dict = {}
+    for (k, e), c in flat.items():
+        out.setdefault(k, {})[e] = c
+    return out
 
 
 def _walk(seeds, products, add, r_max: int):
@@ -164,10 +192,7 @@ def _zpoly_vector(vector) -> dict:
     """The primitive Z[d] multiple of a Q[d] vector (dict key -> DOp)."""
     flat, _ = primitive_integral(
         {(k, e): c for k, q in vector.items() for e, c in q.coeffs.items()})
-    out: dict = {}
-    for (k, e), c in flat.items():
-        out.setdefault(k, {})[e] = c
-    return out
+    return _by_symbol(flat)
 
 
 class ModuleRank:
@@ -406,11 +431,16 @@ def growth_table(alg, r_max: int) -> GrowthReport:
     (assuming associativity, as the order bound does), so every w (n) g lies
     in the Q-span of the formed (b_i) (m) g.  At a fixed order l,
     (q(d) w) (l) g is not q(-l) (w (l) g).
+
+    The walk runs over `_integral_generators`: each word is a nonzero
+    rational multiple of the same word in the declared generators, so every
+    rank, and with it gamma, is the same, and the order bound is read off
+    the declared generators.
     """
     if r_max < 1:
         raise ValueError("the word-length bound r_max must be at least 1")
     bound = generator_order_bound(alg)
-    gens = [g for _, g in alg.generator_items()]
+    gens = _integral_generators(alg)
 
     def products(w):
         for g in gens:
@@ -430,7 +460,10 @@ def coeff_growth_check(alg, window: tuple, r_max: int) -> GrowthReport:
     by bilinearity only the products that raised the dimension are
     multiplied further, by the coefficients that span V, through the
     model's `phi_products` (one skew product per kept word and generator in
-    the differential model).
+    the differential model).  The coefficients are taken of
+    `_integral_generators`: phi(c * g, k) = c * phi(g, k) spans the same line,
+    and a product of r coefficients is multilinear in them, so each
+    dim(V^1 + ... + V^r) is the same.
     """
     m_minus, m_plus = window
     if not (m_minus <= 0 <= m_plus):
@@ -447,7 +480,7 @@ def coeff_growth_check(alg, window: tuple, r_max: int) -> GrowthReport:
             yield from alg.phi_products(a, g, phis)
 
     ks = range(m_minus, m_plus + 1)
-    window_phis = [(g, {k: alg.phi(g, k) for k in ks}) for _, g in alg.generator_items()]
+    window_phis = [(g, {k: alg.phi(g, k) for k in ks}) for g in _integral_generators(alg)]
     seeds = [s for _, phis in window_phis for s in phis.values()]
     walk = _walk(seeds, products, add, r_max)
     kept = {id(s) for s in next(walk)}  # the coefficients that span V, by generator below

@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Plumbing for the probes, closures, and rank engines: an incremental
-row-echelon span with expression tracking (`RowSpace`, the one elimination
-over Q), and on top of it a dense reduced row echelon form, nullspace and
-solver.  Vectors are sparse dicts from hashable coordinate keys to scalars,
-each an int or Fraction (an int when integral), and every value returned is
-such a scalar; keys within one computation must be mutually comparable (they
+Plumbing for the probes, closures, and rank engines: an incremental span
+whose integer rows stay fully reduced, with expression tracking (`RowSpace`,
+the one elimination over Q), and on top of it a dense reduced row echelon
+form, nullspace and solver.  A query reads only the rows whose pivots its
+vector holds, and an insert those and the rows holding its new pivot.
+Vectors are sparse dicts from hashable coordinate keys to scalars, each an
+int or Fraction (an int when integral), and every value returned is such a
+scalar; keys within one computation must be mutually comparable (they
 always are: each algebra uses one homogeneous key shape).
 """
 
@@ -18,15 +20,22 @@ from .exact_arith import add_scaled, rat, ratio
 _OWN = -1  # combination key of the vector being reduced
 
 
-def primitive_integral(vec: dict):
-    """(w, s): the primitive integer vector w = s * vec and its scale s > 0."""
-    vec = {k: v for k, v in vec.items() if v}
-    if not vec:
-        return {}, 1
+def integral_multiple(vec: dict):
+    """(w, den): the integer vector w = den * vec without its zero entries,
+    den > 0 the lcm of vec's denominators."""
     # star-args from a list, not a generator: a generator's tuple is grown by
     # resizing, which leaves blocks behind on CPython's tuple free lists
     den = lcm(*[v.denominator for v in vec.values()])
-    w = {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
+    if den == 1:
+        return {k: v.numerator for k, v in vec.items() if v}, 1
+    return {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v}, den
+
+
+def primitive_integral(vec: dict):
+    """(w, s): the primitive integer vector w = s * vec and its scale s > 0."""
+    w, den = integral_multiple(vec)
+    if not w:
+        return {}, 1
     g = gcd(*w.values())
     if g != 1:
         w = {k: v // g for k, v in w.items()}
@@ -44,32 +53,50 @@ def _divide(vec: dict, g: int) -> None:
 
 
 class RowSpace:
-    """Incremental echelon span of sparse rational vectors.
+    """Incremental span of sparse rational vectors, its rows fully reduced.
 
     Rows are numbered by insertion: the i-th vector `add` accepts is row i.
     A tracked span (the default) keeps, for each stored row, its combination
-    over the rows added before it, and `express` writes a member of the span
-    as a combination of the added vectors keyed by row number.  An untracked
-    span (`RowSpace(track=False)`) keeps no combination or scale: it answers
+    over the added vectors, and `express` writes a member of the span as a
+    combination of the added vectors keyed by row number.  An untracked span
+    (`RowSpace(track=False)`) keeps no combination or scale: it answers
     `dim`, `contains` and `residual`, and its `express` raises ValueError.
 
     Internally everything is an integer.  An added vector v is stored through
     its primitive integer multiple u = s * v (a tracked span keeps the scale
-    s).  Each pivot row is a primitive integer vector R with an integer
-    combination C, keyed by row number, such that R == sum C[i] * u[i];
-    reduction cross-multiplies, w <- R[p] * w - w[p] * R (both factors first
-    divided by their gcd), then divides the vector and its combination by
-    their joint gcd; without a combination the vector is divided by its gcd
-    with the running multiplier alone.  Fractions appear again only in what
-    `residual` and `express` return.
+    s).  Each row is an integer vector R, pivoting at its least key, with an
+    integer combination C keyed by row number such that R == sum C[i] * u[i].
+
+    The rows stay fully reduced: each is zero at every other row's pivot.
+    So subtracting a row from a vector w changes w at that row's pivot and
+    off the pivots only, and reducing w applies exactly the rows whose pivot
+    w holds, each once, against one common multiplier:
+    w <- m * w - sum (m * w[p] / R[p]) * R, with m the least positive
+    integer that makes every quotient exact (1 when each R[p] divides w[p]).
+    A single-entry row just deletes w[p].  In a tracked reduction one joint
+    gcd of the result and its combination then divides both.
+
+    When `add` accepts w as a new row with pivot q, it clears q from each
+    earlier row R that holds it, R <- (w[q] * R - R[q] * w) / g, both
+    factors first divided by their gcd and g the gcd of R and, when
+    tracked, of its combination.  An index from each non-pivot key to the
+    rows nonzero there finds those rows without a scan.  An untracked span
+    keeps no combination and divides w by its gcd, so a single-entry w is
+    +-1 at q and R - (R[q] / w[q]) * w just deletes R[q].
+
+    Fractions appear again only in what `residual` and `express` return, and
+    both are unique: the residual is the one vector of vec + span that
+    vanishes at every pivot, and the added vectors are independent.  So
+    neither depends on how the rows are reduced.
     """
 
     def __init__(self, track: bool = True):
         # (pivot_key, row, combo): integer row with row[pivot_key] != 0, zero
-        # at every earlier pivot, and row == sum combo[i] * u[i] (combo is
-        # None in an untracked span)
+        # at every other row's pivot, and row == sum combo[i] * u[i] (combo
+        # is None in an untracked span)
         self._rows: list[tuple[object, dict, dict | None]] = []
         self._pivot_index: dict = {}  # pivot_key -> index of its row
+        self._holders: dict = {}  # non-pivot key -> indices of the rows nonzero there
         self._track = track
         self._scales: list = []  # u[i] == scales[i] * (row i's vector), when tracked
 
@@ -85,41 +112,37 @@ class RowSpace:
 
         Returns (w', combo) with w' == combo[_OWN] * w + sum combo[i] * u[i];
         the row numbers i appear only when `track` is set, which needs a
-        tracked span.  Rows are applied in insertion order, visiting only
-        those whose pivot w holds: row i is zero at every earlier pivot, so
-        it can only bring in later ones.
+        tracked span.  Reads only the rows whose pivot w holds, each once.
         """
-        combo = {_OWN: 1}
         rows, at = self._rows, self._pivot_index
-        pending = {at[k] for k in w if k in at}
-        while pending:
-            i = min(pending)
-            pending.remove(i)
-            pivot, row, rcombo = rows[i]
-            a = w.get(pivot)
-            if not a:
-                continue
+        hits = [(rows[at[k]], a) for k, a in w.items() if k in at]
+        combo = {_OWN: 1}
+        if not hits:
+            return w, combo
+        m = 1
+        for (pivot, row, _), a in hits:
             p = row[pivot]
-            g = gcd(a, p)
-            if g != 1:
-                a //= g
-                p //= g
-            if p != 1:
-                _scale(w, p)
-                _scale(combo, p)
-            add_scaled(w, row, -a)
+            if a % p:
+                m = lcm(m, p // gcd(a, p))
+        if m != 1:
+            _scale(w, m)
+            combo[_OWN] = m
+        for (pivot, row, rcombo), a in hits:
+            c = -(m * a // row[pivot])
+            if len(row) == 1:
+                del w[pivot]
+            else:
+                add_scaled(w, row, c)
             if track:
-                add_scaled(combo, rcombo, -a)
-            g = gcd(*w.values())
+                add_scaled(combo, rcombo, c)
+        if not track:
+            return w, combo  # no combination: the callers normalise w themselves
+        g = gcd(*w.values())
+        if g != 1:
+            g = gcd(g, *combo.values())
             if g != 1:
-                g = gcd(g, *combo.values())
-                if g != 1:
-                    _divide(w, g)
-                    _divide(combo, g)
-            for k in row:
-                j = at.get(k)
-                if j is not None and j > i:
-                    pending.add(j)
+                _divide(w, g)
+                _divide(combo, g)
         return w, combo
 
     def residual(self, vec: dict) -> dict:
@@ -157,14 +180,55 @@ class RowSpace:
         w, combo = self._reduce(w, track)
         if not w:
             return False
+        rows, holders, n = self._rows, self._holders, len(self._rows)
         if track:
-            combo[len(self._rows)] = combo.pop(_OWN)
+            combo[n] = combo.pop(_OWN)
             self._scales.append(s)
         else:
             combo = None
+            g = gcd(*w.values())
+            if g != 1:
+                _divide(w, g)
         pivot = min(w)
-        self._pivot_index[pivot] = len(self._rows)
-        self._rows.append((pivot, w, combo))
+        top = w[pivot]
+        clear = holders.pop(pivot, ())
+        for k in w:
+            if k != pivot:
+                held = holders.get(k)
+                if held is None:
+                    holders[k] = {n}
+                else:
+                    held.add(n)
+        single = combo is None and len(w) == 1  # w is +-1 at its pivot
+        for j in clear:
+            _, row, rcombo = rows[j]
+            if single:
+                del row[pivot]
+                continue
+            b = row[pivot]
+            g = gcd(b, top)
+            x, y = top // g, b // g
+            if x != 1:
+                _scale(row, x)
+            add_scaled(row, w, -y)
+            g = gcd(*row.values())
+            if combo is not None:
+                if x != 1:
+                    _scale(rcombo, x)
+                add_scaled(rcombo, combo, -y)
+                if g != 1:
+                    g = gcd(g, *rcombo.values())
+            if g != 1:
+                _divide(row, g)
+                if combo is not None:
+                    _divide(rcombo, g)
+            for k in w:
+                if k in row:
+                    holders[k].add(j)
+                elif k != pivot:
+                    holders[k].discard(j)
+        self._pivot_index[pivot] = n
+        rows.append((pivot, w, combo))
         return True
 
 

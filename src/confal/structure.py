@@ -616,7 +616,8 @@ def _saturate(base, seeds, moves, degree_bound: int, what: str, log=None, until=
     element past SATURATION_CAP (read at call time) raises
     ClosureBoundExceeded.  When a vector `until` is given, its residual
     modulo the span is kept, each addition reducing it only by the new row
-    (a row is zero at every earlier pivot), and None is returned at the
+    (it is zero at every earlier pivot, and a reduction reads only the rows
+    whose pivot its vector holds), and None is returned at the
     first addition that puts it in the span, so a closure that stops before
     reaching the cap never raises ClosureBoundExceeded.  The first 8
     additions are named in log when one is given.  Returns (space, basis,

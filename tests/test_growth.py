@@ -36,10 +36,10 @@ WEYL = weyl_algebra()
 CUR2 = cur_matrix(2)
 
 
-def _weylx():
-    """The Weyl generators plus f = 3/2 x^2 - 5/4 x^3, whose orders reach N = 3."""
+def _weylx(f=None):
+    """The Weyl generators plus f, by default 3/2 x^2 - 5/4 x^3; its orders reach N = 3."""
     base = PolyRing("x")
-    f = Poly({2: Fraction(3, 2), 3: Fraction(-5, 4)})
+    f = Poly({2: Fraction(3, 2), 3: Fraction(-5, 4)}) if f is None else f
     gens = {"e": base.one(), "L": Poly.variable(), "f": f}
     return DifferentialAlgebra(base, ScaledDdx(base), gens, name="weylx")
 
@@ -357,3 +357,43 @@ def test_growth_extends_only_rank_raising_words(monkeypatch, product_seam):
     gamma = growth_table(alg, r).gamma
     assert gamma == [3, 7, 10, 13, 16, 19, 22] and bound == 3
     assert len(formed) == gamma[r - 2] * len(alg.generator_items()) * (bound + 1)
+
+
+def test_growth_reports_do_not_see_generator_denominators():
+    # each walk runs over d * g, d the lcm of g's denominators, so a rational
+    # generator and its cleared multiple give equal reports; the values are
+    # those of the walk over the generators as declared
+    rational, cleared = _weylx(), _weylx(Poly({2: 6, 3: -5}))  # f times 4
+    assert growth_table(rational, 6) == growth_table(cleared, 6)
+    assert growth_table(rational, 6).gamma == [3, 7, 10, 13, 16, 19]
+    for window, dims in (((-1, 1), [9, 38, 91]), ((-2, 1), [12, 54, 123])):
+        rep = coeff_growth_check(rational, window, 3)
+        assert rep == coeff_growth_check(cleared, window, 3)
+        assert rep.to_json_dict() == coeff_growth_check(cleared, window, 3).to_json_dict()
+        assert rep.gamma == [3, 7, 10] and rep.coeff_dims == dims and rep.order_bound == 3
+
+
+def test_growth_walks_eliminate_integer_vectors(monkeypatch):
+    # with the denominators cleared up front, every word of weylx's walks has
+    # integer coefficients, so the spans see no Fraction
+    seen = []
+
+    def integral(values):
+        values = list(values)
+        seen.append(len(values))
+        assert all(type(c) is int for c in values), values
+
+    class IntegralRank(growth.ModuleRank):
+        def add(self, vector):
+            integral(c for q in vector.terms.values() for c in q.coeffs.values())
+            return super().add(vector)
+
+    class IntegralSpace(RowSpace):
+        def add(self, vec):
+            integral(vec.values())
+            return super().add(vec)
+
+    monkeypatch.setattr(growth, "ModuleRank", IntegralRank)
+    monkeypatch.setattr(growth, "RowSpace", IntegralSpace)
+    assert coeff_growth_check(_weylx(), (-1, 1), 3).coeff_dims == [9, 38, 91]
+    assert len(seen) > 300

@@ -384,6 +384,77 @@ def test_rowspace_untracked_span_stores_no_combination():
         assert not untracked._scales
 
 
+def _unit_or_random_vectors(rng, ncols, count):
+    """_random_vectors with some single-entry vectors mixed in."""
+    out = _random_vectors(rng, ncols, count)
+    for _ in range(count // 3):
+        out.insert(rng.randrange(len(out) + 1), {rng.randrange(ncols): _rand_q(rng, 5, 3) or 1})
+    return out
+
+
+@pytest.mark.parametrize("track", [True, False], ids=["tracked", "untracked"])
+@pytest.mark.parametrize("seed", range(6))
+def test_rowspace_rows_stay_fully_reduced(seed, track):
+    rng = random.Random(3000 + seed)
+    ncols = rng.randint(2, 9)
+    space, added = RowSpace(track=track), []
+    for vec in _unit_or_random_vectors(rng, ncols, 14):
+        if space.add(vec):
+            added.append(vec)
+        pivots = [pivot for pivot, *_ in space._rows]
+        assert set(space._pivot_index) == set(pivots)
+        for i, (pivot, row, combo) in enumerate(space._rows):
+            assert space._pivot_index[pivot] == i and pivot == min(row)
+            assert all(type(v) is int and v for v in row.values())
+            assert not row.keys() & (set(pivots) - {pivot})  # zero at every other pivot
+            if track:
+                # row == sum combo[j] * u[j], u[j] = scales[j] * (the j-th added vector)
+                rebuilt: dict = {}
+                for j, c in combo.items():
+                    for k, v in added[j].items():
+                        rebuilt[k] = rebuilt.get(k, 0) + c * space._scales[j] * v
+                assert {k: v for k, v in rebuilt.items() if v} == row
+        # the index of the rows nonzero at each non-pivot key
+        held: dict = {}
+        for i, (pivot, row, _) in enumerate(space._rows):
+            for k in row.keys() - {pivot}:
+                held.setdefault(k, set()).add(i)
+        assert {k: rows for k, rows in space._holders.items() if rows} == held
+    assert space.dim == len(added)
+    if track:
+        # express still keys rows by insertion
+        for i, vec in enumerate(added):
+            assert space.express(vec) == {i: 1}
+            assert space.express({k: 3 * v for k, v in vec.items()}) == {i: 3}
+
+
+def test_rowspace_reads_only_the_rows_its_vector_reaches():
+    # residual, contains and express read the rows whose pivot the vector
+    # holds; an add reads those, and when it accepts, the earlier rows that
+    # hold its new pivot, each once
+    rng = random.Random(3100)
+    for track in (True, False):
+        space = RowSpace(track=track)
+        space._rows = rows = _CountingRows()
+        cleared = 0
+        queries = [space.residual, space.contains] + ([space.express] if track else [])
+        for vec in _unit_or_random_vectors(rng, 8, 40):
+            reached = len({k for k, v in vec.items() if v} & space._pivot_index.keys())
+            for query in queries:
+                before = rows.reads
+                query(vec)
+                assert rows.reads - before == reached
+            supports = [set(row) for _, row, _ in list.__iter__(rows)]
+            before = rows.reads
+            if space.add(vec):
+                pivot = list.__getitem__(rows, -1)[0]
+                holding = sum(pivot in keys for keys in supports)
+                cleared += holding
+                reached += holding
+            assert rows.reads - before == reached
+        assert space.dim == 8 and cleared
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_linalg_returns_canonical_scalars(seed):
     """express, residual, dense_solve and dense_nullspace give ints and Fractions, no floats."""
