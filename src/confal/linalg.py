@@ -4,7 +4,9 @@ Plumbing for the probes, closures, and rank engines: an incremental span
 whose integer rows stay fully reduced, with expression tracking (`RowSpace`,
 the one elimination over Q), and on top of it a dense reduced row echelon
 form, nullspace and solver.  A query reads only the rows whose pivots its
-vector holds, and an insert those and the rows holding its new pivot.
+vector holds, and an insert those and the rows holding its new pivot;
+`contains` and `express` read none for a vector that is nonzero where
+every row is zero.
 Vectors are sparse dicts from hashable coordinate keys to scalars, each an
 int or Fraction (an int when integral), and every value returned is such a
 scalar; keys within one computation must be mutually comparable (they
@@ -88,6 +90,13 @@ class RowSpace:
     both are unique: the residual is the one vector of vec + span that
     vanishes at every pivot, and the added vectors are independent.  So
     neither depends on how the rows are reduced.
+
+    Every member of the span is zero at every key outside the union of the
+    rows' supports, and that union lies within the pivots and the keys of
+    the holder index (a key's holder set stays in place when it empties, so
+    the index only ever covers more).  So a vector nonzero at a key that is
+    neither is outside the span, and `contains` and `express` say so before
+    any arithmetic; an explicit 0 entry does not count.
     """
 
     def __init__(self, track: bool = True):
@@ -152,8 +161,16 @@ class RowSpace:
         num, den = s.denominator, combo[_OWN] * s.numerator
         return {k: ratio(v * num, den) for k, v in w.items()}
 
+    def _off_support(self, vec: dict) -> bool:
+        """Whether vec is nonzero at a key where every row is zero."""
+        at, held = self._pivot_index, self._holders
+        for k, v in vec.items():
+            if v and k not in at and k not in held:
+                return True
+        return False
+
     def contains(self, vec: dict) -> bool:
-        return not self.residual(vec)
+        return not self._off_support(vec) and not self.residual(vec)
 
     def express(self, vec: dict):
         """Coefficients over row numbers reproducing vec, or None if outside.
@@ -162,6 +179,8 @@ class RowSpace:
         """
         if not self._track:
             raise ValueError("express needs a tracked span")
+        if self._off_support(vec):
+            return None
         w, s = primitive_integral(vec)
         w, combo = self._reduce(w, True)
         if w:

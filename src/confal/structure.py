@@ -47,8 +47,8 @@ from .record import Record
 
 
 def class_coords(alg, u) -> dict:
-    """Coordinates of the class of u modulo the image of d."""
-    return {key: c for (key, p), c in alg.coordinates(u).items() if p == 0}
+    """Coordinates of the class of u modulo the image of d: its d^0 coefficients."""
+    return {key: q.coeffs[0] for key, q in u.terms.items() if 0 in q.coeffs}
 
 
 def canonical_rep(alg, u):
@@ -226,18 +226,6 @@ class RecognitionResult(Record):
         self.failures = [] if failures is None else failures
         self.log = [] if log is None else log
         self.space = space
-
-    def delta_vector(self, label: str) -> dict:
-        """Induced derivative of a basis element, keyed by basis labels."""
-        i = self.labels.index(label)
-        return {self.labels[k]: c for k, c in self.delta[i].items()}
-
-    def product_vector(self, left: str, right: str):
-        i, j = self.labels.index(left), self.labels.index(right)
-        entry = self.product[(i, j)]
-        if entry is None:
-            return None
-        return {self.labels[k]: c for k, c in entry.items()}
 
     def to_findim(self) -> FinDim:
         """The recovered table as a FinDim algebra (requires a closed table)."""
@@ -444,23 +432,25 @@ def recognition_roundtrip(alg, result: RecognitionResult, n_max: int = 2) -> dic
     The representatives' classes are independent, so the class of u (n) v
     equals the table value sum_k rhs_k [rep_k] exactly when expressing it
     over them gives rhs; the classes are compared directly, and the span is
-    asked only to tell a skip from a mismatch.
+    asked only to tell a skip from a mismatch.  Each table derivative
+    delta~^n [v] is formed once, on first use, and read by every u.
     """
     if n_max < 0:
         raise ValueError("the round-trip product order must be nonnegative")
     space = result.space
     reps = result.representatives
     rep_coords = [class_coords(alg, u) for u in reps]
+    derivatives = [[{j: 1}] for j in range(result.dim)]  # delta~^n [v_j], n formed so far
     checked = skipped = 0
     log = []
     for i in range(result.dim):
         for j in range(result.dim):
+            chain = derivatives[j]
             for n, prod in enumerate(alg.nth_orders(reps[i], reps[j], 0, n_max)):
                 w = class_coords(alg, prod)
-                dj = {j: 1}
-                for _ in range(n):
-                    dj = _vec_image(result.delta, dj)
-                rhs = _vec_mul(result.product, {i: -1 if n % 2 else 1}, dj)
+                if n == len(chain):
+                    chain.append(_vec_image(result.delta, chain[-1]))
+                rhs = _vec_mul(result.product, {i: -1 if n % 2 else 1}, chain[n])
                 if rhs is not None and _vec_image(rep_coords, rhs) == w:
                     checked += 1
                     continue

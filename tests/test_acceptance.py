@@ -151,8 +151,9 @@ def test_criterion_08_recognition_roundtrip():
                        "current algebra, with the n <= 2 replay agreeing", 10):
         weyl_res = recognize_unital(WEYL)
         assert weyl_res.ok
-        assert weyl_res.delta_vector("L") == {"e": Fraction(1)}
-        assert weyl_res.delta_vector("e") == {}
+        e_idx, l_idx = weyl_res.labels.index("e"), weyl_res.labels.index("L")
+        assert weyl_res.delta[l_idx] == {e_idx: Fraction(1)}
+        assert weyl_res.delta[e_idx] == {}
         replay = recognition_roundtrip(WEYL, weyl_res, n_max=2)
         assert replay["checked"] > 0  # raises on any mismatch
 
@@ -163,8 +164,9 @@ def test_criterion_08_recognition_roundtrip():
             for q in (1, 2):
                 for r in (1, 2):
                     for s in (1, 2):
-                        got = cur_res.product_vector(f"u{p}{q}", f"u{r}{s}")
-                        want = {f"u{p}{s}": Fraction(1)} if q == r else {}
+                        got = cur_res.product[(names.index(f"u{p}{q}"),
+                                               names.index(f"u{r}{s}"))]
+                        want = {names.index(f"u{p}{s}"): Fraction(1)} if q == r else {}
                         assert got == want
         replay2 = recognition_roundtrip(CUR2, cur_res, n_max=2)
         assert replay2["skipped"] == 0

@@ -429,21 +429,29 @@ def test_rowspace_rows_stay_fully_reduced(seed, track):
 
 
 def test_rowspace_reads_only_the_rows_its_vector_reaches():
-    # residual, contains and express read the rows whose pivot the vector
-    # holds; an add reads those, and when it accepts, the earlier rows that
-    # hold its new pivot, each once
+    # residual reads the rows whose pivot the vector holds, and so do contains
+    # and express unless the vector is nonzero off the rows' supports: then
+    # they read none.  An add reads those rows, and when it accepts, the
+    # earlier rows that hold its new pivot, each once
     rng = random.Random(3100)
     for track in (True, False):
         space = RowSpace(track=track)
         space._rows = rows = _CountingRows()
-        cleared = 0
-        queries = [space.residual, space.contains] + ([space.express] if track else [])
+        cleared = rejected = 0
+        queries = [space.contains] + ([space.express] if track else [])
         for vec in _unit_or_random_vectors(rng, 8, 40):
-            reached = len({k for k, v in vec.items() if v} & space._pivot_index.keys())
+            support = {k for k, v in vec.items() if v}
+            reached = len(support & space._pivot_index.keys())
+            before = rows.reads
+            space.residual(vec)
+            assert rows.reads - before == reached
+            covered = space._pivot_index.keys() | space._holders.keys()
+            off = bool(support - covered)
+            rejected += off
             for query in queries:
                 before = rows.reads
                 query(vec)
-                assert rows.reads - before == reached
+                assert rows.reads - before == (0 if off else reached)
             supports = [set(row) for _, row, _ in list.__iter__(rows)]
             before = rows.reads
             if space.add(vec):
@@ -452,7 +460,55 @@ def test_rowspace_reads_only_the_rows_its_vector_reaches():
                 cleared += holding
                 reached += holding
             assert rows.reads - before == reached
-        assert space.dim == 8 and cleared
+        assert space.dim == 8 and cleared and rejected
+
+
+@pytest.mark.parametrize("track", [True, False], ids=["tracked", "untracked"])
+@pytest.mark.parametrize("seed", range(4))
+def test_rowspace_rejects_vectors_off_the_support(seed, track):
+    # a vector nonzero at a key no row holds is outside the span; the full
+    # elimination (residual) agrees on every query, off the support or not
+    rng = random.Random(3200 + seed)
+    ncols = rng.randint(2, 8)
+    space, added = RowSpace(track=track), []
+    for vec in _unit_or_random_vectors(rng, ncols, rng.randint(1, 6)):
+        if space.add(vec):
+            added.append(vec)
+    # members of the span, nonzero off the pivots too, and random vectors
+    queries = [{k: 2 * v for k, v in add_scaled(dict(a), b, -1).items()}
+               for a, b in zip(added, added[1:])] + added
+    queries += _unit_or_random_vectors(rng, ncols, 12)
+    strays = [ncols + rng.randrange(3) for _ in queries]
+    queries += [{**vec, stray: _rand_q(rng, 5, 3) or 1} for vec, stray in zip(queries, strays)]
+    for query in queries:
+        residual = space.residual(query)
+        off = any(v and k not in space._pivot_index and k not in space._holders
+                  for k, v in query.items())
+        assert not (off and not residual)  # off the support: never in the span
+        assert space.contains(query) == (not residual)
+        if track:
+            expr = space.express(query)
+            assert (expr is None) == bool(residual)
+        else:
+            with pytest.raises(ValueError, match="tracked span"):
+                space.express(query)
+    assert any(map(space.contains, queries))
+    for query in queries[len(strays):]:
+        assert not space.contains(query) and space.residual(query)
+        if track:
+            assert space.express(query) is None
+
+
+@pytest.mark.parametrize("track", [True, False], ids=["tracked", "untracked"])
+def test_rowspace_zero_entry_off_the_support_does_not_reject(track):
+    space = RowSpace(track=track)
+    space.add({"a": 1})
+    assert space.contains({"a": 2, "z": 0})
+    assert space.residual({"a": 2, "z": 0}) == {}
+    assert not space.contains({"a": 2, "z": 1})
+    if track:
+        assert space.express({"a": 2, "z": 0}) == {0: 2}
+        assert space.express({"a": 2, "z": 1}) is None
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -147,8 +147,8 @@ def test_recognize_weyl_recovers_derivation():
     res = recognize_unital(WEYL)
     assert res.ok and not res.closed and not res.delta_is_zero
     assert res.labels[:2] == ["e", "L"]
-    assert res.delta_vector("e") == {}
-    assert res.delta_vector("L") == {"e": Fraction(1)}
+    assert res.delta[0] == {}
+    assert res.delta[1] == {0: Fraction(1)}  # delta~[L] = e
     assert res.fit_ok and res.dtilde_ok and res.leibniz_ok
     # the d-layer decomposition of each generator is recorded
     assert [n for n, _ in res.components["L"]] == [0]
@@ -160,8 +160,9 @@ def test_recognize_cur2_recovers_matrix_algebra():
     res = recognize_unital(CUR2)
     assert res.ok and res.closed and res.delta_is_zero
     assert res.dim == 4 and res.space._track
-    assert res.product_vector("u12", "u21") == {"u11": Fraction(1)}
-    assert res.product_vector("u12", "u12") == {}
+    u11, u12, u21 = (res.labels.index(name) for name in ("u11", "u12", "u21"))
+    assert res.product[(u12, u21)] == {u11: Fraction(1)}
+    assert res.product[(u12, u12)] == {}
     assert res.unit_coords == {
         res.labels.index("u11"): Fraction(1),
         res.labels.index("u22"): Fraction(1),
@@ -244,7 +245,7 @@ def test_recognize_rejects_non_identity():
 
 def test_recognize_with_explicit_identity():
     res = recognize_unital(WEYL, e=WEYL.generator("e"))
-    assert res.ok and res.delta_vector("L") == {"e": Fraction(1)}
+    assert res.ok and res.delta[res.labels.index("L")] == {res.labels.index("e"): Fraction(1)}
 
 
 def test_recognition_reads_the_basis_cap_at_call_time(monkeypatch, capsys):
@@ -708,6 +709,69 @@ def test_roundtrip_matches_the_reference_on_open_tables(name, word_bound):
     if name == "cend2":
         want.add("unresolved table entry")
     assert reasons == want
+
+
+def _replay_per_triple(alg, result, n_max=2):
+    """recognition_roundtrip as it was when it formed the table derivative
+    delta~^n [v_j] afresh for every (i, j, n), with the class coordinates
+    read through alg.coordinates."""
+    def coords(u):
+        return {key: c for (key, p), c in alg.coordinates(u).items() if p == 0}
+
+    space = result.space
+    reps = result.representatives
+    rep_coords = [coords(u) for u in reps]
+    checked = skipped = 0
+    log = []
+    for i in range(result.dim):
+        for j in range(result.dim):
+            for n, prod in enumerate(alg.nth_orders(reps[i], reps[j], 0, n_max)):
+                w = coords(prod)
+                dj = {j: 1}
+                for _ in range(n):
+                    dj = structure._vec_image(result.delta, dj)
+                rhs = structure._vec_mul(result.product, {i: -1 if n % 2 else 1}, dj)
+                if rhs is not None and structure._vec_image(rep_coords, rhs) == w:
+                    checked += 1
+                    continue
+                lhs = space.express(w) if rhs is not None else None
+                if lhs is None:
+                    escapes = rhs is not None or not space.contains(w)
+                    skipped += 1
+                    log.append(
+                        f"skipped ({result.labels[i]}, {result.labels[j]}, n={n}): "
+                        + ("product escapes the span" if escapes else "unresolved table entry")
+                    )
+                    continue
+                if lhs != rhs:
+                    raise MismatchWitness(
+                        result.labels[i], result.labels[j], n,
+                        detail=f"direct class {lhs} vs table value {rhs}",
+                    )
+                checked += 1
+    return {"checked": checked, "skipped": skipped, "log": log}
+
+
+# the benchmark's recognitions: (instance, word bound, dim, checked, skipped)
+WIDE_RECOGNITIONS = [
+    (weyl_algebra, 20, 21, 752, 571),
+    (poly_zero, 20, 21, 1113, 210),
+    (lambda: cur_matrix(3), 8, 9, 243, 0),
+    (lambda: cur_matrix_presented(2), 8, 4, 48, 0),
+]
+
+
+@pytest.mark.parametrize("make, word_bound, dim, checked, skipped", WIDE_RECOGNITIONS,
+                         ids=["weyl", "polyzero", "cur3", "cur2p"])
+def test_roundtrip_at_the_benchmark_word_bounds(make, word_bound, dim, checked, skipped):
+    alg = make()
+    res = recognize_unital(alg, word_bound=word_bound)
+    assert res.ok and res.dim == dim
+    got = recognition_roundtrip(alg, res)
+    assert (got["checked"], got["skipped"]) == (checked, skipped)
+    assert len(got["log"]) == skipped
+    assert all(line.endswith(": product escapes the span") for line in got["log"])
+    assert got == _replay_per_triple(alg, res)
 
 
 def _mismatch(replay, alg, res):
