@@ -10,8 +10,6 @@ witnesses found.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .exact_arith import add_scaled, gen_binom
 from .products import ALL_ZERO
 from .record import Record
@@ -132,9 +130,20 @@ def _triple_products(alg, u, v, w, max_m: int, max_n: int):
     top = max_m + max_n
     vw = alg.nth_orders(v, w, 0, top)
     uv = alg.nth_orders(u, v, 0, max_m)
-    u_of = cache(lambda k: alg.nth_orders(u, vw[k], 0, min(max_m, top - k)))
-    of_w = cache(lambda j: alg.nth_orders(uv[j], w, 0, top - j))
-    return (lambda i, k: u_of(k)[i]), (lambda j, k: of_w(j)[k])
+    u_of: dict = {}  # k -> [u (i) (v (k) w) for i in range]
+    of_w: dict = {}  # j -> [(u (j) v) (k) w for k in range]
+
+    def u_of_vw(i: int, k: int):
+        if k not in u_of:
+            u_of[k] = alg.nth_orders(u, vw[k], 0, min(max_m, top - k))
+        return u_of[k][i]
+
+    def uv_of_w(j: int, k: int):
+        if j not in of_w:
+            of_w[j] = alg.nth_orders(uv[j], w, 0, top - j)
+        return of_w[j][k]
+
+    return u_of_vw, uv_of_w
 
 
 def coefficient_locality_report(alg, window: int, extra_orders: int = 3) -> CheckReport:
@@ -190,24 +199,37 @@ def locality_combinations(alg, u, v):
     """(n, l, m) -> model coordinates of sum_j (-1)^j C(n, j) u(l-j) v(m+j).
 
     Each coefficient u(a), v(b), each product u(a) v(b) and, when v
-    right-shifts, each row u(a) v(0) is formed once, on first use, by
-    memos owned by the returned function and dropped with it.  When v
-    right-shifts, v(b) = v(0) t^b, so u(a) v(b) is the row u(a) v(0)
+    right-shifts, each row u(a) v(0) is formed once, on first use, and kept
+    in plain dicts owned by the returned function and dropped with it.
+    When v right-shifts, v(b) = v(0) t^b, so u(a) v(b) is the row u(a) v(0)
     shifted by b.
     """
     shifts = alg.right_shifts(v)
-    phi_u = cache(lambda a: alg.phi(u, a))
-    phi_v = cache(lambda b: alg.phi(v, b))
-    row = cache(lambda a: alg.model_mul(phi_u(a), phi_v(0)))
+    phi_u: dict = {}  # a -> u(a)
+    phi_v: dict = {}  # b -> v(b)
+    rows: dict = {}  # a -> u(a) v(0), when v right-shifts
+    products: dict = {}  # (a, b) -> coordinates of u(a) v(b)
 
-    @cache
     def product(a: int, b: int) -> dict:
-        x, y = phi_u(a), phi_v(0 if shifts else b)
+        coords = products.get((a, b))
+        if coords is not None:
+            return coords
+        kb = 0 if shifts else b
+        if a not in phi_u:
+            phi_u[a] = alg.phi(u, a)
+        if kb not in phi_v:
+            phi_v[kb] = alg.phi(v, kb)
+        x, y = phi_u[a], phi_v[kb]
         if x.is_zero() or y.is_zero():
-            return {}
-        if shifts:
-            return alg.model_coords(row(a).shift(b))
-        return alg.model_coords(alg.model_mul(x, y))
+            coords = {}
+        elif shifts:
+            if a not in rows:
+                rows[a] = alg.model_mul(x, y)
+            coords = alg.model_coords(rows[a].shift(b))
+        else:
+            coords = alg.model_coords(alg.model_mul(x, y))
+        products[a, b] = coords
+        return coords
 
     def combination(n: int, l: int, m: int) -> dict:
         acc: dict = {}

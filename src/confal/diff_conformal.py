@@ -100,7 +100,7 @@ class DifferentialAlgebra(ConformalAlgebra):
         for key, exp, c in terms_normal_form(u.terms, k):
             by_exp.setdefault(exp, {})[key] = c
         from_coords = self.base.from_coords
-        return SkewLaurent(self.ore, {exp: from_coords(cs) for exp, cs in by_exp.items()})
+        return SkewLaurent._make(self.ore, {exp: from_coords(cs) for exp, cs in by_exp.items()})
 
     def oracle(self, u: Elem, v: Elem, n: int, k: int) -> SkewLaurent:
         """(u (n) v)(k) computed purely from coefficients in the skew ring."""

@@ -31,6 +31,7 @@ d/dx + ad(r) and the zero map are derivations by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from .errors import BoundExceeded, NotNilpotent
 from .exact_arith import MatPoly, Poly, gen_binom, rat, signed_sum
@@ -386,10 +387,15 @@ class Derivation:
     def orbit(self, a, length: int | None = None) -> list:
         """The nonzero iterates a, delta(a), delta^2(a), ..., at most `length` of them.
 
-        Raises BoundExceeded once more than NILPOTENCY_BOUND iterates are nonzero.
+        delta is applied only to form an iterate the result keeps or to learn
+        that the orbit ends: a result cut at `length` costs length - 1
+        applications, and a `length` below 1 none.  Raises BoundExceeded
+        once more than NILPOTENCY_BOUND iterates are nonzero.
         """
         out = []
-        while not a.is_zero() and (length is None or len(out) < length):
+        if length is not None and length < 1:
+            return out
+        while not a.is_zero():
             if len(out) == NILPOTENCY_BOUND:
                 raise BoundExceeded(
                     f"derivation did not vanish on {self.base.format(out[0])} "
@@ -398,6 +404,8 @@ class Derivation:
                     bound=NILPOTENCY_BOUND,
                 )
             out.append(a)
+            if len(out) == length:
+                break
             a = self(a)
         return out
 
@@ -537,13 +545,31 @@ class OreRing:
 
 
 class SkewLaurent:
-    """Element of A[t, t^-1; delta] in normal form: sum a_n t^n, a_n in A."""
+    """Element of A[t, t^-1; delta] in normal form: sum a_n t^n, a_n in A.
+
+    The constructor takes any map from integer exponents to base values: it
+    reads each exponent through `operator.index`, so a float or a Fraction
+    raises TypeError, and drops zero values.  Results of the ring operations
+    go through `_make`, which trusts its canonical input.
+    """
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: OreRing, coeffs: dict):
         self.ring = ring
-        self.coeffs = {int(n): a for n, a in coeffs.items() if not a.is_zero()}
+        self.coeffs = out = {}
+        for n, a in coeffs.items():
+            n = index(n)
+            if not a.is_zero():
+                out[n] = a
+
+    @classmethod
+    def _make(cls, ring: OreRing, coeffs: dict) -> "SkewLaurent":
+        """Wrap an already canonical map: int exponents, nonzero base values only."""
+        out = object.__new__(cls)
+        out.ring = ring
+        out.coeffs = coeffs
+        return out
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -558,11 +584,16 @@ class SkewLaurent:
         self._same(other)
         out = dict(self.coeffs)
         for n, a in other.coeffs.items():
-            out[n] = out[n] + a if n in out else a
-        return SkewLaurent(self.ring, out)
+            if n in out:
+                a = out[n] + a
+                if a.is_zero():
+                    del out[n]
+                    continue
+            out[n] = a
+        return SkewLaurent._make(self.ring, out)
 
     def __neg__(self):
-        return SkewLaurent(self.ring, {n: -a for n, a in self.coeffs.items()})
+        return SkewLaurent._make(self.ring, {n: -a for n, a in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SkewLaurent):
@@ -575,14 +606,13 @@ class SkewLaurent:
             return self
         if c == -1:
             return -self
-        return SkewLaurent(self.ring, {n: a * c for n, a in self.coeffs.items()})
+        if c == 0:
+            return SkewLaurent._make(self.ring, {})
+        return SkewLaurent._make(self.ring, {n: a * c for n, a in self.coeffs.items()})
 
     def shift(self, k: int) -> "SkewLaurent":
         """self * t^k: in the normal form every exponent moves up by k."""
-        out = object.__new__(SkewLaurent)
-        out.ring = self.ring
-        out.coeffs = {n + k: a for n, a in self.coeffs.items()}
-        return out
+        return SkewLaurent._make(self.ring, {n + k: a for n, a in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -599,8 +629,13 @@ class SkewLaurent:
                     if prod.is_zero():
                         continue
                     n = exp + m
-                    out[n] = out[n] + prod if n in out else prod
-        return SkewLaurent(self.ring, out)
+                    if n in out:
+                        prod = out[n] + prod
+                        if prod.is_zero():
+                            del out[n]
+                            continue
+                    out[n] = prod
+        return SkewLaurent._make(self.ring, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -226,7 +226,10 @@ def coeff_assoc_check(alg: PresentedAlgebra, window: int = 3):
     distinct x and each symbol, so the call makes n^2 + 2 D n `coeff_mul`
     calls, D the number of distinct pair values, where the triple loop alone
     would make 2 n^3.  The ids key on the canonical coordinates, so two ids
-    agree exactly when the values are equal.
+    agree exactly when the values are equal.  For each (a, b) the ids of
+    (a b) c and a (b c) over every c are compared as two whole lists;
+    `checked` still counts every triple, up to and including the first
+    failing one.
     """
     if window < 0:
         raise ValueError("the coefficient window must be nonnegative")
@@ -253,15 +256,19 @@ def coeff_assoc_check(alg: PresentedAlgebra, window: int = 3):
     times_c = [[value_id(coeff_mul(x, c)) for c in symbols] for x in distinct]  # x c
     a_times = [[value_id(coeff_mul(a, x)) for x in distinct] for a in symbols]  # a x
     for ia, a_row in enumerate(a_times):
+        a_of = a_row.__getitem__
         for ib, b_row in enumerate(pairs):
-            ab_row = times_c[pairs[ia][ib]]
-            for ic, bc in enumerate(b_row):
-                rep.checked += 1
-                if ab_row[ic] != a_row[bc]:
-                    rep.fail(
-                        f"coefficient associativity fails at "
-                        f"{names[ia]}, {names[ib]}, {names[ic]}"
-                    )
-                    return rep
+            ab_row = times_c[pairs[ia][ib]]  # (a b) c for every c
+            a_bc = list(map(a_of, b_row))  # a (b c) for every c
+            if ab_row == a_bc:
+                rep.checked += len(b_row)
+                continue
+            ic = next(ic for ic, (x, y) in enumerate(zip(ab_row, a_bc)) if x != y)
+            rep.checked += ic + 1
+            rep.fail(
+                f"coefficient associativity fails at "
+                f"{names[ia]}, {names[ib]}, {names[ic]}"
+            )
+            return rep
     return rep
 

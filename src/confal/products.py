@@ -411,15 +411,23 @@ class ConformalAlgebra:
     def locality_coeff_sum(self, u: Elem, v: Elem, n: int, l: int, m: int):
         """sum_j (-1)^j C(n, j) u(l-j) v(m+j), the order-n locality combination.
 
-        Formed from coefficients alone, without any memo: this is the
-        independent route the symbolic products are checked against.
+        Formed from coefficients alone, without any memo: every call forms
+        each coefficient and each product afresh, so this stays the
+        independent route the symbolic products are checked against.  The
+        sign and binomial scale the left factor u(l-j), a single term for a
+        d-free u, rather than the product; nothing is scaled when v(m+j) is
+        zero, since the product is then zero.  The sum starts from the
+        j = 0 product.
         """
         if n < 0:
             raise ValueError("product order must be nonnegative")
-        acc = self.model_zero()
-        for j in range(n + 1):
+        acc = self.model_mul(self.phi(u, l), self.phi(v, m))
+        for j in range(1, n + 1):
             c = gen_binom(n, j)
             if j % 2:
                 c = -c
-            acc = acc + self.model_mul(self.phi(u, l - j), self.phi(v, m + j)).scale(c)
+            x, y = self.phi(u, l - j), self.phi(v, m + j)
+            if not y.is_zero():
+                x = x.scale(c)
+            acc = acc + self.model_mul(x, y)
         return acc

@@ -1,6 +1,8 @@
 """The coefficient layer: normal-form coefficients, memoised locality sums, their cost."""
 
 import pathlib
+import random
+from fractions import Fraction
 
 import pytest
 from test_diff_conformal import cend2
@@ -9,8 +11,10 @@ from confal import (
     ALL_ZERO,
     SkewLaurent,
     coefficient_locality_report,
+    cur_dual_numbers,
     cur_matrix,
     cur_matrix_presented,
+    poly_zero,
     weyl_algebra,
 )
 from confal import presented_conformal
@@ -267,3 +271,57 @@ def test_right_shifts_only_d_free_differential_elements():
         assert not alg.right_shifts(alg.generator_items()[0][1].derive())
     for u in _elements(CUR2P):
         assert CUR2P.right_shifts(u) is False, u
+
+
+# -- the oracle against the loop it replaced ---------------------------------------------------
+
+
+def _zero_started_sum(alg, u, v, n, l, m):
+    """sum_j (-1)^j C(n, j) u(l-j) v(m+j), each product scaled after it is formed."""
+    acc = alg.model_zero()
+    for j in range(n + 1):
+        c = -gen_binom(n, j) if j % 2 else gen_binom(n, j)
+        acc = acc + alg.model_mul(alg.phi(u, l - j), alg.phi(v, m + j)).scale(c)
+    return acc
+
+
+def _seeded_elements(alg, seed):
+    """Four combinations of two generators each, under d-powers up to 2."""
+    rng = random.Random(seed)
+    gens = [g for _, g in alg.generator_items()]
+    out = []
+    for _ in range(4):
+        u = alg.zero_elem()
+        for g in rng.sample(gens, 2):
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+            u = u + alg.apply_dop_power(g, rng.randint(0, 2)) * c
+        out.append(u)
+    return out
+
+
+def _scalar_types(alg, x) -> dict:
+    return {key: type(c) for key, c in alg.model_coords(x).items()}
+
+
+@pytest.mark.parametrize("seed, make", [(0, weyl_algebra), (1, cur_matrix), (2, cur_dual_numbers),
+                                        (3, poly_zero), (4, cur_matrix_presented)],
+                         ids=["weyl", "cur2", "cureps", "polyzero", "cur2p"])
+def test_locality_coeff_sum_matches_the_zero_started_loop(seed, make):
+    # scaling the left factor instead of the product changes no value and no
+    # repr; the presented model's CoeffElem.scale no longer renormalises the
+    # product, so only there may an integral scalar stay a Fraction
+    alg = make()
+    elems = _seeded_elements(alg, seed)
+    nonzero = 0
+    for u in elems:
+        for v in elems:
+            for n in range(4):
+                for l in range(-3, 4):
+                    for m in range(-3, 4):
+                        got = alg.locality_coeff_sum(u, v, n, l, m)
+                        want = _zero_started_sum(alg, u, v, n, l, m)
+                        assert got == want and repr(got) == repr(want), (u, v, n, l, m)
+                        if alg.name != "cur2p":
+                            assert _scalar_types(alg, got) == _scalar_types(alg, want)
+                        nonzero += not got.is_zero()
+    assert nonzero

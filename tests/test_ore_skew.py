@@ -19,6 +19,7 @@ from confal import (
     Poly,
     PolyRing,
     ScaledDdx,
+    SkewLaurent,
     ZeroDerivation,
     ad_derivation,
     cur_dual_numbers,
@@ -308,6 +309,66 @@ def test_nilpotency_bound_exceeded(monkeypatch):
     ring2 = OreRing(tight.base, tight)
     with pytest.raises(BoundExceeded):
         ring2.t(-1) * ring2.monomial(Poly.monomial(3), 0)
+
+
+def test_skew_laurent_exponents_must_be_integers():
+    ring = weyl_ring()
+    x = Poly.variable()
+    # int() would read these as t^1 and t^3 and build t^3 + t without a word
+    for coeffs in ({1.5: x, Fraction(7, 2): x}, {1.5: x}, {Fraction(7, 2): x}, {2.0: x}):
+        with pytest.raises(TypeError):
+            SkewLaurent(ring, coeffs)
+    with pytest.raises(TypeError):
+        SkewLaurent(ring, {0.5: Poly.zero()})  # a zero value does not hide a bad exponent
+    with pytest.raises(TypeError):
+        ring.t(Fraction(1, 2))
+    assert SkewLaurent(ring, {3: x, -1: x, 2: Poly.zero()}).coeffs == {3: x, -1: x}
+
+
+def _counting_ddx(monkeypatch):
+    """d/dx on Q[x], built first; then every application of it is recorded."""
+    delta = ScaledDdx(PolyRing("x"))
+    applied = []
+    apply = ScaledDdx._apply
+
+    def counted(self, a):
+        applied.append(a)
+        return apply(self, a)
+
+    monkeypatch.setattr(ScaledDdx, "_apply", counted)
+    return delta, applied
+
+
+def test_orbit_applies_delta_only_for_iterates_it_keeps(monkeypatch):
+    delta, applied = _counting_ddx(monkeypatch)
+    x5 = Poly.monomial(5)
+    full = [x5, Poly.monomial(4, 5), Poly.monomial(3, 20), Poly.monomial(2, 60),
+            Poly.monomial(1, 120), Poly.monomial(0, 120)]
+    for length in range(1, 7):
+        applied.clear()
+        got = delta.orbit(x5, length)
+        assert got == full[:length]
+        assert len(applied) == len(got) - 1
+    for length in (7, None):  # past the orbit's end: one more delta finds the zero
+        applied.clear()
+        assert delta.orbit(x5, length) == full
+        assert len(applied) == len(full)
+    applied.clear()
+    assert delta.orbit(x5, 0) == [] and applied == []
+
+
+def test_orbit_length_at_and_past_the_nilpotency_bound(monkeypatch):
+    delta, applied = _counting_ddx(monkeypatch)
+    monkeypatch.setattr(ore_skew, "NILPOTENCY_BOUND", 3)
+    x5 = Poly.monomial(5)
+    got = delta.orbit(x5, 3)  # as many iterates as the bound allows: no error
+    assert len(got) == 3 and len(applied) == 2
+    for length in (4, 10, None):
+        with pytest.raises(BoundExceeded) as exc:
+            delta.orbit(x5, length)
+        assert exc.value.bound == 3
+    # an orbit exactly as long as the bound ends within it
+    assert len(delta.orbit(Poly.monomial(2), 10)) == 3
 
 
 def test_findim_rejects_non_associative_table():

@@ -231,17 +231,31 @@ NONASSOC = PresentedAlgebra(
 )
 
 
+# first fails at window 1 on ((a,-1), (c,-1), (b,-1)): symbol indices 0, 6 and 3 of 9,
+# inside the row of its (a, b) pair
+MIDROW = PresentedAlgebra(
+    ProductTable(
+        ("a", "b", "c"),
+        {(0, 2): [{0: DOp.d()}], (1, 1): [{}, {0: DOp.one()}],
+         (1, 2): [{}, {0: DOp.one()}], (2, 1): [{}, {2: DOp.one()}]},
+    )
+)
+
+
 def _summary(rep):
     return rep.ok, rep.checked, rep.failures
 
 
-@pytest.mark.parametrize("alg", [CUR2P, NONASSOC], ids=["cur2p", "nonassoc"])
+@pytest.mark.parametrize("alg", [CUR2P, NONASSOC, MIDROW], ids=["cur2p", "nonassoc", "midrow"])
 @pytest.mark.parametrize("window", [0, 1, 2])
 def test_coeff_assoc_matches_reference(alg, window):
     want = reference_coeff_assoc(alg, window)
     assert _summary(coeff_assoc_check(alg, window)) == want
     if alg is NONASSOC and window > 0:  # at window 0, (u,0) (u,0) = (u,0) is associative
         assert not want[0] and want[1] > 1
+    if alg is MIDROW and window == 1:  # checked counts the 6 x 9 + 3 + 1 triples up to it
+        assert want == (False, 58, [
+            "coefficient associativity fails at (a,-1), (c,-1), (b,-1)"])
 
 
 @pytest.mark.parametrize("alg", [CUR2P, WEYL, NONASSOC], ids=["cur2p", "weyl", "nonassoc"])
