@@ -133,9 +133,6 @@ class DifferentialAlgebra(ConformalAlgebra):
         c0 = self.coefficient(u, 0)
         return c0.coeffs.get(0, self.base.zero())
 
-    def model_zero(self) -> SkewLaurent:
-        return self.ore.zero()
-
     def model_coords(self, m: SkewLaurent) -> dict:
         return m.coords()
 

@@ -64,7 +64,6 @@ from fractions import Fraction
 
 from .errors import BoundExceeded, NotNilpotent, ParseError
 from .exact_arith import DOp, power, ratio, signed_sum
-from .ore_skew import FinDim, LinearAction, MatPolyRing, PolyRing, ScaledDdx, ZeroDerivation
 from .record import Record
 
 MAX_EXPONENT = 256
@@ -727,6 +726,9 @@ def build(spec: AlgebraSpec):
         table = ProductTable(spec.generators, entries)
         return PresentedAlgebra(table, name=spec.name)
 
+    from .diff_conformal import DifferentialAlgebra
+    from .ore_skew import FinDim, LinearAction, MatPolyRing, PolyRing, ScaledDdx, ZeroDerivation
+
     bkind = spec.base[0]
     if bkind == "poly":
         base = PolyRing(spec.base[1])
@@ -764,8 +766,6 @@ def build(spec: AlgebraSpec):
         delta = make(base, *args)
     except (NotNilpotent, BoundExceeded) as exc:
         raise ValueError(str(exc)) from exc
-
-    from .diff_conformal import DifferentialAlgebra
 
     gens = {name: _base_value(expr, base, atoms) for name, expr in spec.generators}
     return DifferentialAlgebra(base, delta, gens, name=spec.name)

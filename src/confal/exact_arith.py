@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 
 
 def rat(value):
@@ -194,6 +195,8 @@ class Poly:
     scalar or with an operand of exactly its own class, never a subclass or a
     base class, and build every result through `self._make`; so `DOp`, the
     one subclass, gets this arithmetic and still never mixes with a Poly.
+    The constructor drops zero values and reads each remaining exponent
+    through `operator.index`, so a float or a Fraction raises TypeError.
     """
 
     __slots__ = ("coeffs",)
@@ -204,9 +207,10 @@ class Poly:
         for k, v in (coeffs or {}).items():
             v = rat(v)
             if v != 0:
+                k = index(k)
                 if k < 0:
                     raise ValueError("negative exponent in a polynomial")
-                out[int(k)] = v
+                out[k] = v
 
     @classmethod
     def _make(cls, coeffs: dict) -> "Poly":

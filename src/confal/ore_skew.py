@@ -35,7 +35,6 @@ from operator import index
 
 from .errors import BoundExceeded, NotNilpotent
 from .exact_arith import MatPoly, Poly, gen_binom, rat, signed_sum
-from .linalg import dense_solve
 
 NILPOTENCY_BOUND = 64  # cap on nonzero iterates in Derivation.orbit, read at call time
 
@@ -267,6 +266,8 @@ class FinDim(BaseAlgebra):
 
     def _find_unit(self):
         # Solve e * b_j = b_j and b_j * e = b_j for all j.
+        from .linalg import dense_solve
+
         d = self.dim
         rows, rhs = [], []
         for j in range(d):

@@ -96,9 +96,6 @@ class PresentedAlgebra(ConformalAlgebra):
             self, {(i, exp): c for i, exp, c in terms_normal_form(u.terms, k)}
         )
 
-    def model_zero(self) -> "CoeffElem":
-        return CoeffElem._make(self, {})
-
     def model_coords(self, m: "CoeffElem") -> dict:
         return dict(m.coords)
 

@@ -17,7 +17,7 @@ only
   * `locality_scan_bound(u, v)`: an order above which u (n) v provably
     vanishes;
   * its coefficient model: `phi(u, k)` (the k-th coefficient of u),
-    `model_zero`, `model_mul` and `model_coords`; `phi_products` has a
+    `model_mul` and `model_coords`; `phi_products` has a
     default built from `model_mul`, and `right_shifts(v)` (False by
     default) says when a product against v's coefficients is one product
     shifted in t.

@@ -278,7 +278,7 @@ def test_right_shifts_only_d_free_differential_elements():
 
 def _zero_started_sum(alg, u, v, n, l, m):
     """sum_j (-1)^j C(n, j) u(l-j) v(m+j), each product scaled after it is formed."""
-    acc = alg.model_zero()
+    acc = alg.phi(alg.zero_elem(), 0)
     for j in range(n + 1):
         c = -gen_binom(n, j) if j % 2 else gen_binom(n, j)
         acc = acc + alg.model_mul(alg.phi(u, l - j), alg.phi(v, m + j)).scale(c)

@@ -121,6 +121,20 @@ def test_poly_negative_exponent_rejected():
         Poly({-1: 1})
 
 
+def test_poly_and_dop_exponents_must_be_integers():
+    # int() would read these as x^1 and x^3 and build 2*x^3 + x without a word
+    for cls in (Poly, DOp):
+        for coeffs in ({1.5: 1, Fraction(7, 2): 2}, {2.0: 1}, {Fraction(3, 2): 1},
+                       {Fraction(2): 1}):
+            with pytest.raises(TypeError):
+                cls(coeffs)
+        with pytest.raises(ValueError, match="negative exponent"):
+            cls({-2: 1})
+        # zero values are dropped before their exponent is read
+        assert cls({0.5: 0, Fraction(1, 2): Fraction(0), 2: 3}).coeffs == {2: 3}
+        assert cls({True: 1}).coeffs == {1: 1}
+
+
 @settings(max_examples=60)
 @given(polys(), polys(), polys())
 def test_poly_ring_axioms(p, q, r):

@@ -24,6 +24,7 @@ SRC = ROOT / "src"
 WEYL_FILE = str(ROOT / "instances" / "weyl.confal")
 PRESENTED_FILE = str(ROOT / "instances" / "cur2_presented.confal")
 FINDIM_FILE = str(ROOT / "instances" / "cureps.confal")
+CUR2_FILE = str(ROOT / "instances" / "cur2.confal")
 
 PROBE = """
 import contextlib, io, json, sys
@@ -43,6 +44,29 @@ from confal.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     assert main({argv!r}) == 2
 """
+
+
+RUN_MAIN_REFUSED = """
+from confal.cli import main
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    assert main({argv!r}) == 2
+assert err.getvalue() == {stderr!r}, err.getvalue()
+"""
+
+# fast flags per command; identity's element is each file's conformal identity
+FLAGS = {
+    "locality": [],
+    "oracle": ["--max-order", "1", "--window", "1"],
+    "check": ["--max-order", "1", "--window", "1"],
+    "growth": ["--rmax", "2"],
+}
+IDENTITY = {WEYL_FILE: "e", CUR2_FILE: "u11 + u22", PRESENTED_FILE: "u11 + u22"}
+
+
+def _argv(cmd: str, path: str) -> list:
+    flags = ["--element", IDENTITY[path]] if cmd == "identity" else FLAGS[cmd]
+    return [cmd, path, *flags]
 
 
 def _env() -> dict:
@@ -102,6 +126,41 @@ def test_rejected_command_leaves_structure_unloaded(argv):
     # the model check comes first: an instance the command cannot take exits 2
     # before the algorithm layer is imported
     assert "structure" not in _loaded(RUN_MAIN_REJECTED.format(argv=argv))
+
+
+def test_import_cli_leaves_base_rings_and_linalg_unloaded():
+    loaded = _loaded("import confal.cli")
+    assert not loaded & {"ore_skew", "linalg"}
+
+
+@pytest.mark.parametrize("cmd", ["locality", "oracle", "check", "identity"])
+@pytest.mark.parametrize("path", [WEYL_FILE, CUR2_FILE], ids=["weyl", "cur2"])
+def test_command_without_elimination_leaves_linalg_unloaded(cmd, path):
+    loaded = _loaded(RUN_MAIN.format(argv=_argv(cmd, path)))
+    assert "ore_skew" in loaded
+    assert "linalg" not in loaded
+
+
+@pytest.mark.parametrize("cmd", ["locality", "oracle", "check", "identity", "growth"])
+def test_presented_command_leaves_base_rings_unloaded(cmd):
+    loaded = _loaded(RUN_MAIN.format(argv=_argv(cmd, PRESENTED_FILE)))
+    assert "presented_conformal" in loaded
+    assert "ore_skew" not in loaded
+
+
+@pytest.mark.parametrize("argv,stderr", [
+    (["transport", PRESENTED_FILE, "--r", "x"],
+     "error: transport needs a findim differential instance\n"),
+    (["simplicity", PRESENTED_FILE], "error: simplicity needs a differential instance\n"),
+], ids=["transport", "simplicity"])
+def test_presented_spec_is_refused_before_the_differential_layers(argv, stderr):
+    loaded = _loaded(RUN_MAIN_REFUSED.format(argv=argv, stderr=stderr))
+    assert not loaded & {"ore_skew", "diff_conformal"}
+
+
+def test_findim_base_finds_its_unit_through_linalg():
+    argv = ["check", FINDIM_FILE, *FLAGS["check"]]
+    assert {"ore_skew", "linalg"} <= _loaded(RUN_MAIN.format(argv=argv))
 
 
 def test_no_command_loads_dataclasses():
