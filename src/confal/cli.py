@@ -1,20 +1,7 @@
 """Command-line surface: parse definition files, run checks, emit reports.
 
-Commands
-    check       axiom suite: d-compatibility, both associativity expansions
-                and coefficient-level locality
-    oracle      coefficient-window agreement of the symbolic products with
-                the brute-force coefficient computation
-    locality    matrix of pairwise locality degrees of the generators
-    identity    conformal-identity check of --element
-    growth      growth function gamma(r) and detected degree
-    coeff-growth  exact coefficient-space dimensions against the locality
-                window bound
-    recognize   unital recognition: recovered basis, product and delta
-                tables, round-trip replay
-    transport   transported identity over a finite-dimensional base and a
-                nilpotent --r
-    simplicity  sweep for proper delta-stable ideals
+The commands and their flags are listed by `confal --help` (one table in
+`build_parser`) and in the README's command-line table.
 
 Exit codes: 0 pass, 1 a check failed, 2 parse/input error, 3 resource bound;
 the code of an error comes from its type (see errors).
@@ -44,8 +31,6 @@ SCHEMA = "confal/1"
 def _jsonable(value):
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else str(value)
-    if value is ALL_ZERO:
-        return repr(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -60,11 +45,11 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _emit(args, command: str, algebra: str, ok: bool | None, result: dict,
-          text_lines, csv_text: str | None = None) -> int:
+def _emit(args, algebra: str, ok: bool | None, result: dict, text_lines,
+          csv_text: str | None = None) -> int:
     report = {
         "schema": SCHEMA,
-        "command": command,
+        "command": args.command,
         "input": {"path": args.file, "sha256": _digest(args.file)},
         "algebra": algebra,
         "ok": ok,
@@ -84,7 +69,7 @@ def _emit(args, command: str, algebra: str, ok: bool | None, result: dict,
 
 def _pick_algebra(args):
     algebras = load_path(args.file)
-    if getattr(args, "algebra", None):
+    if args.algebra:
         if args.algebra not in algebras:
             raise ValueError(f"no algebra named {args.algebra!r} in {args.file}")
         return algebras[args.algebra]
@@ -92,16 +77,18 @@ def _pick_algebra(args):
 
 
 # -- commands --------------------------------------------------------------------------
+# Each runner takes the parsed arguments and the loaded algebra and returns
+# (ok, result, text lines), plus the CSV text for a tabular command; `main`
+# hands that to `_emit`.  ok is None for an informational command.
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, alg) -> tuple:
     from .axioms import (
         associativity_report,
         coefficient_locality_report,
         conformal_axioms_report,
     )
 
-    alg = _pick_algebra(args)
     gens = alg.generator_items()
     pairs = [(f"({a},{b})", (u, v)) for a, u in gens for b, v in gens]
     axioms = conformal_axioms_report(alg, pairs)
@@ -128,13 +115,12 @@ def _cmd_check(args) -> int:
     for rep in (axioms, assoc, coeff):
         for f in rep.failures:
             text.append(f"  witness: {f}")
-    return _emit(args, "check", alg.name, ok, result, text)
+    return ok, result, text
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, alg) -> tuple:
     if args.max_order < 0 or args.window < 0:
         raise ValueError("--max-order and --window must be nonnegative")
-    alg = _pick_algebra(args)
     gens = alg.generator_items()
     checked = 0
     failures = []
@@ -161,11 +147,10 @@ def _cmd_oracle(args) -> int:
         f"oracle {alg.name}: {checked} coefficients compared "
         f"(n <= {args.max_order}, k in [{-args.window}, {args.window}])",
     ] + [f"  witness: {f}" for f in failures[:5]]
-    return _emit(args, "oracle", alg.name, ok, result, text)
+    return ok, result, text
 
 
-def _cmd_locality(args) -> int:
-    alg = _pick_algebra(args)
+def _cmd_locality(args, alg) -> tuple:
     gens = alg.generator_items()
     matrix = {(a, b): alg.locality(u, v) for a, u in gens for b, v in gens}
     names = [a for a, _ in gens]
@@ -182,14 +167,12 @@ def _cmd_locality(args) -> int:
     for (a, b), deg in matrix.items():
         csv_lines.append(f"{a},{b},{'' if deg is ALL_ZERO else deg}")
     result = {f"{a},{b}": repr(d) for (a, b), d in matrix.items()}
-    return _emit(args, "locality", alg.name, None, result, text,
-                 "\n".join(csv_lines) + "\n")
+    return None, result, text, "\n".join(csv_lines) + "\n"
 
 
-def _cmd_identity(args) -> int:
+def _cmd_identity(args, alg) -> tuple:
     from .axioms import identity_report
 
-    alg = _pick_algebra(args)
     elem = parse_element(alg, args.element)
     rep = identity_report(alg, elem)
     result = {"element": repr(elem), **rep.to_json_dict()}
@@ -199,37 +182,31 @@ def _cmd_identity(args) -> int:
         f"  self-locality degree: {rep.self_locality!r}"
         + (" (exactly one)" if rep.exactly_one else ""),
     ] + [f"  failure: {f}" for f in rep.failures]
-    return _emit(args, "identity", alg.name, rep.ok, result, text)
+    return rep.ok, result, text
 
 
-def _cmd_growth(args) -> int:
+def _cmd_growth(args, alg) -> tuple:
     from .growth import growth_table
 
-    alg = _pick_algebra(args)
     rep = growth_table(alg, args.rmax)
     ok = rep.degree != "inconclusive" if args.strict else None
-    return _emit(args, "growth", alg.name, ok, rep.to_json_dict(),
-                 rep.text_lines(), rep.csv_text())
+    return ok, rep.to_json_dict(), rep.text_lines(), rep.csv_text()
 
 
-def _cmd_coeff_growth(args) -> int:
+def _cmd_coeff_growth(args, alg) -> tuple:
     from .growth import coeff_growth_check
 
-    alg = _pick_algebra(args)
     rep = coeff_growth_check(alg, (args.window_low, args.window_high), args.rmax)
     ok = all(rep.bound_ok)
-    return _emit(args, "coeff-growth", alg.name, ok, rep.to_json_dict(),
-                 rep.text_lines(), rep.csv_text())
+    return ok, rep.to_json_dict(), rep.text_lines(), rep.csv_text()
 
 
-def _cmd_recognize(args) -> int:
+def _cmd_recognize(args, alg) -> tuple:
     from .structure import recognition_roundtrip, recognize_unital
 
-    alg = _pick_algebra(args)
     e = parse_element(alg, args.element) if args.element else None
     res = recognize_unital(alg, e, word_bound=args.word_bound)
     replay = recognition_roundtrip(alg, res, n_max=args.n_max)
-    ok = res.ok
     result = res.to_json_dict()
     result["roundtrip"] = replay
     text = [
@@ -242,11 +219,10 @@ def _cmd_recognize(args) -> int:
         % (res.fit_ok, res.dtilde_ok, res.leibniz_ok),
         f"  roundtrip: {replay['checked']} products matched, {replay['skipped']} skipped",
     ] + [f"  note: {line}" for line in res.log[:6]]
-    return _emit(args, "recognize", alg.name, ok, result, text)
+    return res.ok, result, text
 
 
-def _cmd_transport(args) -> int:
-    alg = _pick_algebra(args)
+def _cmd_transport(args, alg) -> tuple:
     # only the differential model has a base: a presented spec is refused before
     # the base rings are imported
     base = getattr(alg, "base", None)
@@ -265,11 +241,10 @@ def _cmd_transport(args) -> int:
         f"  transported identity: {res.identity!r}",
         f"  self-locality degree: {res.report.self_locality!r}",
     ]
-    return _emit(args, "transport", alg.name, res.report.ok, result, text)
+    return res.report.ok, result, text
 
 
-def _cmd_simplicity(args) -> int:
-    alg = _pick_algebra(args)
+def _cmd_simplicity(args, alg) -> tuple:
     # only the differential model has a base: a presented spec is refused before
     # diff_conformal is imported
     if not hasattr(alg, "base"):
@@ -291,7 +266,7 @@ def _cmd_simplicity(args) -> int:
         ]
     else:
         text.append("  no proper delta-stable ideal found within the bounds")
-    return _emit(args, "simplicity", alg.name, None, rep.to_json_dict(), text)
+    return None, rep.to_json_dict(), text
 
 
 # -- argument surface --------------------------------------------------------------------
@@ -303,66 +278,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact workbench for associative conformal algebras",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, tabular=False):
+    # built on each call, so that it names the runners this module holds now,
+    # including any wrapper put in place after import
+    orders = (("--max-order", dict(type=int, default=4)),
+              ("--window", dict(type=int, default=6)))
+    rmax = ("--rmax", dict(type=int, default=6))
+    commands = {  # name: (help, runner, tabular, extra options)
+        "check": ("axiom suite", _cmd_check, False, orders),
+        "oracle": ("coefficient-window agreement", _cmd_oracle, False, orders),
+        "locality": ("pairwise locality degrees", _cmd_locality, True, ()),
+        "identity": ("conformal-identity check", _cmd_identity, False, (
+            ("--element", dict(required=True, help="element expression")),)),
+        "growth": ("growth function", _cmd_growth, True, (
+            rmax,
+            ("--strict", dict(action="store_true",
+                              help="fail when no growth degree is detected")))),
+        "coeff-growth": ("coefficient growth bound", _cmd_coeff_growth, True, (
+            rmax,
+            ("--window-low", dict(type=int, default=-1)),
+            ("--window-high", dict(type=int, default=1)))),
+        "recognize": ("unital recognition", _cmd_recognize, False, (
+            ("--element", dict(help="identity element (searched when omitted)")),
+            ("--word-bound", dict(type=int, default=8)),
+            ("--n-max", dict(type=int, default=2, help="round-trip product orders")))),
+        "transport": ("identity transport over (A, ad r)", _cmd_transport, False, (
+            ("--r", dict(required=True, help="nilpotent element expression")),)),
+        "simplicity": ("delta-stable ideal probe", _cmd_simplicity, False, (
+            ("--trials", dict(type=int, default=50)),
+            ("--degree-bound", dict(type=int, default=5)),
+            ("--seed", dict(type=int, default=0, help="seed for the randomized trials")))),
+    }
+    for name, (help_text, runner, tabular, options) in commands.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="definition file (.confal)")
         p.add_argument("--algebra", help="algebra name when the file holds several")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.set_defaults(tabular=tabular)
-
-    p = sub.add_parser("check", help="axiom suite")
-    common(p)
-    p.add_argument("--max-order", type=int, default=4)
-    p.add_argument("--window", type=int, default=6)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("oracle", help="coefficient-window agreement")
-    common(p)
-    p.add_argument("--max-order", type=int, default=4)
-    p.add_argument("--window", type=int, default=6)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("locality", help="pairwise locality degrees")
-    common(p, tabular=True)
-    p.set_defaults(func=_cmd_locality)
-
-    p = sub.add_parser("identity", help="conformal-identity check")
-    common(p)
-    p.add_argument("--element", required=True, help="element expression")
-    p.set_defaults(func=_cmd_identity)
-
-    p = sub.add_parser("growth", help="growth function")
-    common(p, tabular=True)
-    p.add_argument("--rmax", type=int, default=6)
-    p.add_argument("--strict", action="store_true",
-                   help="fail when no growth degree is detected")
-    p.set_defaults(func=_cmd_growth)
-
-    p = sub.add_parser("coeff-growth", help="coefficient growth bound")
-    common(p, tabular=True)
-    p.add_argument("--rmax", type=int, default=6)
-    p.add_argument("--window-low", type=int, default=-1)
-    p.add_argument("--window-high", type=int, default=1)
-    p.set_defaults(func=_cmd_coeff_growth)
-
-    p = sub.add_parser("recognize", help="unital recognition")
-    common(p)
-    p.add_argument("--element", help="identity element (searched when omitted)")
-    p.add_argument("--word-bound", type=int, default=8)
-    p.add_argument("--n-max", type=int, default=2, help="round-trip product orders")
-    p.set_defaults(func=_cmd_recognize)
-
-    p = sub.add_parser("transport", help="identity transport over (A, ad r)")
-    common(p)
-    p.add_argument("--r", required=True, help="nilpotent element expression")
-    p.set_defaults(func=_cmd_transport)
-
-    p = sub.add_parser("simplicity", help="delta-stable ideal probe")
-    common(p)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--degree-bound", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0, help="seed for the randomized trials")
-    p.set_defaults(func=_cmd_simplicity)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=runner, tabular=tabular)
     return top
 
 
@@ -372,7 +325,8 @@ def main(argv=None) -> int:
         print("csv output is only available for tabular commands", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        alg = _pick_algebra(args)
+        return _emit(args, alg.name, *args.func(args, alg))
     except ConfalError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

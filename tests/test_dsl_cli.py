@@ -1,5 +1,6 @@
 """Definition files and the command-line surface."""
 
+import argparse
 import json
 import os
 import re
@@ -476,6 +477,90 @@ CUR2_FILE = str(INSTANCE_DIR / "cur2.confal")
 CUREPS_FILE = str(INSTANCE_DIR / "cureps.confal")
 
 
+def _readme_commands() -> dict:
+    """The README's command-line table: command -> [(flag, parenthesised note or "")]."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        match = re.fullmatch(r"\| `([\w-]+)` \|[^|]*\| (.*) \|", line)
+        if match:
+            rows[match[1]] = re.findall(r"`(--[\w-]+)[^`]*`(?: \(([^)]*)\))?", match[2])
+    return rows
+
+
+def _subparsers() -> dict:
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_readme_lists_every_command_in_parser_order():
+    assert list(_readme_commands()) == list(_subparsers())
+    assert len(_readme_commands()) == 9
+
+
+@pytest.mark.parametrize("command", list(_subparsers()))
+def test_readme_flags_and_defaults_match_the_parser(command):
+    shared = {"-h", "--help", "--algebra", "--format"}
+    actions = {flag: action for action in _subparsers()[command]._actions
+               for flag in action.option_strings if flag not in shared}
+    documented = _readme_commands()[command]
+    assert sorted(flag for flag, _ in documented) == sorted(actions)
+    for flag, note in documented:
+        action = actions[flag]
+        assert action.required == (note == "required"), flag
+        if re.fullmatch(r"[−-]?\d+", note):
+            assert action.default == int(note.replace("−", "-")), flag
+        elif not note:
+            # a flag without a default in parentheses is a switch
+            assert (action.nargs, action.const, action.default) == (0, True, False), flag
+
+
+NINE_COMMANDS = [
+    ["check", WEYL_FILE, "--max-order", "1", "--window", "1"],
+    ["oracle", WEYL_FILE, "--max-order", "1", "--window", "1"],
+    ["locality", WEYL_FILE],
+    ["identity", WEYL_FILE, "--element", "e"],
+    ["growth", WEYL_FILE, "--rmax", "2"],
+    ["coeff-growth", WEYL_FILE, "--rmax", "2"],
+    ["recognize", CUR2_FILE],
+    ["transport", CUREPS_FILE, "--r", "b2"],
+    ["simplicity", CUREPS_FILE, "--trials", "2"],
+]
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """The paths `cli` builds, one entry per call of its `load_path`."""
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_path(path)
+
+    monkeypatch.setattr(cli, "load_path", counting_load)
+    return calls
+
+
+@pytest.mark.parametrize("argv", NINE_COMMANDS, ids=lambda a: a[0])
+def test_main_builds_the_file_once_per_run(argv, loads, capsys):
+    assert main([*argv, "--format", "json"]) == 0
+    assert loads == [argv[1]]
+    assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+
+
+def test_oracle_reads_the_file_before_its_flags(loads, tmp_path, capsys):
+    # main loads the algebra before any command runs, so the missing file is
+    # reported, not the negative flag; both are input errors
+    missing = str(tmp_path / "missing.confal")
+    assert main(["oracle", missing, "--max-order", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert loads == [missing]
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
+
+
 def test_cli_check_exit_codes(tmp_path):
     assert main(["check", WEYL_FILE, "--max-order", "3", "--window", "4"]) == 0
     bad = tmp_path / "broken.confal"
@@ -585,7 +670,7 @@ def test_every_error_class_has_an_expected_exit():
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
 def test_cli_reports_each_error_type_with_its_exit_code(cls, monkeypatch, capsys):
-    def fail(args):
+    def fail(args, alg):
         raise _raised(cls)
 
     monkeypatch.setattr(cli, "_cmd_locality", fail)
