@@ -163,8 +163,9 @@ def coefficient_locality_report(alg, window: int, extra_orders: int = 3) -> Chec
     overlap, so `locality_combinations` forms each product u(a) v(b) once,
     at most (2 window + 1 + n_top)^2 per pair.  `checked` counts every
     (n, l, m) either way, and a failure names the first.
-    `alg.locality_coeff_sum` forms the same sums without memo or shift and
-    stays the independent route.
+    `alg.locality_coeff_sum` forms the same sums without memo or shift, by
+    the model's own route (integer weights on base products for a
+    differential algebra), and stays the independent check.
     """
     if window < 0:
         raise ValueError("the coefficient window must be nonnegative")

@@ -12,17 +12,20 @@ rule
 with d pushed out of both slots by the engine in `products`.
 
 Coefficients live back in the skew ring: the k-th coefficient of f_a is
-a t^k, and d acts by (d u)(k) = -k u(k-1).  The brute-force oracle
+a t^k, and d acts by (d u)(k) = -k u(k-1).  The oracle
 
     (u (n) v)(k) = sum_j (-1)^j C(n, j) u(n-j) * v(k+j)
 
-recomputes every product through skew-ring multiplication alone and anchors
-all correctness testing of the symbolic route.
+expands every summand by the coefficient rule and the skew commutation
+t^e b = sum_i (-1)^i C(e, i) delta^i(b) t^(e-i), sums the j-loop in
+integers, and forms each base product a * delta^i(b) once.  It reads no
+table of the product engine and anchors all correctness testing of the
+symbolic route.
 """
 
 from __future__ import annotations
 
-from .exact_arith import DOp, rat
+from .exact_arith import DOp, falling_factorial, gen_binom, rat
 from .ore_skew import BaseAlgebra, Derivation, OreRing, SkewLaurent
 from .products import ALL_ZERO, ConformalAlgebra, Elem, terms_normal_form
 from .record import Record
@@ -38,7 +41,6 @@ class DifferentialAlgebra(ConformalAlgebra):
     format_elem = ConformalAlgebra.format_elem
     nth = ConformalAlgebra.nth
     locality = ConformalAlgebra.locality
-    locality_coeff_sum = ConformalAlgebra.locality_coeff_sum
 
     def __init__(self, base: BaseAlgebra, delta: Derivation, generators: dict | None = None,
                  name: str = "diff"):
@@ -105,6 +107,66 @@ class DifferentialAlgebra(ConformalAlgebra):
     def oracle(self, u: Elem, v: Elem, n: int, k: int) -> SkewLaurent:
         """(u (n) v)(k) computed purely from coefficients in the skew ring."""
         return self.locality_coeff_sum(u, v, n, n, k)
+
+    def _by_dpower(self, u: Elem) -> dict:
+        """{p: a_p} with u = sum_p d^p f_{a_p}, each a_p a nonzero base value."""
+        coords: dict = {}
+        for key, q in u.terms.items():
+            for p, c in q.coeffs.items():
+                coords.setdefault(p, {})[key] = c
+        from_coords = self.base.from_coords
+        return {p: from_coords(cs) for p, cs in coords.items()}
+
+    def locality_coeff_sum(self, u: Elem, v: Elem, n: int, l: int, m: int) -> SkewLaurent:
+        """sum_j (-1)^j C(n, j) u(l-j) v(m+j), each base product formed once.
+
+        With u = sum_p d^p f_{a_p} and v = sum_q d^q f_{b_q}, the rules
+        (d^p f_a)(k) = (-1)^p k(k-1)...(k-p+1) a t^(k-p) and
+        t^e b = sum_i (-1)^i C(e, i) delta^i(b) t^(e-i) turn the j-th summand
+        into multiples of a_p delta^i(b_q) t^(l+m-p-q-i), an exponent free of
+        j.  The weight of that term,
+
+            W(p, q, i) = (-1)^(p+q+i) sum_j (-1)^j C(n, j) ff(l-j, p) ff(m+j, q) C(l-j-p, i)
+
+        (ff the falling factorial), is summed over j in plain ints, and
+        a_p delta^i(b_q) is formed only when W is nonzero, then scaled only
+        when the product is nonzero.  The orbits come from `delta.orbit` on
+        b_q itself and no table of the product engine is read, so this stays
+        the independent route the symbolic products are checked against.
+        """
+        if n < 0:
+            raise ValueError("product order must be nonnegative")
+        a_by_p, b_by_q = self._by_dpower(u), self._by_dpower(v)
+        out: dict = {}
+        if not a_by_p or not b_by_q:
+            return SkewLaurent._make(self.ore, out)
+        signs = [-gen_binom(n, j) if j % 2 else gen_binom(n, j) for j in range(n + 1)]
+        # for l >= n a nonzero ff(l-j, p) means l-j-p >= 0, and C(l-j-p, i) = 0 for i > l-j-p
+        length = l - min(a_by_p) + 1 if l >= n else None
+        for q, b in b_by_q.items():
+            orbit = self.delta.orbit(b, length)
+            right = [c * falling_factorial(m + j, q) for j, c in enumerate(signs)]
+            for p, a in a_by_p.items():
+                both = [c * falling_factorial(l - j, p) for j, c in enumerate(right)]
+                for i, b_i in enumerate(orbit):
+                    w = sum(c * gen_binom(l - j - p, i) for j, c in enumerate(both) if c)
+                    if not w:
+                        continue
+                    prod = a * b_i
+                    if prod.is_zero():
+                        continue
+                    if (p + q + i) % 2:
+                        w = -w
+                    if w != 1:
+                        prod = -prod if w == -1 else prod * w
+                    exp = l + m - p - q - i
+                    if exp in out:
+                        prod = out[exp] + prod
+                        if prod.is_zero():
+                            del out[exp]
+                            continue
+                    out[exp] = prod
+        return SkewLaurent._make(self.ore, out)
 
     # -- locality ----------------------------------------------------------------
 

@@ -411,8 +411,10 @@ class ConformalAlgebra:
     def locality_coeff_sum(self, u: Elem, v: Elem, n: int, l: int, m: int):
         """sum_j (-1)^j C(n, j) u(l-j) v(m+j), the order-n locality combination.
 
+        The default, which the presented model uses; the differential model
+        overrides it with a sum of integer weights on base products.
         Formed from coefficients alone, without any memo: every call forms
-        each coefficient and each product afresh, so this stays the
+        each coefficient and each model product afresh, so this stays the
         independent route the symbolic products are checked against.  The
         sign and binomial scale the left factor u(l-j), a single term for a
         d-free u, rather than the product; nothing is scaled when v(m+j) is
