@@ -76,14 +76,16 @@ def associativity_report(alg, max_m: int, max_n: int, triples=None) -> CheckRepo
     Both sums run over 0 <= j <= m.  The report verifies each form and that
     the two computed values of the full product agree.
 
-    Each triple forms four families, each member once, in order ranges:
-    v (k) w for k <= M + N and u (j) v for j <= M (M = max_m, N = max_n),
-    then on first use u (i) (v (k) w) for i <= min(M, M + N - k) and
+    Each triple forms four families eagerly, each member once, in order
+    ranges: v (k) w for k <= M + N and u (j) v for j <= M (M = max_m,
+    N = max_n), then u (i) (v (k) w) for i <= min(M, M + N - k) and
     (u (j) v) (k) w for k <= M + N - j, exactly the orders the sums read.
     The left form's right-hand side reuses the right form's left-hand side
     and the other way round.  A triple forms (M + N + 1) + (M + 1)
-    + 2 (M + 1) (N + 1) + M (M + 1) n-th products (fewer if it fails early):
-    32 at (2, 2), against 108 for the sums as written.
+    + 2 (M + 1) (N + 1) + M (M + 1) n-th products: 32 at (2, 2), against
+    108 for the sums as written.  The last two families are flattened to
+    coordinate maps once, and each form is compared as a binomial-weighted
+    sum of those maps; a vanishing product is the empty map.
     """
     if max_m < 0 or max_n < 0:
         raise ValueError("associativity orders must be nonnegative")
@@ -96,54 +98,31 @@ def associativity_report(alg, max_m: int, max_n: int, triples=None) -> CheckRepo
             for b, ub in gens
             for c, uc in gens
         ]
+    top = max_m + max_n
+    coords = alg.coordinates
     for label, (u, v, w) in triples:
-        u_of_vw, uv_of_w = _triple_products(alg, u, v, w, max_m, max_n)
+        # u_of[k][i] = u (i) (v (k) w) and of_w[j][k] = (u (j) v) (k) w, as coordinate maps
+        u_of = [[coords(p) for p in alg.nth_orders(u, vw, 0, min(max_m, top - k))]
+                for k, vw in enumerate(alg.nth_orders(v, w, 0, top))]
+        of_w = [[coords(p) for p in alg.nth_orders(uv, w, 0, top - j)]
+                for j, uv in enumerate(alg.nth_orders(u, v, 0, max_m))]
         for m in range(max_m + 1):
             for n in range(max_n + 1):
-                left_lhs = u_of_vw(m, n)
-                left_rhs = alg.zero_elem()
-                for j in range(m + 1):
-                    left_rhs = left_rhs + uv_of_w(j, m + n - j) * gen_binom(m, j)
-                rep.checked += 1
-                if left_lhs != left_rhs:
-                    rep.fail(f"left-expansion failure at {label}, m={m}, n={n}")
-                    return rep
-                right_lhs = uv_of_w(m, n)
-                right_rhs = alg.zero_elem()
+                left: dict = {}
+                right: dict = {}
                 for j in range(m + 1):
                     c = gen_binom(m, j)
-                    right_rhs = right_rhs + u_of_vw(m - j, n + j) * (-c if j % 2 else c)
+                    add_scaled(left, of_w[j][m + n - j], c)
+                    add_scaled(right, u_of[n + j][m - j], -c if j % 2 else c)
                 rep.checked += 1
-                if right_lhs != right_rhs:
+                if u_of[n][m] != left:
+                    rep.fail(f"left-expansion failure at {label}, m={m}, n={n}")
+                    return rep
+                rep.checked += 1
+                if of_w[m][n] != right:
                     rep.fail(f"right-expansion failure at {label}, m={m}, n={n}")
                     return rep
     return rep
-
-
-def _triple_products(alg, u, v, w, max_m: int, max_n: int):
-    """(i, k) -> u (i) (v (k) w) and (j, k) -> (u (j) v) (k) w, formed in order ranges.
-
-    The expansions read u (i) (v (k) w) at i <= min(max_m, max_m + max_n - k)
-    and (u (j) v) (k) w at j <= max_m, k <= max_m + max_n - j; each range
-    covers those orders and no more.
-    """
-    top = max_m + max_n
-    vw = alg.nth_orders(v, w, 0, top)
-    uv = alg.nth_orders(u, v, 0, max_m)
-    u_of: dict = {}  # k -> [u (i) (v (k) w) for i in range]
-    of_w: dict = {}  # j -> [(u (j) v) (k) w for k in range]
-
-    def u_of_vw(i: int, k: int):
-        if k not in u_of:
-            u_of[k] = alg.nth_orders(u, vw[k], 0, min(max_m, top - k))
-        return u_of[k][i]
-
-    def uv_of_w(j: int, k: int):
-        if j not in of_w:
-            of_w[j] = alg.nth_orders(uv[j], w, 0, top - j)
-        return of_w[j][k]
-
-    return u_of_vw, uv_of_w
 
 
 def coefficient_locality_report(alg, window: int, extra_orders: int = 3) -> CheckReport:

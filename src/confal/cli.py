@@ -82,7 +82,14 @@ def _pick_algebra(args):
 # hands that to `_emit`.  ok is None for an informational command.
 
 
+def _check_orders(args):
+    """`check` and `oracle` share --max-order and --window: both refuse a negative one first."""
+    if args.max_order < 0 or args.window < 0:
+        raise ValueError("--max-order and --window must be nonnegative")
+
+
 def _cmd_check(args, alg) -> tuple:
+    _check_orders(args)
     from .axioms import (
         associativity_report,
         coefficient_locality_report,
@@ -119,8 +126,7 @@ def _cmd_check(args, alg) -> tuple:
 
 
 def _cmd_oracle(args, alg) -> tuple:
-    if args.max_order < 0 or args.window < 0:
-        raise ValueError("--max-order and --window must be nonnegative")
+    _check_orders(args)
     gens = alg.generator_items()
     checked = 0
     failures = []

@@ -348,18 +348,30 @@ class DOp(Poly):
 
 
 def _det(rows) -> "Poly":
-    """Cofactor expansion along the first row of a square tuple of Poly rows."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = Poly.zero()
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        term = rows[0][j] * _det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    """Fraction-free (Bareiss) elimination on a square tuple of Poly rows.
+
+    Step k replaces each a[i][j] below and right of the pivot by
+    (a[i][j] a[k][k] - a[i][k] a[k][j]) / (the previous pivot), an exact
+    division in Q[x]; a zero pivot swaps in a lower row, and a zero column
+    makes the determinant zero.  O(n^3) polynomial operations.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    negate = False
+    prev = Poly.one()
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            i = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+            if i is None:
+                return Poly.zero()
+            a[k], a[i] = a[i], a[k]
+            negate = not negate
+        pivot, row = a[k][k], a[k]
+        for r in a[k + 1:]:
+            for j in range(k + 1, n):
+                r[j] = (r[j] * pivot - r[k] * row[j]).divexact(prev)
+        prev = pivot
+    return -a[-1][-1] if negate else a[-1][-1]
 
 
 class MatPoly:
@@ -498,7 +510,7 @@ class MatPoly:
         )
 
     def det(self) -> Poly:
-        """Exact determinant by cofactor expansion (intended for small n)."""
+        """Exact determinant by fraction-free elimination."""
         return _det(self.rows)
 
     def __eq__(self, other):

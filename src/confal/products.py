@@ -6,8 +6,8 @@ values one computes with: `+`, `-`, scalar `*`, `derive()`, `==` and
 `is_zero()` belong to `Elem` itself, and the coefficient-model values carry
 the same operators.  `ConformalAlgebra` holds everything the two models
 share: the named generators, coordinates and formatting, the n-th product,
-locality degrees and the coefficient-level locality sums.  A model supplies
-only
+locality degrees and the presented model's coefficient-level locality sum
+(the differential model forms its own).  A model supplies only
 
   * `_base_case(a, m, b)`: the order-m product of two pure symbols, as a
     terms dict;

@@ -768,6 +768,21 @@ def test_cli_bounds_validated(argv, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--max-order", "--window"])
+def test_check_refuses_a_negative_flag_before_any_sweep(flag, monkeypatch, capsys):
+    from confal import axioms
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before the flags were checked")
+
+    monkeypatch.setattr(axioms, "conformal_axioms_report", sweep)
+    monkeypatch.setattr(axioms, "associativity_report", sweep)
+    assert main(["check", WEYL_FILE, flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-order and --window must be nonnegative\n"
+
+
 def test_cli_transport_and_recognize(capsys):
     cureps = str(INSTANCE_DIR / "cureps.confal")
     assert main(["transport", cureps, "--r", "b2"]) == 0

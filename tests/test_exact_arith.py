@@ -1,5 +1,6 @@
 """Scalar, polynomial, and matrix arithmetic: exactness and ring axioms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -345,6 +346,45 @@ def test_flat_matpoly_matches_nested_reference(pair):
     assert (a == b) == (a.rows == b.rows)
     if a == b:
         assert hash(a) == hash(b)
+
+
+def _random_rows(rng, n, density):
+    """n x n Poly rows; each entry is zero with probability 1 - density."""
+    def entry():
+        if rng.random() >= density:
+            return Poly.zero()
+        return Poly({k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in range(3)})
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def test_det_matches_the_cofactor_reference():
+    # sparse matrices meet zero pivots, so the elimination swaps rows or stops at a
+    # zero column
+    rng = random.Random(20)
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        rows = _random_rows(rng, n, rng.choice((0.3, 0.6, 1.0)))
+        assert MatPoly(rows).det() == _ref_det(rows)
+    assert MatPoly([[0, 1], [1, 0]]).det() == -1
+    assert MatPoly([[0, 1, 0], [0, 0, 1], [1, 0, 0]]).det() == 1
+    assert MatPoly([[0, 1], [0, Poly.variable()]]).det().is_zero()
+
+
+@pytest.mark.parametrize("n", [7, 9, 12])
+def test_det_matches_sympy_on_dense_matrices(n):
+    pytest.importorskip("sympy")
+    from sympy import QQ, symbols
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = QQ[symbols("x")]
+
+    def to_sympy(e):
+        return ring({(k,): QQ(c.numerator, c.denominator)
+                     for k, c in e.coeffs.items()})
+
+    rows = _random_rows(random.Random(n), n, 1.0)
+    want = DomainMatrix([[to_sympy(e) for e in r] for r in rows], (n, n), ring).det()
+    assert to_sympy(MatPoly(rows).det()) == want
 
 
 @pytest.mark.parametrize("val, one", [

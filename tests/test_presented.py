@@ -242,6 +242,14 @@ MIDROW = PresentedAlgebra(
 )
 
 
+# v (0) v = v and v (1) v = u; every product involving u vanishes.  At orders (1, 0)
+# the left expansion holds on every triple, and the right one first fails on
+# (v,v,v), the last of the eight.
+RIGHTFAIL = PresentedAlgebra(
+    ProductTable(("u", "v"), {(1, 1): [{1: DOp.one()}, {0: DOp.one()}]})
+)
+
+
 def _summary(rep):
     return rep.ok, rep.checked, rep.failures
 
@@ -258,13 +266,16 @@ def test_coeff_assoc_matches_reference(alg, window):
             "coefficient associativity fails at (a,-1), (c,-1), (b,-1)"])
 
 
-@pytest.mark.parametrize("alg", [CUR2P, WEYL, NONASSOC], ids=["cur2p", "weyl", "nonassoc"])
-@pytest.mark.parametrize("orders", [(0, 0), (1, 2), (2, 2), (3, 1)])
+@pytest.mark.parametrize("alg", [CUR2P, WEYL, NONASSOC, RIGHTFAIL],
+                         ids=["cur2p", "weyl", "nonassoc", "rightfail"])
+@pytest.mark.parametrize("orders", [(0, 0), (1, 2), (2, 2), (3, 1), (1, 0)])
 def test_associativity_report_matches_reference(alg, orders):
     want = reference_associativity(alg, *orders)
     assert _summary(associativity_report(alg, *orders)) == want
     if alg is NONASSOC and orders[0] > 0:
         assert not want[0] and want[1] > 2 * (orders[0] + 1) * (orders[1] + 1)
+    if alg is RIGHTFAIL and orders == (1, 0):  # 4 checks on each of the 8 triples
+        assert want == (False, 32, ["right-expansion failure at (v,v,v), m=1, n=0"])
 
 
 def test_associativity_report_forms_32_products_per_triple(product_seam):
